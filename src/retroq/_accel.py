@@ -1,45 +1,155 @@
-"""Ensemble path kernels in two interchangeable flavors.
+"""Record steps as superoperators on vec(rho), and the kernels that apply them.
 
-The numba flavor compiles a per-trajectory loop and parallelizes across
-trajectories; the numpy flavor vectorizes the identical update over the
-trajectory axis. RETROQ_BACKEND selects one explicitly ("numba" or
-"numpy"); when unset, numba wins if it imports. Noise increments are always
-drawn by the caller, so a given seed feeds the same numbers to either
-backend, and cross-trajectory reductions happen outside the kernels.
+A record step maps a state to its unnormalized post-record state. With the
+row-major convention vec(X rho Y) = (X ⊗ Yᵀ) vec(rho), ``record_step``
+builds each step once per (model, dt) as a few d²×d² matrices:
+
+- counting: S_quiet = A⊗Ā + Σ_j dt J_j⊗J̄_j and S_fire = κ dt c⊗c̄;
+- diffusive: S(dY) = S0 + dY S1 + dY² S2 with
+  S0 = A⊗Ā + (1-η) κ dt c⊗c̄ + Σ_j dt J_j⊗J̄_j, S1 = √(ηκ) (c⊗Ā + A⊗c̄)
+  and S2 = ηκ c⊗c̄, i.e. vec(M ρ M†) plus the undetected leak for the
+  Kraus operator M(dY) = A + √(ηκ) c dY (Rouchon & Ralph, PRA 91, 012118,
+  2015), read under the drift dY = √(ηκ) <c + c†> dt + dW;
+
+here A = 1 - (iH + ½ Σ_K K†K) dt over every generator jump K, and J_j runs
+over the unmonitored jumps. Both families are completely positive, so the
+filter needs no eigenvalue clamp. The forward kernels advance a
+(n_traj, d²) batch with one GEMM per step, holding each state as its real
+coordinates in an orthonormal Hermitian basis, where every branch is a
+real matrix; the backward pass applies the Hilbert-Schmidt adjoints S† of
+the same matrices, so forward and backward are exact adjoints by
+construction. Noise increments are drawn by the caller, and
+cross-trajectory reductions happen outside the kernels.
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
+from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is available in CI
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-    prange = range
+# Reported in benchmark machine facts only; no kernel uses numba.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def backend() -> str:
-    """Resolve the active kernel flavor from RETROQ_BACKEND."""
-    choice = os.environ.get("RETROQ_BACKEND", "").strip().lower()
-    if choice:
-        if choice not in ("numba", "numpy"):
-            raise ValueError(f"RETROQ_BACKEND={choice!r}; expected 'numba' or 'numpy'")
-        if choice == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("RETROQ_BACKEND=numba, but numba is not importable")
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
+    """The kernel flavor; numpy is the only one."""
+    return "numpy"
+
+
+def _kron_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-major superoperator of rho -> x rho y†."""
+    return np.kron(x, y.conj())
+
+
+def _vec_readout(op: np.ndarray) -> np.ndarray:
+    """Column r with vec(rho) @ r = Tr[op rho]."""
+    return op.T.reshape(-1)
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Rows vec(B_a) of an orthonormal Hermitian basis, a = i*d + j in row-major order.
+
+    B_(i,i) = |i><i|; for i < j, B_(i,j) and B_(j,i) are the symmetric and
+    antisymmetric combinations of |i><j| and |j><i| over sqrt(2). The matrix
+    is unitary, and a Hermitian rho has real coordinates h_a = Tr[B_a rho]
+    with Tr[rho] = sum_i h_(i,i).
+    """
+    basis = np.zeros((d, d, d, d), dtype=complex)
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        basis[i, i, i, i] = 1.0
+        for j in range(i + 1, d):
+            basis[i, j, i, j] = basis[i, j, j, i] = r
+            basis[j, i, i, j], basis[j, i, j, i] = -1j * r, 1j * r
+    return basis.reshape(d * d, d * d)
+
+
+def _coordinates(basis: np.ndarray, op) -> np.ndarray:
+    """Real coordinates Tr[B_a op] of (the Hermitian part of) op."""
+    return (np.asarray(op, dtype=complex).reshape(-1) @ basis.conj().T).real
+
+
+@dataclass(frozen=True)
+class RecordStep:
+    """Per-outcome superoperators of one record step on row-major vec(rho).
+
+    branches stacks (S_quiet, S_fire) for counting and (S0, S1, S2) for
+    diffusive records; an outcome x (a 0/1 count or a current dY) selects a
+    branch or weighs them by (1, dY, dY²). readout is the column r with
+    vec(rho) @ r = Tr[R rho]: the jump probability, R = κ dt c†c, or the
+    homodyne mean, R = c + c†. gain is √(ηκ) (zero for counting).
+    """
+
+    mode: str
+    dt: float
+    gain: float
+    branches: np.ndarray
+    readout: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(round(np.sqrt(self.readout.size)))
+
+    def real_form(self):
+        """(basis, G, g): the branches and readout in Hermitian-basis coordinates.
+
+        For the coordinates h of rho, h @ G[b] are those of S_b(rho) and
+        h @ g = Tr[R rho]; for the coordinates f of an effect E, f @ G[b]ᵀ
+        are those of S_b†(E).
+        """
+        basis = _hermitian_basis(self.dim)
+        real = basis @ self.branches.transpose(0, 2, 1) @ basis.conj().T
+        return basis, real.real, (basis @ self.readout).real
+
+    def combine(self, out: np.ndarray, x) -> np.ndarray:
+        """Weigh branch blocks [B_0 | B_1 | ...] along the last axis by outcome x.
+
+        out has last axis n_branches * d²; x broadcasts against the rest.
+        """
+        d2 = self.readout.size
+        x = np.asarray(x, dtype=float)[..., None]
+        if self.mode == "counting":
+            return np.where(x > 0.5, out[..., d2:2 * d2], out[..., :d2])
+        return out[..., :d2] + x * (out[..., d2:2 * d2] + x * out[..., 2 * d2:])
+
+    def superop(self, x) -> np.ndarray:
+        """The unnormalized d²×d² map for one outcome (count or dY)."""
+        return self.combine(np.concatenate(list(self.branches), axis=1), x)
+
+    def draw(self, readout: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Outcomes from the pre-step readout and the caller's noise draws."""
+        if self.mode == "counting":
+            if np.any(readout > 1.0):
+                raise ValueError("jump probability exceeded 1; reduce dt")
+            return (noise < readout).astype(float)
+        return self.gain * readout * self.dt + noise
+
+
+def record_step(model, dt: float) -> RecordStep:
+    """Build the record step of a MonitoringModel on a grid of spacing dt."""
+    d = model.dim
+    c = np.asarray(model.c, dtype=complex)
+    kappa, eta = model.kappa, model.eta
+    flat = [j for b in model.gen.baths for j in b.jumps]
+    kk = sum(j.conj().T @ j for j in flat)
+    a = np.eye(d) - (1j * model.gen.hamiltonian + 0.5 * kk) * dt
+    quiet = _kron_conj(a, a) + sum(dt * _kron_conj(j, j) for j in model.unmonitored_jumps())
+    cc = _kron_conj(c, c)
+    if model.mode == "counting":
+        branches = np.stack([quiet, kappa * dt * cc])
+        readout = _vec_readout(kappa * dt * c.conj().T @ c)
+        gain = 0.0
+    else:
+        gain = float(np.sqrt(eta * kappa))
+        branches = np.stack([
+            quiet + (1.0 - eta) * kappa * dt * cc,
+            gain * (_kron_conj(c, a) + _kron_conj(a, c)),
+            eta * kappa * cc,
+        ])
+        readout = _vec_readout(c + c.conj().T)
+    return RecordStep(model.mode, float(dt), gain, branches.astype(complex), readout.astype(complex))
 
 
 def _sample_positions(steps: int, sample_indices) -> np.ndarray:
@@ -54,230 +164,90 @@ def _sample_positions(steps: int, sample_indices) -> np.ndarray:
     return pos
 
 
-def _homodyne_numpy(h, jumps, jtj, c, sq, rho0, dt, incr, from_record, pos, n_samples):
-    n, steps = incr.shape
-    d = rho0.shape[0]
-    cdag = c.conj().T
-    xc = c + cdag
-    states = np.zeros((n, n_samples, d, d), dtype=complex)
-    dys = np.zeros((n, steps))
-    xbars = np.zeros((n, steps))
-    rho = np.broadcast_to(rho0, (n, d, d)).copy()
-    if pos[0] >= 0:
-        states[:, pos[0]] = rho
-    for k in range(steps):
-        xbar = np.einsum("ij,nji->n", xc, rho).real
-        dy = incr[:, k] if from_record else 2.0 * sq * xbar * dt + incr[:, k]
-        dw = dy - 2.0 * sq * xbar * dt
-        lr = -1j * (h @ rho - rho @ h)
-        for a in range(jumps.shape[0]):
-            lr = lr + jumps[a] @ rho @ jumps[a].conj().T
-            lr = lr - 0.5 * (jtj[a] @ rho + rho @ jtj[a])
-        hc = c @ rho + rho @ cdag - xbar[:, None, None] * rho
-        rho = rho + dt * lr + (sq * dw)[:, None, None] * hc
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        w, v = np.linalg.eigh(rho)
-        rho = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        tr = np.einsum("nii->n", rho).real
-        if np.any(tr <= 0.0):
-            raise ValueError("a trajectory collapsed to zero trace; reduce dt")
-        rho = rho / tr[:, None, None]
-        dys[:, k] = dy
-        xbars[:, k] = xbar
-        if pos[k + 1] >= 0:
-            states[:, pos[k + 1]] = rho
-    return states, dys, xbars
+_COLLAPSE = {
+    "diffusive": "a trajectory collapsed to zero trace; reduce dt",
+    "counting": "a record branch has zero weight; the record is infeasible",
+}
 
 
-@njit(parallel=True, cache=True)
-def _homodyne_numba(h, jumps, jtj, c, cdag, xc, sq, rho0, dt, incr, from_record, pos, states, dys, xbars, flags):
-    n, steps = incr.shape
-    d = rho0.shape[0]
-    for i in prange(n):
-        rho = rho0.copy()
-        if pos[0] >= 0:
-            states[i, pos[0]] = rho
-        for k in range(steps):
-            xr = xc @ rho
-            xbar = 0.0
-            for q in range(d):
-                xbar += xr[q, q].real
-            if from_record:
-                dy = incr[i, k]
-            else:
-                dy = 2.0 * sq * xbar * dt + incr[i, k]
-            dw = dy - 2.0 * sq * xbar * dt
-            lr = -1j * (h @ rho - rho @ h)
-            for a in range(jumps.shape[0]):
-                ja = jumps[a]
-                lr = lr + ja @ rho @ ja.conj().T
-                lr = lr - 0.5 * (jtj[a] @ rho + rho @ jtj[a])
-            hc = c @ rho + rho @ cdag - xbar * rho
-            rho = rho + dt * lr + (sq * dw) * hc
-            rho = 0.5 * (rho + rho.conj().T)
-            w, v = np.linalg.eigh(rho)
-            w = np.maximum(w, 0.0)
-            rho = (v * w.astype(np.complex128)) @ v.conj().T
-            tr = 0.0
-            for q in range(d):
-                tr += rho[q, q].real
-            if tr <= 0.0:
-                flags[i] = 1
-                break
-            rho = rho / tr
-            dys[i, k] = dy
-            xbars[i, k] = xbar
-            if pos[k + 1] >= 0:
-                states[i, pos[k + 1]] = rho
+def _paths(step: RecordStep, rho0, incr, from_record, sample_indices):
+    """Filter a batch of trajectories; returns (sampled states, outcomes, readouts).
 
-
-def homodyne_paths(h, jumps, c, sq, rho0, dt, incr, from_record, sample_indices, which=None):
-    """Integrate diffusive trajectories; returns (sampled states, dY, <X_c>).
-
-    incr holds per-step dW draws, or recorded dY when from_record is true.
-    jumps must include the monitored channel with its sqrt(kappa) weight.
+    Counting outcomes are int64 counts and carry no readouts (None). Each
+    step is one real GEMM of the normalized coordinate rows against
+    [G_0 | G_1 | ... | g], then the per-row branch combination and trace
+    normalization.
     """
-    which = which or backend()
     incr = np.ascontiguousarray(incr, dtype=float)
-    steps = incr.shape[1]
-    pos = _sample_positions(steps, sample_indices)
-    h = np.ascontiguousarray(h, dtype=complex)
-    c = np.ascontiguousarray(c, dtype=complex)
-    rho0 = np.ascontiguousarray(rho0, dtype=complex)
-    d = rho0.shape[0]
-    jumps = (
-        np.ascontiguousarray(np.stack(jumps), dtype=complex)
-        if len(jumps)
-        else np.zeros((0, d, d), dtype=complex)
-    )
-    jtj = np.stack([j.conj().T @ j for j in jumps]) if len(jumps) else jumps.copy()
-    n_samples = len(sample_indices)
-    if which == "numpy":
-        return _homodyne_numpy(
-            h, jumps, jtj, c, sq, rho0, dt, incr, bool(from_record), pos, n_samples
-        )
-    n = incr.shape[0]
-    states = np.zeros((n, n_samples, d, d), dtype=complex)
-    dys = np.zeros((n, steps))
-    xbars = np.zeros((n, steps))
-    flags = np.zeros(n, dtype=np.int64)
-    _homodyne_numba(
-        h, jumps, jtj, c, np.ascontiguousarray(c.conj().T),
-        np.ascontiguousarray(c + c.conj().T), float(sq), rho0, float(dt),
-        incr, bool(from_record), pos, states, dys, xbars, flags,
-    )
-    if flags.any():
-        raise ValueError("a trajectory collapsed to zero trace; reduce dt")
-    return states, dys, xbars
-
-
-def _counting_numpy(a0, a1, sjumps, ctck, rho0, dt, incr, from_record, pos, n_samples):
     n, steps = incr.shape
-    d = rho0.shape[0]
-    states = np.zeros((n, n_samples, d, d), dtype=complex)
-    counts = np.zeros((n, steps), dtype=np.int64)
-    rho = np.broadcast_to(rho0, (n, d, d)).copy()
+    pos = _sample_positions(steps, sample_indices)
+    d = step.dim
+    basis, real, g = step.real_form()
+    gemm = np.concatenate([*real, g[:, None]], axis=1)
+    h = np.broadcast_to(_coordinates(basis, rho0), (n, d * d)).copy()
+    states = np.zeros((n, len(sample_indices), d * d), dtype=complex)
+    counting = step.mode == "counting"
+    outcomes = np.zeros((n, steps), dtype=np.int64 if counting else float)
+    readouts = None if counting else np.zeros((n, steps))
     if pos[0] >= 0:
-        states[:, pos[0]] = rho
+        states[:, pos[0]] = h @ basis
     for k in range(steps):
-        if from_record:
-            fire = incr[:, k] > 0.5
-        else:
-            p1 = np.einsum("ij,nji->n", ctck, rho).real * dt
-            if np.any(p1 > 1.0):
-                raise ValueError("jump probability exceeded 1; reduce dt")
-            fire = incr[:, k] < p1
-        jumped = a1 @ rho @ a1.conj().T
-        stayed = a0 @ rho @ a0.conj().T
-        for a in range(sjumps.shape[0]):
-            stayed = stayed + sjumps[a] @ rho @ sjumps[a].conj().T
-        rho = np.where(fire[:, None, None], jumped, stayed)
-        tr = np.einsum("nii->n", rho).real
+        out = h @ gemm
+        readout = out[:, -1]
+        x = incr[:, k] if from_record else step.draw(readout, incr[:, k])
+        h = step.combine(out[:, :-1], x)
+        tr = h[:, :: d + 1].sum(axis=1)
         if np.any(tr <= 0.0):
-            raise ValueError("a record branch has zero weight; the record is infeasible")
-        rho = rho / tr[:, None, None]
-        counts[:, k] = fire
+            raise ValueError(_COLLAPSE[step.mode])
+        h /= tr[:, None]
+        outcomes[:, k] = x
+        if readouts is not None:
+            readouts[:, k] = readout
         if pos[k + 1] >= 0:
-            states[:, pos[k + 1]] = rho
+            states[:, pos[k + 1]] = h @ basis
+    return states.reshape(n, -1, d, d), outcomes, readouts
+
+
+def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
+    """Filter diffusive trajectories; returns (sampled states, dY, <c + c†>).
+
+    incr (n_traj, steps) holds per-step dW draws, or recorded dY when
+    from_record is true.
+    """
+    return _paths(step, rho0, incr, from_record, sample_indices)
+
+
+def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
+    """Filter jump trajectories; returns (sampled states, counts).
+
+    incr (n_traj, steps) holds per-step uniform draws, or a recorded 0/1
+    count sequence when from_record is true.
+    """
+    states, counts, _ = _paths(step, rho0, incr, from_record, sample_indices)
     return states, counts
 
 
-@njit(parallel=True, cache=True)
-def _counting_numba(a0, a1, sjumps, ctck, rho0, dt, incr, from_record, pos, states, counts, flags):
-    n, steps = incr.shape
-    d = rho0.shape[0]
-    for i in prange(n):
-        rho = rho0.copy()
-        if pos[0] >= 0:
-            states[i, pos[0]] = rho
-        for k in range(steps):
-            if from_record:
-                fire = incr[i, k] > 0.5
-            else:
-                lr = ctck @ rho
-                p1 = 0.0
-                for q in range(d):
-                    p1 += lr[q, q].real
-                p1 *= dt
-                if p1 > 1.0:
-                    flags[i] = 2
-                    break
-                fire = incr[i, k] < p1
-            if fire:
-                rho = a1 @ rho @ a1.conj().T
-            else:
-                nxt = a0 @ rho @ a0.conj().T
-                for a in range(sjumps.shape[0]):
-                    nxt = nxt + sjumps[a] @ rho @ sjumps[a].conj().T
-                rho = nxt
-            tr = 0.0
-            for q in range(d):
-                tr += rho[q, q].real
-            if tr <= 0.0:
-                flags[i] = 1
-                break
-            rho = rho / tr
-            counts[i, k] = 1 if fire else 0
-            if pos[k + 1] >= 0:
-                states[i, pos[k + 1]] = rho
+def backward_effects(step: RecordStep, increments, effect_final) -> np.ndarray:
+    """Effects E_k = S_k†(E_{k+1}) along a record, shape (steps + 1, d, d).
 
-
-def counting_paths(a0, a1, sjumps, ctck, rho0, dt, incr, from_record, sample_indices, which=None):
-    """Integrate jump trajectories; returns (sampled states, counts).
-
-    incr holds per-step uniform draws, or a recorded 0/1 count sequence when
-    from_record is true. a0/a1 are the no-jump and jump branch operators,
-    sjumps the sqrt(dt)-scaled unmonitored channels, ctck = kappa * c†c.
+    The terminal entry is effect_final itself; every earlier entry is
+    scaled to spectral norm 1. The loop runs on Hermitian-basis coordinates
+    and rescales by their 2-norm (the Frobenius norm), which vanishes only
+    with the effect.
     """
-    which = which or backend()
-    incr = np.ascontiguousarray(incr, dtype=float)
-    steps = incr.shape[1]
-    pos = _sample_positions(steps, sample_indices)
-    a0 = np.ascontiguousarray(a0, dtype=complex)
-    a1 = np.ascontiguousarray(a1, dtype=complex)
-    ctck = np.ascontiguousarray(ctck, dtype=complex)
-    rho0 = np.ascontiguousarray(rho0, dtype=complex)
-    d = rho0.shape[0]
-    sjumps = (
-        np.ascontiguousarray(np.stack(sjumps), dtype=complex)
-        if len(sjumps)
-        else np.zeros((0, d, d), dtype=complex)
-    )
-    n_samples = len(sample_indices)
-    if which == "numpy":
-        return _counting_numpy(
-            a0, a1, sjumps, ctck, rho0, dt, incr, bool(from_record), pos, n_samples
-        )
-    n = incr.shape[0]
-    states = np.zeros((n, n_samples, d, d), dtype=complex)
-    counts = np.zeros((n, steps), dtype=np.int64)
-    flags = np.zeros(n, dtype=np.int64)
-    _counting_numba(
-        a0, a1, sjumps, ctck, rho0, float(dt), incr, bool(from_record), pos,
-        states, counts, flags,
-    )
-    if (flags == 2).any():
-        raise ValueError("jump probability exceeded 1; reduce dt")
-    if (flags == 1).any():
-        raise ValueError("a record branch has zero weight; the record is infeasible")
-    return states, counts
+    d = step.dim
+    basis, real, _ = step.real_form()
+    adjoint = np.concatenate(list(real.transpose(0, 2, 1)), axis=1)
+    n = len(increments)
+    rows = np.empty((n, d * d))
+    f = _coordinates(basis, effect_final)
+    for k in range(n - 1, -1, -1):
+        f = step.combine(f @ adjoint, increments[k])
+        s = np.sqrt(f @ f)
+        if s <= 0.0:
+            raise ValueError("effect collapsed to zero; record incompatible with the effect")
+        f = f / s
+        rows[k] = f
+    body = (rows @ basis).reshape(n, d, d)
+    body /= np.abs(np.linalg.eigvalsh(body)).max(axis=1)[:, None, None]
+    return np.concatenate([body, np.asarray(effect_final, dtype=complex)[None]])

@@ -7,8 +7,9 @@ out of every conditional probability, so the smoothed distributions from a
 simulated pair equal the exact Bayesian retrodiction of the discretized
 model wherever that retrodiction is enumerable.
 
-Single-trajectory integration always runs the vectorized numpy path;
-ensemble entry points honor the RETROQ_BACKEND kernel selection.
+Every pass reads one record-step object (``_accel.record_step``): the
+forward filter, replay and the ensembles apply its superoperators, and the
+backward passes apply their exact adjoints.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import _accel
 from .algebra import (
     asoperator,
     dagger,
-    hermitian_part,
     hermiticity_defect,
     pairing,
     spectral_norm_hermitian,
@@ -204,26 +204,20 @@ def _sq(model: MonitoringModel) -> float:
     return float(np.sqrt(model.eta * model.kappa))
 
 
-def _homodyne_paths(model, rho0, dt, incr, from_record, sample_indices, which):
-    flat = [j for b in model.gen.baths for j in b.jumps]
-    return _accel.homodyne_paths(
-        model.gen.hamiltonian, flat, model.c, _sq(model), asoperator(rho0),
-        dt, incr, from_record, sample_indices, which=which,
-    )
-
-
 def simulate_homodyne(model, rho0, horizon, dt, seed):
-    """Euler integration of the diffusive filtering equation.
+    """Kraus-form integration of the diffusive filtering equation.
 
     Returns the state timeline and the record of measured currents
-    dY = 2 sqrt(eta kappa) <X_c> dt + dW with dW ~ Normal(0, dt) drawn from
+    dY = sqrt(eta kappa) <X_c> dt + dW with dW ~ Normal(0, dt) drawn from
     a counter-based generator, so a seed pins the whole trajectory.
     """
     _require_mode(model, "diffusive")
     _warn_coarse(model, dt)
     n, h = _grid(0.0, horizon, dt)
     dws = _noise(seed).normal(0.0, np.sqrt(h), size=(1, n))
-    states, dys, _ = _homodyne_paths(model, rho0, h, dws, False, range(n + 1), "numpy")
+    states, dys, _ = _accel.homodyne_paths(
+        _accel.record_step(model, h), asoperator(rho0), dws, False, range(n + 1)
+    )
     times = h * np.arange(n + 1)
     record = MeasurementRecord("diffusive", times, dys[0], int(seed), model.kappa, model.eta)
     return Timeline(times, states[0], "state"), record
@@ -234,63 +228,45 @@ def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
     _require_mode(model, "diffusive")
     if record.mode != "diffusive":
         raise ValueError("record is not diffusive")
-    n = record.steps
-    states, _, _ = _homodyne_paths(
-        model, rho0, record.dt, record.increments[None, :], True, range(n + 1), "numpy"
+    states, _, _ = _accel.homodyne_paths(
+        _accel.record_step(model, record.dt), asoperator(rho0),
+        record.increments[None, :], True, range(record.steps + 1),
     )
     return Timeline(record.times, states[0], "state")
 
 
-def backward_homodyne(model, record: MeasurementRecord, effect_final) -> Timeline:
-    """Backward effect pass conditioned on a homodyne record.
-
-    Each step applies the adjoint of the forward conditioning map at the
-    recorded current: E <- M(dY)† E M(dY) + (1-eta) kappa dt c†Ec summed
-    with the unmonitored sandwiches, then rescales by the spectral norm.
-    The terminal entry is the final effect itself.
-    """
-    _require_mode(model, "diffusive")
-    if record.mode != "diffusive":
-        raise ValueError("record is not diffusive")
+def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
     ef = asoperator(effect_final)
     if ef.shape[0] != model.dim:
         raise ValueError(f"effect dimension {ef.shape[0]} does not match model {model.dim}")
     if hermiticity_defect(ef) > 1e-9:
         raise ValueError("terminal effect is not Hermitian")
-    dt = record.dt
-    n = record.steps
-    flat = [j for b in model.gen.baths for j in b.jumps]
-    kk = sum(dagger(j) @ j for j in flat)
-    base = np.eye(model.dim) - (1j * model.gen.hamiltonian + 0.5 * kk) * dt
-    sqc = _sq(model) * model.c
-    cd = dagger(model.c)
-    leak = (1.0 - model.eta) * model.kappa * dt
-    others = [np.sqrt(dt) * j for j in model.unmonitored_jumps()]
-    mats = np.zeros((n + 1, model.dim, model.dim), dtype=complex)
-    mats[n] = ef
-    e = ef
-    for k in range(n - 1, -1, -1):
-        m = base + sqc * record.increments[k]
-        e = dagger(m) @ e @ m + leak * (cd @ e @ model.c)
-        for j in others:
-            e = e + dagger(j) @ e @ j
-        e = hermitian_part(e)
-        s = spectral_norm_hermitian(e)
-        if s <= 0.0:
-            raise ValueError("effect collapsed to zero; record incompatible with the effect")
-        e = e / s
-        mats[k] = e
+    mats = _accel.backward_effects(_accel.record_step(model, record.dt), record.increments, ef)
     return Timeline(record.times, mats, "effect")
 
 
+def backward_homodyne(model, record: MeasurementRecord, effect_final) -> Timeline:
+    """Backward effect pass conditioned on a homodyne record.
+
+    Each step applies the exact adjoint of the forward Kraus step at the
+    recorded current: E <- M(dY)† E M(dY) + (1-eta) kappa dt c†Ec plus the
+    unmonitored sandwiches, all acting on the incoming effect. Entries are
+    scaled to spectral norm 1; the terminal entry is the final effect itself.
+    """
+    _require_mode(model, "diffusive")
+    if record.mode != "diffusive":
+        raise ValueError("record is not diffusive")
+    return _backward(model, record, effect_final)
+
+
 def _counting_ops(model: MonitoringModel, dt: float):
+    """Kraus operators of one counting step in sandwich form (the oracle's route)."""
     flat = [j for b in model.gen.baths for j in b.jumps]
     kk = sum(dagger(j) @ j for j in flat)
     a0 = np.eye(model.dim) - (1j * model.gen.hamiltonian + 0.5 * kk) * dt
     a1 = np.sqrt(model.kappa * dt) * model.c
     sjumps = [np.sqrt(dt) * j for j in model.unmonitored_jumps()]
-    ctck = model.kappa * dagger(model.c) @ model.c
-    return a0, a1, sjumps, ctck
+    return a0, a1, sjumps
 
 
 def simulate_counting(model, rho0, horizon, dt, seed):
@@ -299,9 +275,8 @@ def simulate_counting(model, rho0, horizon, dt, seed):
     _warn_coarse(model, dt)
     n, h = _grid(0.0, horizon, dt)
     us = _noise(seed).random(size=(1, n))
-    a0, a1, sjumps, ctck = _counting_ops(model, h)
     states, counts = _accel.counting_paths(
-        a0, a1, sjumps, ctck, asoperator(rho0), h, us, False, range(n + 1), which="numpy"
+        _accel.record_step(model, h), asoperator(rho0), us, False, range(n + 1)
     )
     times = h * np.arange(n + 1)
     record = MeasurementRecord("counting", times, counts[0], int(seed), model.kappa, model.eta)
@@ -313,11 +288,9 @@ def replay_counting(model, rho0, record: MeasurementRecord) -> Timeline:
     _require_mode(model, "counting")
     if record.mode != "counting":
         raise ValueError("record is not a counting record")
-    n = record.steps
-    a0, a1, sjumps, ctck = _counting_ops(model, record.dt)
     states, _ = _accel.counting_paths(
-        a0, a1, sjumps, ctck, asoperator(rho0), record.dt,
-        record.increments[None, :].astype(float), True, range(n + 1), which="numpy",
+        _accel.record_step(model, record.dt), asoperator(rho0),
+        record.increments[None, :], True, range(record.steps + 1),
     )
     return Timeline(record.times, states[0], "state")
 
@@ -326,38 +299,13 @@ def backward_counting(model, record: MeasurementRecord, effect_final) -> Timelin
     """Backward effect pass on a count record.
 
     Jump steps apply kappa dt c†Ec, quiet steps the adjoint no-jump
-    sandwich; each entry is rescaled by its spectral norm, which cancels in
-    every smoothed probability.
+    sandwich; entries are scaled to spectral norm 1, which cancels in every
+    smoothed probability. The terminal entry is the final effect itself.
     """
     _require_mode(model, "counting")
     if record.mode != "counting":
         raise ValueError("record is not a counting record")
-    ef = asoperator(effect_final)
-    if ef.shape[0] != model.dim:
-        raise ValueError(f"effect dimension {ef.shape[0]} does not match model {model.dim}")
-    if hermiticity_defect(ef) > 1e-9:
-        raise ValueError("terminal effect is not Hermitian")
-    dt = record.dt
-    n = record.steps
-    a0, a1, sjumps, _ = _counting_ops(model, dt)
-    mats = np.zeros((n + 1, model.dim, model.dim), dtype=complex)
-    mats[n] = ef
-    e = ef
-    for k in range(n - 1, -1, -1):
-        if record.increments[k]:
-            e = dagger(a1) @ e @ a1
-        else:
-            nxt = dagger(a0) @ e @ a0
-            for j in sjumps:
-                nxt = nxt + dagger(j) @ e @ j
-            e = nxt
-        e = hermitian_part(e)
-        s = spectral_norm_hermitian(e)
-        if s <= 0.0:
-            raise ValueError("effect collapsed to zero; record incompatible with the effect")
-        e = e / s
-        mats[k] = e
-    return Timeline(record.times, mats, "effect")
+    return _backward(model, record, effect_final)
 
 
 def smoothed_probability(pair: PqsPair, t, ins: Instrument, eps: float = 0.0) -> dict:
@@ -371,7 +319,7 @@ def smoothed_probability(pair: PqsPair, t, ins: Instrument, eps: float = 0.0) ->
 def record_log_likelihood(model, states: Timeline, record: MeasurementRecord) -> float:
     """Girsanov exponent of a diffusive record against a filtered state path.
 
-    Returns -(1/2) sum_k (dY_k - 2 sqrt(eta kappa) <X_c>_k dt)^2 / dt, up to
+    Returns -(1/2) sum_k (dY_k - sqrt(eta kappa) <X_c>_k dt)^2 / dt, up to
     a record-independent constant; only differences between models on the
     same grid are meaningful.
     """
@@ -380,7 +328,7 @@ def record_log_likelihood(model, states: Timeline, record: MeasurementRecord) ->
 
 
 def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarray:
-    """Per-step innovation dW = dY - 2 sqrt(eta kappa) <X_c> dt."""
+    """Per-step innovation dW = dY - sqrt(eta kappa) <X_c> dt."""
     _require_mode(model, "diffusive")
     if record.mode != "diffusive":
         raise ValueError("record is not diffusive")
@@ -388,7 +336,7 @@ def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarra
         raise ValueError("state timeline does not match the record grid")
     xc = model.x_c
     xbars = np.einsum("ij,kji->k", xc, states.mats[:-1]).real
-    return record.increments - 2.0 * _sq(model) * xbars * record.dt
+    return record.increments - _sq(model) * xbars * record.dt
 
 
 @dataclass(frozen=True)
@@ -412,7 +360,7 @@ class CountingEnumeration:
             raise ValueError(f"record length {len(incr)} does not match {self.steps} steps")
         if not 0 <= step_index <= self.steps:
             raise IndexError(f"step index {step_index} outside 0..{self.steps}")
-        a0, a1, sjumps, _ = _counting_ops(self.model, self.dt)
+        a0, a1, sjumps = _counting_ops(self.model, self.dt)
 
         def advance(rho, n):
             if n:
@@ -444,7 +392,7 @@ def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumerat
         raise ValueError(f"{steps} steps means {2**steps} records; 10 is the cap")
     rho0 = asoperator(rho0)
     ef = asoperator(effect_final)
-    a0, a1, sjumps, _ = _counting_ops(model, dt)
+    a0, a1, sjumps = _counting_ops(model, dt)
 
     weights = {}
 
@@ -478,7 +426,7 @@ class HomodyneEnsemble:
         return self.states.mean(axis=0)
 
     def innovations(self) -> np.ndarray:
-        return self.dys - 2.0 * _sq(self.model) * self.xbars * self.dt
+        return self.dys - _sq(self.model) * self.xbars * self.dt
 
 
 @dataclass(frozen=True)
@@ -512,28 +460,29 @@ def _resolve_samples(times: np.ndarray, sample_times) -> np.ndarray:
 
 
 def ensemble_homodyne(model, rho0, horizon, dt, n_traj, seed, sample_times=None):
-    """Many diffusive trajectories through the RETROQ_BACKEND kernel."""
+    """Many diffusive trajectories filtered as one batch."""
     _require_mode(model, "diffusive")
     _warn_coarse(model, dt)
     n, h = _grid(0.0, horizon, dt)
     times = h * np.arange(n + 1)
     idx = _resolve_samples(times, sample_times)
     dws = _noise(seed).normal(0.0, np.sqrt(h), size=(int(n_traj), n))
-    states, dys, xbars = _homodyne_paths(model, rho0, h, dws, False, idx, None)
+    states, dys, xbars = _accel.homodyne_paths(
+        _accel.record_step(model, h), asoperator(rho0), dws, False, idx
+    )
     return HomodyneEnsemble(model, times[idx], states, dys, xbars, h, int(seed))
 
 
 def ensemble_counting(model, rho0, horizon, dt, n_traj, seed, sample_times=None):
-    """Many jump trajectories through the RETROQ_BACKEND kernel."""
+    """Many jump trajectories filtered as one batch."""
     _require_mode(model, "counting")
     _warn_coarse(model, dt)
     n, h = _grid(0.0, horizon, dt)
     times = h * np.arange(n + 1)
     idx = _resolve_samples(times, sample_times)
     us = _noise(seed).random(size=(int(n_traj), n))
-    a0, a1, sjumps, ctck = _counting_ops(model, h)
     states, counts = _accel.counting_paths(
-        a0, a1, sjumps, ctck, asoperator(rho0), h, us, False, idx, which=None
+        _accel.record_step(model, h), asoperator(rho0), us, False, idx
     )
     return CountingEnsemble(model, times[idx], states, counts, h, int(seed))
 
