@@ -4,9 +4,10 @@ A record step maps a state to its unnormalized post-record state. With the
 row-major convention vec(X rho Y) = (X ⊗ Yᵀ) vec(rho), ``record_step``
 builds each step once per (model, dt) as a few d²×d² matrices:
 
-- counting: S_quiet = A⊗Ā + Σ_j dt J_j⊗J̄_j and S_fire = κ dt c⊗c̄;
-- diffusive: S(dY) = S0 + dY S1 + dY² S2 with
-  S0 = A⊗Ā + (1-η) κ dt c⊗c̄ + Σ_j dt J_j⊗J̄_j, S1 = √(ηκ) (c⊗Ā + A⊗c̄)
+- both modes share S0 = A⊗Ā + (1-η) κ dt c⊗c̄ + Σ_j dt J_j⊗J̄_j, the
+  no-detection map plus the undetected leak at efficiency η;
+- counting: S_quiet = S0 and S_fire = η κ dt c⊗c̄;
+- diffusive: S(dY) = S0 + dY S1 + dY² S2 with S1 = √(ηκ) (c⊗Ā + A⊗c̄)
   and S2 = ηκ c⊗c̄, i.e. vec(M ρ M†) plus the undetected leak for the
   Kraus operator M(dY) = A + √(ηκ) c dY (Rouchon & Ralph, PRA 91, 012118,
   2015), read under the drift dY = √(ηκ) <c + c†> dt + dW;
@@ -78,7 +79,7 @@ class RecordStep:
     branches stacks (S_quiet, S_fire) for counting and (S0, S1, S2) for
     diffusive records; an outcome x (a 0/1 count or a current dY) selects a
     branch or weighs them by (1, dY, dY²). readout is the column r with
-    vec(rho) @ r = Tr[R rho]: the jump probability, R = κ dt c†c, or the
+    vec(rho) @ r = Tr[R rho]: the jump probability, R = η κ dt c†c, or the
     homodyne mean, R = c + c†. gain is √(ηκ) (zero for counting).
     """
 
@@ -135,16 +136,17 @@ def record_step(model, dt: float) -> RecordStep:
     flat = [j for b in model.gen.baths for j in b.jumps]
     kk = sum(j.conj().T @ j for j in flat)
     a = np.eye(d) - (1j * model.gen.hamiltonian + 0.5 * kk) * dt
-    quiet = _kron_conj(a, a) + sum(dt * _kron_conj(j, j) for j in model.unmonitored_jumps())
     cc = _kron_conj(c, c)
+    quiet = _kron_conj(a, a) + sum(dt * _kron_conj(j, j) for j in model.unmonitored_jumps())
+    quiet = quiet + (1.0 - eta) * kappa * dt * cc  # emissions the detector misses
     if model.mode == "counting":
-        branches = np.stack([quiet, kappa * dt * cc])
-        readout = _vec_readout(kappa * dt * c.conj().T @ c)
+        branches = np.stack([quiet, eta * kappa * dt * cc])
+        readout = _vec_readout(eta * kappa * dt * c.conj().T @ c)
         gain = 0.0
     else:
         gain = float(np.sqrt(eta * kappa))
         branches = np.stack([
-            quiet + (1.0 - eta) * kappa * dt * cc,
+            quiet,
             gain * (_kron_conj(c, a) + _kron_conj(a, c)),
             eta * kappa * cc,
         ])

@@ -26,7 +26,8 @@ def asoperator(x) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """Conjugate transpose over the last two axes, so stacks (..., d, d) work too."""
+    return np.conj(a.swapaxes(-1, -2))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -34,7 +35,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of A from its Hermitian part."""
+    """Largest entrywise deviation of A (or of any matrix in a stack) from its Hermitian part."""
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
@@ -192,23 +193,32 @@ class Effect:
         return self.mat.shape[0]
 
 
-def validate_state(op, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Adopt a raw matrix as a DensityMatrix.
+def state_spectrum(op, tol: float = DEFAULT_TOL):
+    """Check and clean one state (d, d) or a stack (..., d, d); returns (w, V).
 
-    Symmetrizes, clamps eigenvalues in [-tol, 0) to zero, renormalizes the trace.
-    Violations beyond tol raise with a message naming the broken invariant.
+    Each state is V diag(w) V† with its eigenvalues in [-tol, 0) clamped to
+    zero and its trace renormalized to 1. Violations beyond tol raise with
+    a message naming the broken invariant.
     """
-    mat = asoperator(op)
-    if hermiticity_defect(mat) > tol:
+    mats = np.asarray(getattr(op, "mat", op), dtype=complex)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {mats.shape}")
+    if hermiticity_defect(mats) > tol:
         raise ValueError("state rejected: not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitian_part(mat))
+    w, v = np.linalg.eigh(hermitian_part(mats))
     if w.size and float(w.min()) < -tol:
         raise ValueError(f"state rejected: negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    tr = float(w.sum())
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"state rejected: trace {tr:.12g} differs from 1")
-    w /= tr
+    tr = w.sum(axis=-1, keepdims=True)
+    bad = np.abs(tr - 1.0) > tol
+    if np.any(bad):
+        raise ValueError(f"state rejected: trace {float(tr[bad][0]):.12g} differs from 1")
+    return w / tr, v
+
+
+def validate_state(op, tol: float = DEFAULT_TOL) -> DensityMatrix:
+    """Adopt a raw matrix as a DensityMatrix through state_spectrum."""
+    w, v = state_spectrum(asoperator(op), tol)
     return DensityMatrix((v * w) @ dagger(v), tol=tol)
 
 
@@ -224,11 +234,3 @@ def validate_effect(op, tol: float = DEFAULT_TOL) -> Effect:
         raise ValueError(f"effect rejected: eigenvalue {w.max():.12g} exceeds 1")
     w = np.clip(w, 0.0, 1.0)
     return Effect((v * w) @ dagger(v), tol=tol)
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-
-
-def identity_effect(dim: int) -> Effect:
-    return Effect(np.eye(dim, dtype=complex))

@@ -41,6 +41,7 @@ from .thermo import (
     heat_current,
     thermal_bath,
     thermo_report,
+    von_neumann_entropy,
     work_rate,
 )
 from .trajectories import (
@@ -530,23 +531,6 @@ def scenario_counting(
     return ScenarioReport("counting", values, tuple(assertions), (art,) if art else ())
 
 
-def _batched_entropy(states: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(states)
-    w = np.clip(w.real, 0.0, None)
-    terms = np.where(w > 0.0, w * np.log(np.maximum(w, 1e-300)), 0.0)
-    return -terms.sum(axis=-1)
-
-
-def _current_observable(hamiltonian: np.ndarray, jumps) -> np.ndarray:
-    """Observable W with Tr[W rho] = -Tr[H D(rho)] for the given jump family."""
-    acc = np.zeros_like(hamiltonian)
-    big_k = np.zeros_like(hamiltonian)
-    for j in jumps:
-        acc = acc + j.conj().T @ hamiltonian @ j
-        big_k = big_k + j.conj().T @ j
-    return 0.5 * (hamiltonian @ big_k + big_k @ hamiltonian) - acc
-
-
 def scenario_thermal_qubit(
     omega=1.0,
     beta=1.2,
@@ -639,30 +623,19 @@ def scenario_thermal_qubit(
         gen_k = LindbladGenerator(ham + drive_amp * np.sin(drive_freq * t_mid) * SX, (bath,))
         cur = evolve_state(gen_k, cur, dt, dt)
         driven[k + 1] = cur
-    energies = np.array([
-        pairing(ham + drive_amp * np.sin(drive_freq * t) * SX, m)
-        for t, m in zip(drive_times, driven)
-    ])
-    dedt = np.gradient(energies, drive_times, edge_order=2)
-    wdot = np.array([
-        work_rate(m, drive_amp * drive_freq * np.cos(drive_freq * t) * SX)
-        for t, m in zip(drive_times, driven)
-    ])
-    heat = np.array([
-        heat_current(gen, "bath", m, hamiltonian=ham + drive_amp * np.sin(drive_freq * t) * SX)
-        for t, m in zip(drive_times, driven)
-    ])
+    phase = drive_freq * drive_times[:, None, None]
+    h_t = ham + drive_amp * np.sin(phase) * SX
+    dedt = np.gradient(np.einsum("kij,kji->k", h_t, driven).real, drive_times, edge_order=2)
+    wdot = work_rate(driven, drive_amp * drive_freq * np.cos(phase) * SX)
+    heat = heat_current(gen, "bath", driven, hamiltonian=h_t)
     first_law = float(np.max(np.abs(dedt - wdot + heat)))
     values["first_law_max_err"] = first_law
     assertions.append(_at_most("first_law_pointwise", first_law, 1e-6, "two-route"))
     monitor = monitoring_model(ham, SZ, monitor_kappa, 1.0, extra_baths=(bath,))
     sample_times = [k * monitor_horizon / 10.0 for k in range(11)]
     ens = ensemble_homodyne(monitor, rho0, monitor_horizon, 1e-3, n_traj, s_mon, sample_times)
-    entropies = _batched_entropy(ens.states)
-    sdots = np.gradient(entropies, ens.sample_times, axis=1)
-    w_obs = _current_observable(ham, bath.jumps)
-    currents = np.einsum("ij,btji->bt", w_obs, ens.states).real
-    expr = sdots + beta * currents
+    sdots = np.gradient(von_neumann_entropy(ens.states), ens.sample_times, axis=1)
+    expr = sdots + beta * heat_current(gen, "bath", ens.states)
     cond_mean = expr.mean(axis=0)
     cond_se = expr.std(axis=0, ddof=1) / np.sqrt(n_traj)
     margin = float((cond_mean + 3.0 * cond_se).min())

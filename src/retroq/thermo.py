@@ -4,6 +4,11 @@ All entropies are in nats. Heat currents are signed positive INTO the bath,
 so the Clausius combination reads dS/dt + sum_r beta_r J^(r) and equals the
 summed per-bath entropy production. Backward effects never enter any formula
 here; backward_neutrality_check turns that architectural fact into a test.
+
+State arguments, heat_current's hamiltonian and work_rate's dh_dt take one
+operator (d, d) or a stack (..., d, d) that broadcast, such as a timeline's
+mats. A call validates its states once, in one batched eigh, and returns a
+float for one state and an array for a stack.
 """
 
 from __future__ import annotations
@@ -12,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    asoperator,
-    dagger,
-    hermitian_eig,
-    hermiticity_defect,
-    pairing,
-    psd_log,
-    validate_state,
-)
+from .algebra import LOG_FLOOR, asoperator, dagger, hermitian_eig, pairing, state_spectrum
 from .dynamics import (
     Bath,
     LindbladGenerator,
@@ -34,29 +31,49 @@ STATIONARY_TOL = 1e-8
 SUPPORT_TOL = 1e-12
 
 
-def von_neumann_entropy(rho) -> float:
+def _float_or_array(x):
+    """A float for one state, an array for a stack of them."""
+    return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+
+
+def _rebuild(w, v):
+    """The operators V diag(w) V† of a stack of spectra."""
+    return (v * w[..., None, :]) @ dagger(v)
+
+
+def _log(w):
+    return np.log(np.clip(w, LOG_FLOOR, None))
+
+
+def _trace_of_product(a, b):
+    """Re Tr[A B] over broadcast stacks."""
+    return np.einsum("...ij,...ji->...", a, b).real
+
+
+def _apply(superop, mats):
+    """A row-major superoperator applied to every matrix of a stack."""
+    d = mats.shape[-1]
+    return (mats.reshape(*mats.shape[:-2], d * d) @ superop.T).reshape(mats.shape)
+
+
+def von_neumann_entropy(rho) -> float | np.ndarray:
     """-Tr[rho ln rho] with 0 ln 0 = 0."""
-    w = np.linalg.eigvalsh(validate_state(rho).mat)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+    w, _ = state_spectrum(rho)
+    return _float_or_array(-(w * _log(w)).sum(axis=-1))
 
 
-def relative_entropy(rho, sigma) -> float:
-    """D(rho||sigma) in nats; +inf when rho leaks outside sigma's support."""
-    r = validate_state(rho).mat
-    s = validate_state(sigma).mat
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
-    ws, vs = hermitian_eig(s)
-    null = vs[:, ws <= SUPPORT_TOL]
-    if null.shape[1]:
-        leak = float(np.einsum("ij,jk,ki->", dagger(null), r, null).real)
-        if leak > SUPPORT_TOL:
-            return float("inf")
-    wr = np.linalg.eigvalsh(r)
-    wr = wr[wr > 0.0]
-    val = float(np.sum(wr * np.log(wr)) - np.trace(r @ psd_log(s)).real)
-    return max(val, 0.0) if val > -1e-10 else val
+def relative_entropy(rho, sigma) -> float | np.ndarray:
+    """D(rho||sigma) in nats; +inf where rho leaks outside sigma's support."""
+    wr, vr = state_spectrum(rho)
+    ws, vs = state_spectrum(sigma)
+    if wr.shape[-1] != ws.shape[-1]:
+        raise ValueError(f"dimension mismatch: {wr.shape[-1]} vs {ws.shape[-1]}")
+    # populations of rho in sigma's eigenbasis
+    pops = np.einsum("...ki,...i->...k", np.abs(dagger(vs) @ vr) ** 2, wr)
+    leak = np.where(ws <= SUPPORT_TOL, pops, 0.0).sum(axis=-1)
+    val = (wr * _log(wr)).sum(axis=-1) - (pops * _log(ws)).sum(axis=-1)
+    val = np.where(val > -1e-10, np.maximum(val, 0.0), val)
+    return _float_or_array(np.where(leak > SUPPORT_TOL, np.inf, val))
 
 
 def gibbs_state(hamiltonian, beta: float) -> np.ndarray:
@@ -86,28 +103,31 @@ def _check_stationary(gen: LindbladGenerator, sigma: np.ndarray) -> None:
         raise ValueError(f"sigma is not stationary: max |L(sigma)| = {defect:.3e}")
 
 
-def entropy_production_rate(gen: LindbladGenerator, rho, sigma) -> float:
-    """Spohn's rate -Tr[L(rho)(ln rho - ln sigma)]; nonnegative for stationary sigma."""
-    r = validate_state(rho).mat
-    s = validate_state(sigma).mat
-    _check_stationary(gen, s)
-    grad = psd_log(r) - psd_log(s)
-    return float(-np.trace(gen.apply(r) @ grad).real)
+def entropy_production_rate(gen: LindbladGenerator, rho, sigma) -> float | np.ndarray:
+    """Spohn's rate -Tr[L(rho)(ln rho - ln sigma)]; nonnegative for one stationary sigma."""
+    wr, vr = state_spectrum(rho)
+    ws, vs = state_spectrum(sigma)
+    _check_stationary(gen, _rebuild(ws, vs))
+    grad = _rebuild(_log(wr), vr) - _rebuild(_log(ws), vs)
+    return _float_or_array(-_trace_of_product(_apply(gen.superoperator(), _rebuild(wr, vr)), grad))
 
 
-def heat_current(gen: LindbladGenerator, bath_label: str, rho, hamiltonian=None) -> float:
+def heat_current(gen: LindbladGenerator, bath_label: str, rho, hamiltonian=None) -> float | np.ndarray:
     """-Tr[H L^(r)(rho)] for one labelled dissipator: energy flowing into that bath."""
-    h = gen.hamiltonian if hamiltonian is None else asoperator(hamiltonian)
-    r = validate_state(rho).mat
-    return float(-np.trace(h @ gen.dissipator(bath_label, r)).real)
+    h = gen.hamiltonian if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
+    w, v = state_spectrum(rho)
+    diss = LindbladGenerator(np.zeros_like(gen.hamiltonian), (gen.bath(bath_label),))
+    return _float_or_array(-_trace_of_product(h, _apply(diss.superoperator(), _rebuild(w, v))))
 
 
-def work_rate(rho, dh_dt) -> float:
+def work_rate(rho, dh_dt) -> float | np.ndarray:
     """Tr[rho dH/dt] for an explicitly driven Hamiltonian."""
-    dh = asoperator(dh_dt)
-    if hermiticity_defect(dh) > 1e-10 * max(1.0, float(np.max(np.abs(dh)))):
+    dh = np.asarray(dh_dt, dtype=complex)
+    scale = np.maximum(1.0, np.abs(dh).max(axis=(-2, -1)))
+    if np.any(np.abs(dh - dagger(dh)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("dH/dt must be Hermitian")
-    return pairing(dh, validate_state(rho).mat)
+    w, v = state_spectrum(rho)
+    return _float_or_array(_trace_of_product(dh, _rebuild(w, v)))
 
 
 def _gibbs_check(gen: LindbladGenerator, label: str, sigma: np.ndarray, beta: float) -> None:
@@ -134,12 +154,9 @@ def clausius_gap(gen: LindbladGenerator, states: Timeline, sigma_per_bath: dict,
         raise ValueError("clausius_gap wants a state timeline")
     for label, beta in betas.items():
         _gibbs_check(gen, label, asoperator(sigma_per_bath[label]), float(beta))
-    entropies = np.array([von_neumann_entropy(m) for m in states.mats])
-    sdot = np.gradient(entropies, states.times, edge_order=2)
-    gap = sdot.copy()
+    gap = np.gradient(von_neumann_entropy(states.mats), states.times, edge_order=2)
     for label, beta in betas.items():
-        currents = np.array([heat_current(gen, label, m) for m in states.mats])
-        gap = gap + float(beta) * currents
+        gap = gap + float(beta) * heat_current(gen, label, states.mats)
     return gap
 
 
@@ -182,15 +199,10 @@ def thermo_report(gen: LindbladGenerator, states: Timeline, sigma) -> ThermoRepo
     """
     if states.kind != "state":
         raise ValueError("thermo_report wants a state timeline")
-    s = validate_state(sigma).mat
-    _check_stationary(gen, s)
-    entropy = np.array([von_neumann_entropy(m) for m in states.mats])
-    rel = np.array([relative_entropy(m, s) for m in states.mats])
-    prod = np.array([entropy_production_rate(gen, m, s) for m in states.mats])
-    currents = {
-        b.label: np.array([heat_current(gen, b.label, m) for m in states.mats])
-        for b in gen.baths
-    }
+    entropy = von_neumann_entropy(states.mats)
+    rel = relative_entropy(states.mats, sigma)
+    prod = entropy_production_rate(gen, states.mats, sigma)
+    currents = {b.label: heat_current(gen, b.label, states.mats) for b in gen.baths}
     gap = None
     if gen.baths and all(b.beta is not None for b in gen.baths):
         betas = {b.label: b.beta for b in gen.baths}

@@ -264,13 +264,18 @@ def _counting_ops(model: MonitoringModel, dt: float):
     flat = [j for b in model.gen.baths for j in b.jumps]
     kk = sum(dagger(j) @ j for j in flat)
     a0 = np.eye(model.dim) - (1j * model.gen.hamiltonian + 0.5 * kk) * dt
-    a1 = np.sqrt(model.kappa * dt) * model.c
+    a1 = np.sqrt(model.eta * model.kappa * dt) * model.c
     sjumps = [np.sqrt(dt) * j for j in model.unmonitored_jumps()]
+    if model.eta < 1.0:  # undetected emissions join the quiet branch
+        sjumps.append(np.sqrt((1.0 - model.eta) * model.kappa * dt) * model.c)
     return a0, a1, sjumps
 
 
 def simulate_counting(model, rho0, horizon, dt, seed):
-    """Jump unravelling: fire with probability kappa Tr[c†c rho] dt per step."""
+    """Jump unravelling: fire with probability eta kappa Tr[c†c rho] dt per step.
+
+    Undetected emissions, at rate (1 - eta) kappa, enter the quiet branch.
+    """
     _require_mode(model, "counting")
     _warn_coarse(model, dt)
     n, h = _grid(0.0, horizon, dt)
@@ -298,9 +303,10 @@ def replay_counting(model, rho0, record: MeasurementRecord) -> Timeline:
 def backward_counting(model, record: MeasurementRecord, effect_final) -> Timeline:
     """Backward effect pass on a count record.
 
-    Jump steps apply kappa dt c†Ec, quiet steps the adjoint no-jump
-    sandwich; entries are scaled to spectral norm 1, which cancels in every
-    smoothed probability. The terminal entry is the final effect itself.
+    Jump steps apply eta kappa dt c†Ec, quiet steps the adjoint no-jump
+    sandwich plus the undetected leak; entries are scaled to spectral norm
+    1, which cancels in every smoothed probability. The terminal entry is
+    the final effect itself.
     """
     _require_mode(model, "counting")
     if record.mode != "counting":

@@ -146,6 +146,27 @@ def test_hermitian_eig_rejects_nonhermitian():
         al.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_dagger_and_hermitian_part_act_on_last_two_axes():
+    g = rng(10)
+    stack = g.normal(size=(4, 3, 3)) + 1j * g.normal(size=(4, 3, 3))
+    want = np.array([m.conj().T for m in stack])
+    assert np.array_equal(al.dagger(stack), want)
+    assert np.array_equal(al.hermitian_part(stack), 0.5 * (stack + want))
+    herm = np.array([random_herm(g, 3) for _ in range(4)])
+    assert al.hermiticity_defect(herm) == 0.0
+    herm[2, 0, 1] += 1e-3
+    assert al.hermiticity_defect(herm) == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_state_spectrum_cleans_a_stack_like_single_states():
+    g = rng(11)
+    stack = np.array([random_state(g, 3) for _ in range(5)])
+    w, v = al.state_spectrum(stack)
+    assert w.shape == (5, 3) and v.shape == (5, 3, 3)
+    for k, m in enumerate(stack):
+        assert np.allclose((v[k] * w[k]) @ v[k].conj().T, al.validate_state(m).mat, atol=1e-14)
+
+
 def test_validate_state_accepts_and_cleans():
     g = rng(9)
     raw = random_state(g, 3)

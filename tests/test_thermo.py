@@ -218,3 +218,73 @@ def test_backward_neutrality():
     assert r2.pairing_drift < 1e-8
     assert np.array_equal(r1.report.entropy, r2.report.entropy)
     assert np.array_equal(r1.report.production_rate, r2.report.production_rate)
+
+
+def _stack_inputs():
+    """A propagated qubit timeline and a random qutrit stack, each with its
+    generator, a stationary reference state and a Hermitian stack."""
+    g = rng(12)
+    gen = thermal_gen(omega=1.0, beta=1.2, gamma_down=1.0)
+    sigma = th.gibbs_state(gen.hamiltonian, 1.2)
+    timeline = dyn.propagate_forward(gen, np.diag([0.2, 0.8]), 0.0, 0.2, 1e-3).mats
+    yield gen, "bath", timeline, sigma, np.array([np.cos(t) * al.SX + t * al.SZ for t in range(len(timeline))])
+    h = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
+    jump = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
+    gen3 = dyn.LindbladGenerator(h + h.conj().T, (dyn.Bath("b", (0.5 * jump,)),))
+    stack = np.array([random_state(g, 3) for _ in range(20)])
+    herm = np.array([a + a.conj().T for a in g.normal(size=(20, 3, 3)) + 1j * g.normal(size=(20, 3, 3))])
+    yield gen3, "b", stack, dyn.stationary_state(gen3).mat, herm
+
+
+def test_stack_calls_equal_per_state_calls():
+    for gen, label, stack, sigma, herm in _stack_inputs():
+        pairs = [
+            (th.von_neumann_entropy(stack), [th.von_neumann_entropy(m) for m in stack]),
+            (th.relative_entropy(stack, sigma), [th.relative_entropy(m, sigma) for m in stack]),
+            (
+                th.entropy_production_rate(gen, stack, sigma),
+                [th.entropy_production_rate(gen, m, sigma) for m in stack],
+            ),
+            (th.heat_current(gen, label, stack), [th.heat_current(gen, label, m) for m in stack]),
+            (
+                th.heat_current(gen, label, stack, hamiltonian=herm),
+                [th.heat_current(gen, label, m, hamiltonian=x) for m, x in zip(stack, herm)],
+            ),
+            (th.work_rate(stack, herm), [th.work_rate(m, x) for m, x in zip(stack, herm)]),
+        ]
+        for batched, single in pairs:
+            assert isinstance(single[0], float)
+            assert batched.shape == (len(stack),)
+            assert np.max(np.abs(batched - np.array(single))) < 1e-12
+
+
+def _rejection(fn, arg):
+    with pytest.raises(ValueError, match="state rejected: ") as info:
+        fn(arg)
+    return str(info.value)
+
+
+def test_stack_with_one_bad_state_raises_that_states_message():
+    g = rng(13)
+    gen = thermal_gen()
+    sigma = th.gibbs_state(gen.hamiltonian, 1.2)
+    fns = [
+        th.von_neumann_entropy,
+        lambda r: th.relative_entropy(r, sigma),
+        lambda r: th.entropy_production_rate(gen, r, sigma),
+        lambda r: th.heat_current(gen, "bath", r),
+        lambda r: th.work_rate(r, al.SX),
+    ]
+    good = np.array([random_state(g, 2) for _ in range(6)], dtype=complex)
+    bad_states = (
+        np.array([[0.5, 0.3], [0.0, 0.5]]),  # not Hermitian
+        np.diag([1.2, -0.2]),  # negative eigenvalue
+        np.diag([0.7, 0.7]),  # trace 1.4
+    )
+    for bad, word in zip(bad_states, ("not Hermitian", "negative eigenvalue", "trace 1.4")):
+        stack = good.copy()
+        stack[3] = bad
+        for fn in fns:
+            msg = _rejection(fn, stack)
+            assert word in msg
+            assert msg == _rejection(fn, bad) == _rejection(al.validate_state, bad)

@@ -308,33 +308,35 @@ def test_counting_smoothed_matches_enumeration_exactly():
     6-step record: the smoothed distribution must equal exact Bayesian
     retrodiction. Records with adjacent jumps carry weight exactly zero,
     because a jump lands on the ground state and the emitter operator
-    annihilates it."""
+    annihilates it. At eta < 1 the undetected emissions enter the quiet
+    steps, so the same 21 records stay feasible."""
     dt = 0.05
-    model = decay_model(kappa=1.0, mode="counting", omega=1.3)
     rho0 = np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]])
     ef = np.array([[0.8, 0.15], [0.15, 0.45]])
-    oracle = tr.enumerate_counting(model, rho0, ef, steps=6, dt=dt)
     ins = proj_z()
-    feasible = 0
-    for bits in itertools.product((0, 1), repeat=6):
-        w = oracle.record_weight(bits)
-        if "11" in "".join(map(str, bits)):
-            assert w == 0.0
-            continue
-        assert w > 0.0
-        feasible += 1
-        rec = tr.MeasurementRecord("counting", dt * np.arange(7), np.array(bits), 0, 1.0, 1.0)
-        pair = tr.PqsPair(
-            tr.replay_counting(model, rho0, rec),
-            tr.backward_counting(model, rec, ef),
-            rec,
-        )
-        for j in range(7):
-            sm = tr.smoothed_probability(pair, j * dt, ins)
-            ex = oracle.conditional(bits, j, ins)
-            assert abs(sm["g"] - ex["g"]) < 1e-10
-            assert abs(sm["e"] - ex["e"]) < 1e-10
-    assert feasible == 21
+    for eta in (1.0, 0.6):
+        model = decay_model(kappa=1.0, eta=eta, mode="counting", omega=1.3)
+        oracle = tr.enumerate_counting(model, rho0, ef, steps=6, dt=dt)
+        feasible = 0
+        for bits in itertools.product((0, 1), repeat=6):
+            w = oracle.record_weight(bits)
+            if "11" in "".join(map(str, bits)):
+                assert w == 0.0
+                continue
+            assert w > 0.0
+            feasible += 1
+            rec = tr.MeasurementRecord("counting", dt * np.arange(7), np.array(bits), 0, 1.0, eta)
+            pair = tr.PqsPair(
+                tr.replay_counting(model, rho0, rec),
+                tr.backward_counting(model, rec, ef),
+                rec,
+            )
+            for j in range(7):
+                sm = tr.smoothed_probability(pair, j * dt, ins)
+                ex = oracle.conditional(bits, j, ins)
+                assert abs(sm["g"] - ex["g"]) < 1e-10
+                assert abs(sm["e"] - ex["e"]) < 1e-10
+        assert feasible == 21
 
 
 def test_enumeration_weights_sum_near_one():
@@ -390,12 +392,15 @@ def test_enumeration_guards():
 
 
 def test_total_count_mean_matches_emission_probability():
-    model = decay_model(kappa=1.0, mode="counting")
-    ens = tr.ensemble_counting(model, EXCITED, 1.0, 2e-3, n_traj=3000, seed=31)
-    totals = ens.total_counts()
-    want = 1.0 - np.exp(-1.0)
-    se = totals.std(ddof=1) / np.sqrt(totals.size)
-    assert abs(totals.mean() - want) < 3.0 * se + 2e-3
+    """A decaying emitter emits once by T with probability 1 - exp(-kappa T);
+    a detector of efficiency eta sees that photon with probability eta."""
+    for eta in (1.0, 0.5):
+        model = decay_model(kappa=1.0, eta=eta, mode="counting")
+        ens = tr.ensemble_counting(model, EXCITED, 1.0, 2e-3, n_traj=3000, seed=31)
+        totals = ens.total_counts()
+        want = eta * (1.0 - np.exp(-1.0))
+        se = totals.std(ddof=1) / np.sqrt(totals.size)
+        assert abs(totals.mean() - want) < 3.0 * se + 2e-3
 
 
 def test_ensemble_mean_reproduces_lindblad_decay():
