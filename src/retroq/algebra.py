@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,14 @@ def asoperator(x) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat
+
+
+def asstack(x) -> np.ndarray:
+    """Like asoperator, but also accepts a stack (..., d, d) of square matrices."""
+    mats = np.asarray(getattr(x, "mat", x), dtype=complex)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {mats.shape}")
+    return mats
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -87,17 +95,17 @@ def partial_trace(op, dims: list[int] | tuple[int, ...], keep) -> np.ndarray:
     return res.reshape(d_keep, d_keep)
 
 
-def pairing(effect, state, tol: float = DEFAULT_TOL) -> float:
-    """Tr[E rho] as a real number; complains if the trace has an imaginary part."""
-    e = asoperator(effect)
-    r = asoperator(state)
-    if e.shape != r.shape:
-        raise ValueError(f"dimension mismatch: effect {e.shape[0]} vs state {r.shape[0]}")
-    val = complex(np.trace(e @ r))
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > tol * scale:
-        raise ValueError(f"pairing has imaginary part {val.imag:.3e} beyond tolerance")
-    return float(val.real)
+def pairing(effect, state, tol: float = DEFAULT_TOL) -> float | np.ndarray:
+    """Tr[E rho] as a float, or an array over broadcast stacks; rejects imaginary parts."""
+    e = asstack(effect)
+    r = asstack(state)
+    if e.shape[-1] != r.shape[-1]:
+        raise ValueError(f"dimension mismatch: effect {e.shape[-1]} vs state {r.shape[-1]}")
+    val = np.trace(e @ r, axis1=-2, axis2=-1)
+    bad = np.abs(val.imag) > tol * np.maximum(1.0, np.abs(val))
+    if np.any(bad):
+        raise ValueError(f"pairing has imaginary part {val[bad][0].imag:.3e} beyond tolerance")
+    return val.real if val.ndim else float(val.real)
 
 
 def hermitian_eig(op, tol: float = DEFAULT_TOL):
@@ -200,9 +208,7 @@ def state_spectrum(op, tol: float = DEFAULT_TOL):
     zero and its trace renormalized to 1. Violations beyond tol raise with
     a message naming the broken invariant.
     """
-    mats = np.asarray(getattr(op, "mat", op), dtype=complex)
-    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {mats.shape}")
+    mats = asstack(op)
     if hermiticity_defect(mats) > tol:
         raise ValueError("state rejected: not Hermitian within tolerance")
     w, v = np.linalg.eigh(hermitian_part(mats))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, asoperator, dagger, tensor
+from .algebra import DEFAULT_TOL, asoperator, asstack, dagger, tensor
 
 
 def _check_kraus_sum(kraus_flat, dim, tol, what):
@@ -89,8 +89,8 @@ class Instrument:
             raise KeyError(f"unknown outcome {m!r}; have {self.outcomes}") from None
 
     def apply(self, m, rho) -> np.ndarray:
-        """Unnormalized post-measurement branch for outcome m."""
-        r = asoperator(rho)
+        """Unnormalized post-measurement branch for outcome m, of one state or a stack."""
+        r = asstack(rho)
         return sum(k @ r @ dagger(k) for k in self._family(m))
 
     def adjoint(self, m, x) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Markovian generators and fixed-step propagation of states (forward) and effects (backward).
 
 States follow d rho/dt = L(rho); effects follow dE/dt = -L†(E) with a terminal
-condition, integrated here as dE/ds = +L†(E) in reversed time s. Both passes use
-classic RK4 on the same grid, which makes the discrete backward flow the exact
-algebraic adjoint of the discrete forward flow.
+condition, integrated here as dE/ds = +L†(E) in reversed time s. Both passes
+apply one classic RK4 step matrix (rk4_step of L's superoperator) to vec(rho),
+the backward pass as its conjugate transpose, the Hilbert-Schmidt adjoint, so
+the discrete backward flow is the exact adjoint of the discrete forward flow.
 """
 
 from __future__ import annotations
@@ -189,12 +190,14 @@ def _grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
     return n, span / n
 
 
-def _rk4(flow, y, h):
-    k1 = flow(y)
-    k2 = flow(y + 0.5 * h * k1)
-    k3 = flow(y + 0.5 * h * k2)
-    k4 = flow(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(superop, h: float) -> np.ndarray:
+    """RK4 step matrix I + hL(I + hL/2(I + hL/3(I + hL/4))) of one superoperator or a stack."""
+    lmat = np.asarray(superop, dtype=complex)
+    eye = np.eye(lmat.shape[-1])
+    step = eye + (h / 4.0) * lmat
+    for k in (3.0, 2.0, 1.0):
+        step = eye + (h / k) * (lmat @ step)
+    return step
 
 
 def _project_state(mat):
@@ -226,9 +229,9 @@ def propagate_forward(gen: LindbladGenerator, rho0, t0: float, t1: float, dt: fl
     d = rho.shape[0]
     mats = np.empty((n + 1, d, d), dtype=complex)
     mats[0] = rho
+    step = rk4_step(gen.superoperator(), h)
     for k in range(n):
-        rho = _rk4(gen.apply, rho, h)
-        rho, mag = _project_state(rho)
+        rho, mag = _project_state((step @ rho.ravel()).reshape(d, d))
         if mag > PROJECTION_FAIL_TOL:
             raise ValueError(
                 f"state projection of magnitude {mag:.3e} at step {k + 1} "
@@ -252,9 +255,9 @@ def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: floa
     d = e.shape[0]
     mats = np.empty((n + 1, d, d), dtype=complex)
     mats[n] = e
+    step = rk4_step(gen.superoperator(), h).conj().T
     for k in range(n):
-        e = _rk4(gen.adjoint, e, h)
-        e, mag = _project_effect(e)
+        e, mag = _project_effect((step @ e.ravel()).reshape(d, d))
         if mag > PROJECTION_FAIL_TOL:
             raise ValueError(
                 f"effect projection of magnitude {mag:.3e} at step {k + 1} "
@@ -273,21 +276,23 @@ def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3)
     if duration == 0.0:
         return asoperator(rho).copy()
     n, h = _grid(0.0, duration, dt)
-    out = asoperator(rho)
+    step = rk4_step(gen.superoperator(), h)
+    out = asoperator(rho).ravel()
     for _ in range(n):
-        out = _rk4(gen.apply, out, h)
-    return out
+        out = step @ out
+    return out.reshape(gen.dim, gen.dim)
 
 
 def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float = 1e-3) -> np.ndarray:
-    """Adjoint companion of evolve_state: same grid, generator L†."""
+    """Adjoint companion of evolve_state: the conjugate transpose of its step matrix."""
     if duration == 0.0:
         return asoperator(effect).copy()
     n, h = _grid(0.0, duration, dt)
-    out = asoperator(effect)
+    step = rk4_step(gen.superoperator(), h).conj().T
+    out = asoperator(effect).ravel()
     for _ in range(n):
-        out = _rk4(gen.adjoint, out, h)
-    return out
+        out = step @ out
+    return out.reshape(gen.dim, gen.dim)
 
 
 def stationary_state(gen: LindbladGenerator, sv_tol: float = 1e-10):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import asoperator, pairing
+from .algebra import asoperator, asstack, pairing
 from .channels import Instrument
 from .dynamics import LindbladGenerator, evolve_effect, evolve_state
 
@@ -23,6 +23,7 @@ NULL_TOL = 1e-12
 class BoundaryPair:
     """Forward-propagated state at t- together with the backward effect at t+.
 
+    Either side may be one operator or a stack (..., d, d); stacks broadcast.
     eps is an opt-in regularizer: when the conditioning denominator
     vanishes, the effect is replaced by E + eps*I before dividing. The
     default 0 keeps null post-selections loud instead of silently smoothed.
@@ -33,10 +34,10 @@ class BoundaryPair:
     eps: float = 0.0
 
     def __post_init__(self):
-        r = asoperator(self.rho_pre)
-        e = asoperator(self.E_post)
-        if r.shape != e.shape:
-            raise ValueError(f"dimension mismatch: state {r.shape[0]} vs effect {e.shape[0]}")
+        r = asstack(self.rho_pre)
+        e = asstack(self.E_post)
+        if r.shape[-1] != e.shape[-1]:
+            raise ValueError(f"dimension mismatch: state {r.shape[-1]} vs effect {e.shape[-1]}")
         if self.eps < 0.0:
             raise ValueError("regularizer eps must be nonnegative")
         object.__setattr__(self, "rho_pre", r)
@@ -44,9 +45,9 @@ class BoundaryPair:
 
     @property
     def dim(self) -> int:
-        return self.rho_pre.shape[0]
+        return self.rho_pre.shape[-1]
 
-    def pairing(self) -> float:
+    def pairing(self) -> float | np.ndarray:
         return pairing(self.E_post, self.rho_pre)
 
 
@@ -55,24 +56,25 @@ def abl_distribution(b: BoundaryPair, ins: Instrument) -> dict:
 
     p(m) = Tr[E(t+) I_m(rho(t-))] / sum_k Tr[E(t+) I_k(rho(t-))]. The
     probabilities are returned as the exact ratio of the two evaluations,
-    never renormalized afterwards.
+    never renormalized afterwards: floats for one boundary pair, arrays over
+    the points of a stacked one, where eps regularizes only the null points.
     """
     if ins.dim != b.dim:
         raise ValueError(f"dimension mismatch: instrument {ins.dim} vs boundary {b.dim}")
-    branches = {m: ins.apply(m, b.rho_pre) for m in ins.outcomes}
-    num = {m: pairing(b.E_post, br) for m, br in branches.items()}
-    denom = sum(num.values())
-    if denom <= NULL_TOL:
-        if b.eps > 0.0:
-            reg = b.E_post + b.eps * np.eye(b.dim)
-            num = {m: pairing(reg, br) for m, br in branches.items()}
-            denom = sum(num.values())
-        if denom <= NULL_TOL:
-            raise ValueError(
-                f"null post-selection: conditioning denominator {denom:.3e} is not "
-                "positive, so the conditional distribution is undefined"
-            )
-    return {m: num[m] / denom for m in ins.outcomes}
+    branches = [ins.apply(m, b.rho_pre) for m in ins.outcomes]
+    num = np.array([pairing(b.E_post, br) for br in branches])
+    null = num.sum(axis=0) <= NULL_TOL
+    if np.any(null) and b.eps > 0.0:
+        reg = b.E_post + b.eps * np.eye(b.dim)
+        num = np.where(null, [pairing(reg, br) for br in branches], num)
+    denom = num.sum(axis=0)
+    if np.any(denom <= NULL_TOL):
+        raise ValueError(
+            f"null post-selection: conditioning denominator {np.min(denom):.3e} is not "
+            "positive, so the conditional distribution is undefined"
+        )
+    probs = num / denom
+    return dict(zip(ins.outcomes, probs.tolist() if probs.ndim == 1 else probs))
 
 
 def effective_effects(ins: Instrument, effect) -> dict:

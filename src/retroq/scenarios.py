@@ -31,7 +31,7 @@ from .classical import (
     rts_smoother,
     smoothing_chain,
 )
-from .dynamics import Bath, LindbladGenerator, evolve_state, propagate_forward, stationary_state
+from .dynamics import LindbladGenerator, propagate_forward, rk4_step, stationary_state
 from .retrodiction import BoundaryPair, abl_distribution, conditional_at_stage
 from .thermo import (
     backward_neutrality_check,
@@ -414,7 +414,7 @@ def scenario_homodyne_cavity(
     states, record = simulate_homodyne(model, EXCITED, horizon, dt, s_path)
     effects = backward_homodyne(model, record, np.eye(2))
     pair = PqsPair(states, effects, record)
-    pair_vals = np.array([pair.pairing_at(t) for t in states.times])
+    pair_vals = pairing(effects.mats, states.mats)
     values["pairing_ratio_min"] = float((pair_vals / pair_vals[-1]).min())
     values["pairing_ratio_max"] = float((pair_vals / pair_vals[-1]).max())
     number = projective({"n0": GROUND, "n1": EXCITED})
@@ -615,14 +615,13 @@ def scenario_thermal_qubit(
     drive_horizon = 1.0
     n_steps = int(round(drive_horizon / dt))
     drive_times = dt * np.arange(n_steps + 1)
-    driven = np.zeros((n_steps + 1, 2, 2), dtype=complex)
-    driven[0] = rho0
-    cur = np.array(rho0, dtype=complex)
-    for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        gen_k = LindbladGenerator(ham + drive_amp * np.sin(drive_freq * t_mid) * SX, (bath,))
-        cur = evolve_state(gen_k, cur, dt, dt)
-        driven[k + 1] = cur
+    # L_k = L0 + a sin(w t_mid,k) L_X with L_X = -i[SX, .]: H frozen at each step's midpoint
+    drive = drive_amp * np.sin(drive_freq * ((np.arange(n_steps) + 0.5) * dt))[:, None, None]
+    steps = rk4_step(gen.superoperator() + drive * LindbladGenerator(SX).superoperator(), dt)
+    driven = [np.ravel(rho0).astype(complex)]
+    for step in steps:
+        driven.append(step @ driven[-1])
+    driven = np.reshape(driven, (n_steps + 1, 2, 2))
     phase = drive_freq * drive_times[:, None, None]
     h_t = ham + drive_amp * np.sin(phase) * SX
     dedt = np.gradient(np.einsum("kij,kji->k", h_t, driven).real, drive_times, edge_order=2)

@@ -154,9 +154,15 @@ def clausius_gap(gen: LindbladGenerator, states: Timeline, sigma_per_bath: dict,
         raise ValueError("clausius_gap wants a state timeline")
     for label, beta in betas.items():
         _gibbs_check(gen, label, asoperator(sigma_per_bath[label]), float(beta))
-    gap = np.gradient(von_neumann_entropy(states.mats), states.times, edge_order=2)
+    currents = {label: heat_current(gen, label, states.mats) for label in betas}
+    return _clausius_gap(states.times, von_neumann_entropy(states.mats), currents, betas)
+
+
+def _clausius_gap(times, entropy, currents: dict, betas: dict) -> np.ndarray:
+    """np.gradient(S) + sum_r beta_r J_r from an entropy and heat currents already computed."""
+    gap = np.gradient(entropy, times, edge_order=2)
     for label, beta in betas.items():
-        gap = gap + float(beta) * heat_current(gen, label, states.mats)
+        gap = gap + float(beta) * currents[label]
     return gap
 
 
@@ -205,9 +211,9 @@ def thermo_report(gen: LindbladGenerator, states: Timeline, sigma) -> ThermoRepo
     currents = {b.label: heat_current(gen, b.label, states.mats) for b in gen.baths}
     gap = None
     if gen.baths and all(b.beta is not None for b in gen.baths):
-        betas = {b.label: b.beta for b in gen.baths}
-        sigmas = {b.label: gibbs_state(gen.hamiltonian, b.beta) for b in gen.baths}
-        gap = clausius_gap(gen, states, sigmas, betas)
+        for b in gen.baths:
+            _gibbs_check(gen, b.label, gibbs_state(gen.hamiltonian, b.beta), float(b.beta))
+        gap = _clausius_gap(states.times, entropy, currents, {b.label: b.beta for b in gen.baths})
     return ThermoReport(states.times.copy(), entropy, rel, prod, currents, gap)
 
 
@@ -233,7 +239,7 @@ def backward_neutrality_check(
     before = thermo_report(gen, states, ref)
     effects = propagate_backward(gen, effect_final, horizon, 0.0, dt)
     after = thermo_report(gen, states, ref)
-    vals = np.array([pairing(e, s) for e, s in zip(effects.mats, states.mats)])
+    vals = pairing(effects.mats, states.mats)
     drift = float(np.max(np.abs(vals - vals[-1])))
     same = (
         np.array_equal(before.entropy, after.entropy)

@@ -496,10 +496,11 @@ def ensemble_counting(model, rho0, horizon, dt, n_traj, seed, sample_times=None)
 def pqs_summary_csv(pair: PqsPair, ins: Instrument, path) -> None:
     """Per-time pairing values and smoothed distributions, one row per grid point."""
     labels = list(ins.outcomes)
+    p = abl_distribution(BoundaryPair(pair.states.mats, pair.effects.mats), ins)
+    pairs = pairing(pair.effects.mats, pair.states.mats)
     with open(path, "w") as fh:
         fh.write("time,pairing," + ",".join(f"p_{m}" for m in labels) + "\n")
-        for t in pair.states.times:
-            p = smoothed_probability(pair, t, ins)
-            row = [repr(float(t)), repr(pair.pairing_at(t))]
-            row += [repr(float(p[m])) for m in labels]
+        for k, t in enumerate(pair.states.times):
+            row = [repr(float(t)), repr(float(pairs[k]))]
+            row += [repr(float(p[m][k])) for m in labels]
             fh.write(",".join(row) + "\n")

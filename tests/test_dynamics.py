@@ -196,3 +196,62 @@ def test_timeline_grid_lookup():
     assert tl.index(0.1) == 1
     with pytest.raises(ValueError, match="not on the stored grid"):
         tl.at(0.15)
+
+
+def classic_rk4(flow, y, h):
+    k1 = flow(y)
+    k2 = flow(y + 0.5 * h * k1)
+    k3 = flow(y + 0.5 * h * k2)
+    k4 = flow(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def two_bath_qutrit(g):
+    h = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
+    baths = tuple(
+        dyn.Bath(label, tuple((g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))) / 2 for _ in range(2)))
+        for label in ("a", "b")
+    )
+    return dyn.LindbladGenerator(0.5 * (h + h.conj().T), baths)
+
+
+def test_rk4_step_is_classic_rk4_and_its_adjoint():
+    g = rng(29)
+    gen = two_bath_qutrit(g)
+    h = 0.05
+    step = dyn.rk4_step(gen.superoperator(), h)
+    for _ in range(3):
+        x = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
+        fwd = (step @ x.ravel()).reshape(3, 3)
+        bwd = (step.conj().T @ x.ravel()).reshape(3, 3)
+        assert np.max(np.abs(fwd - classic_rk4(gen.apply, x, h))) < 1e-13
+        assert np.max(np.abs(bwd - classic_rk4(gen.adjoint, x, h))) < 1e-13
+
+
+def test_rk4_step_on_a_stack_equals_per_matrix_calls():
+    g = rng(30)
+    supers = np.array([two_bath_qutrit(g).superoperator() for _ in range(4)])
+    stacked = dyn.rk4_step(supers, 0.02)
+    assert stacked.shape == supers.shape
+    for s, one in zip(supers, stacked):
+        assert np.max(np.abs(one - dyn.rk4_step(s, 0.02))) < 1e-13
+
+
+def test_stacked_driven_timeline_equals_per_step_generators():
+    # the driven qubit of the thermal-qubit scenario: H(t) = H0 + a sin(w t) SX,
+    # frozen at each step's midpoint, one RK4 step per grid step
+    omega, amp, freq, dt, n = 1.0, 0.3, 1.5, 5e-4, 2000
+    ham0 = -0.5 * omega * al.SZ
+    bath = dyn.Bath("bath", (np.sqrt(0.8) * al.SM, np.sqrt(0.8 * np.exp(-1.2)) * al.SP), beta=1.2)
+    rho0 = np.array([[0.08, 0.05], [0.05, 0.92]], dtype=complex)
+    want = [rho0]
+    for k in range(n):
+        gk = dyn.LindbladGenerator(ham0 + amp * np.sin(freq * (k + 0.5) * dt) * al.SX, (bath,))
+        want.append(dyn.evolve_state(gk, want[-1], dt, dt))
+    drive = amp * np.sin(freq * ((np.arange(n) + 0.5) * dt))[:, None, None]
+    l_x = dyn.LindbladGenerator(al.SX).superoperator()
+    steps = dyn.rk4_step(dyn.LindbladGenerator(ham0, (bath,)).superoperator() + drive * l_x, dt)
+    got = [rho0.ravel()]
+    for step in steps:
+        got.append(step @ got[-1])
+    assert np.max(np.abs(np.reshape(got, (n + 1, 2, 2)) - np.array(want))) < 1e-12

@@ -152,6 +152,46 @@ def test_null_postselection_raises_unless_regularized():
         rd.BoundaryPair(zero, one, eps=-1.0)
 
 
+def _error(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_stack_with_one_null_point_raises_that_points_message():
+    zero = al.projector(al.ket(2, 0))
+    one = al.projector(al.ket(2, 1))
+    plus = al.projector((al.ket(2, 0) + al.ket(2, 1)) / np.sqrt(2))
+    states = np.array([plus, zero, plus])
+    effects = np.array([zero, one, np.eye(2)])
+    ins = projective_z()
+    single = _error(lambda: rd.abl_distribution(rd.BoundaryPair(zero, one), ins))
+    assert "null post-selection" in single
+    assert _error(lambda: rd.abl_distribution(rd.BoundaryPair(states, effects), ins)) == single
+    # eps regularizes the null point only; the others keep their exact ratios
+    eps = 1e-3
+    got = rd.abl_distribution(rd.BoundaryPair(states, effects, eps=eps), ins)
+    for k, (r, e) in enumerate(zip(states, effects)):
+        want = rd.abl_distribution(rd.BoundaryPair(r, e, eps=eps if k == 1 else 0.0), ins)
+        for m in ins.outcomes:
+            assert abs(got[m][k] - want[m]) < 1e-12
+    assert abs(got["0"][1] - 1.0) < 1e-12
+    assert abs(got["0"][0] - 1.0) < 1e-12  # plus post-selected on |0>, no eps shift
+
+
+def test_stack_with_one_complex_pairing_raises_the_pairing_message():
+    g = rng(31)
+    rhos = np.array([random_state(g, 2) for _ in range(4)])
+    effects = np.array([random_effect(g, 2) for _ in range(4)])
+    effects[2] = np.array([[0.0, 1j], [0.0, 0.0]])
+    rhos[2] = np.array([[0.0, 0.0], [1.0, 0.0]])
+    single = _error(lambda: al.pairing(effects[2], rhos[2]))
+    assert single == "pairing has imaginary part 1.000e+00 beyond tolerance"
+    assert _error(lambda: al.pairing(effects, rhos)) == single
+    ins = ch.projective({"a": np.eye(2)})
+    assert _error(lambda: rd.abl_distribution(rd.BoundaryPair(rhos, effects), ins)) == single
+
+
 def test_effective_effects_limits_and_ratio_identity():
     g = rng(3)
     d = 3

@@ -288,3 +288,26 @@ def test_stack_with_one_bad_state_raises_that_states_message():
             msg = _rejection(fn, stack)
             assert word in msg
             assert msg == _rejection(fn, bad) == _rejection(al.validate_state, bad)
+
+
+def test_thermo_report_reuses_its_entropy_and_currents(monkeypatch):
+    # One state_spectrum call each for S, J and the Spohn/relative-entropy
+    # pairs (two each); the Clausius column reuses S and J instead of
+    # recomputing them, and equals the clausius_gap route bit for bit.
+    gen = thermal_gen(omega=1.0, beta=1.2)
+    sigma = th.gibbs_state(gen.hamiltonian, 1.2)
+    states = dyn.propagate_forward(gen, np.diag([0.2, 0.8]), 0.0, 0.2, 1e-3)
+    calls = []
+    spectrum = th.state_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(th, "state_spectrum", counted)
+    rep = th.thermo_report(gen, states, sigma)
+    assert len(calls) == 6
+    want = th.clausius_gap(gen, states, {"bath": sigma}, {"bath": 1.2})
+    assert np.array_equal(rep.clausius_gap, want)
+    assert np.array_equal(rep.entropy, th.von_neumann_entropy(states.mats))
+    assert np.array_equal(rep.heat_currents["bath"], th.heat_current(gen, "bath", states.mats))

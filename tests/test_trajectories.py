@@ -7,7 +7,8 @@ from retroq import _accel
 from retroq import algebra as al
 from retroq import dynamics as dyn
 from retroq import trajectories as tr
-from retroq.channels import Instrument, projective
+from retroq import retrodiction as rd
+from retroq.channels import Instrument, projective, unsharp_z
 
 
 def rng(seed=0):
@@ -548,3 +549,29 @@ def test_pqs_summary_csv(tmp_path):
     assert len(rows) == rec.steps + 2
     probs = np.array([[float(x) for x in r.split(",")[2:]] for r in rows[1:]])
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    # each row is the per-point route: smoothed_probability and pairing_at
+    for row in rows[1:]:
+        t, pair_val, p_g, p_e = (float(x) for x in row.split(","))
+        want = tr.smoothed_probability(pair, t, proj_z())
+        assert abs(pair_val - pair.pairing_at(t)) < 1e-12
+        assert abs(p_g - want["g"]) < 1e-12 and abs(p_e - want["e"]) < 1e-12
+
+
+def test_stack_calls_equal_per_point_calls_on_a_record():
+    model = decay_model(kappa=1.0, eta=0.6, omega=0.8)
+    states, rec = tr.simulate_homodyne(model, 0.5 * np.eye(2), 0.05, 1e-3, seed=13)
+    effects = tr.backward_homodyne(model, rec, np.array([[0.9, 0.1], [0.1, 0.3]]))
+    rhos, es = states.mats, effects.mats
+    ins = unsharp_z(0.6)
+    pairs = al.pairing(es, rhos)
+    assert pairs.shape == (rhos.shape[0],)
+    assert np.max(np.abs(pairs - [al.pairing(e, r) for e, r in zip(es, rhos)])) < 1e-12
+    for m in ins.outcomes:
+        per_point = np.array([ins.apply(m, r) for r in rhos])
+        assert np.max(np.abs(ins.apply(m, rhos) - per_point)) < 1e-12
+    got = rd.abl_distribution(rd.BoundaryPair(rhos, es), ins)
+    for k, (r, e) in enumerate(zip(rhos, es)):
+        want = rd.abl_distribution(rd.BoundaryPair(r, e), ins)
+        assert isinstance(want["+"], float)
+        for m in ins.outcomes:
+            assert abs(got[m][k] - want[m]) < 1e-12
