@@ -1,10 +1,13 @@
 """Markovian generators and fixed-step propagation of states (forward) and effects (backward).
 
 States follow d rho/dt = L(rho); effects follow dE/dt = -L†(E) with a terminal
-condition, integrated here as dE/ds = +L†(E) in reversed time s. Both passes
-apply one classic RK4 step matrix (rk4_step of L's superoperator) to vec(rho),
-the backward pass as its conjugate transpose, the Hilbert-Schmidt adjoint, so
-the discrete backward flow is the exact adjoint of the discrete forward flow.
+condition, integrated here as dE/ds = +L†(E) in reversed time s. Every pass
+runs flow over one classic RK4 step matrix (rk4_step of L's superoperator)
+on vec(rho), the backward pass over its conjugate transpose, the
+Hilbert-Schmidt adjoint, so the discrete backward flow is the exact adjoint
+of the discrete forward flow. No step is projected or clamped: the
+propagate_* passes check the whole timeline once, in one batched eigvalsh,
+and raise if any point leaves the valid set by more than PROJECTION_FAIL_TOL.
 """
 
 from __future__ import annotations
@@ -90,16 +93,6 @@ class LindbladGenerator:
         out = 1j * (h @ xm - xm @ h)
         for j, jsq in self._jumps_sq:
             out += dagger(j) @ xm @ j - 0.5 * (jsq @ xm + xm @ jsq)
-        return out
-
-    def dissipator(self, label: str, rho) -> np.ndarray:
-        """The labelled bath's dissipator alone, no Hamiltonian part."""
-        r = asoperator(rho)
-        out = np.zeros_like(r)
-        for j in self.bath(label).jumps:
-            jd = dagger(j)
-            jsq = jd @ j
-            out += j @ r @ jd - 0.5 * (jsq @ r + r @ jsq)
         return out
 
     def superoperator(self) -> np.ndarray:
@@ -200,75 +193,72 @@ def rk4_step(superop, h: float) -> np.ndarray:
     return step
 
 
-def _project_state(mat):
-    """Symmetrize, clamp negative eigenvalues, renormalize. Returns (mat, magnitude)."""
-    sym = hermitian_part(mat)
-    w, v = np.linalg.eigh(sym)
-    neg = max(0.0, -float(w.min()))
-    w = np.clip(w, 0.0, None)
-    tr = float(w.sum())
-    mag = neg + abs(tr - 1.0)
-    if tr <= 0.0:
-        raise ValueError("state collapsed to zero trace during propagation")
-    return (v * (w / tr)) @ dagger(v), mag
+def flow(steps, x) -> np.ndarray:
+    """The (n + 1, d, d) timeline x_{k+1} = steps[k] vec(x_k) of an (n, d², d²) step stack.
+
+    Each step is a row-major matrix on vec(x); a time-homogeneous caller
+    passes one step matrix broadcast to (n, d², d²).
+    """
+    x = asoperator(x)
+    out = np.empty((len(steps) + 1, x.size), dtype=complex)
+    out[0] = x.ravel()
+    for k, step in enumerate(steps):
+        out[k + 1] = step @ out[k]
+    return out.reshape(-1, *x.shape)
 
 
-def _project_effect(mat):
-    sym = hermitian_part(mat)
-    w, v = np.linalg.eigh(sym)
-    mag = max(0.0, -float(w.min())) + max(0.0, float(w.max()) - 1.0)
-    w = np.clip(w, 0.0, 1.0)
-    return (v * w) @ dagger(v), mag
+def _checked_flow(steps, x, kind: str) -> np.ndarray:
+    """flow, then one batched check that every point is a valid state or effect.
+
+    A point's magnitude is its negative eigenvalue plus |Tr - 1| for a state,
+    and the amount its spectrum leaves [0, 1] for an effect; a non-finite
+    point has magnitude inf. The error names the first point, in step order,
+    whose magnitude exceeds PROJECTION_FAIL_TOL.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = flow(steps, x)
+        finite = np.isfinite(mats).all(axis=(-2, -1))
+        mag = np.full(len(mats), np.inf)
+        w = np.linalg.eigvalsh(mats[finite])
+        excess = np.abs(w.sum(axis=-1) - 1.0) if kind == "state" else np.maximum(w[:, -1] - 1.0, 0.0)
+        mag[finite] = np.maximum(-w[:, 0], 0.0) + excess
+    bad = np.flatnonzero(mag > PROJECTION_FAIL_TOL)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"{kind} leaves the valid set by {mag[k]:.3e} at step {k} of {len(steps)}, "
+            f"beyond {PROJECTION_FAIL_TOL:.0e}; reduce dt"
+        )
+    return mats
 
 
 def propagate_forward(gen: LindbladGenerator, rho0, t0: float, t1: float, dt: float) -> Timeline:
-    """RK4-integrate a state from t0 to t1; each step is projected back onto
-    valid states and the run aborts if any projection exceeds 1e-10."""
+    """RK4-integrate a state from t0 to t1 with no per-step projection; the
+    run aborts if any point of the timeline leaves the states by more than 1e-10."""
     n, h = _grid(t0, t1, dt)
-    rho = validate_state(rho0).mat
-    d = rho.shape[0]
-    mats = np.empty((n + 1, d, d), dtype=complex)
-    mats[0] = rho
     step = rk4_step(gen.superoperator(), h)
-    for k in range(n):
-        rho, mag = _project_state((step @ rho.ravel()).reshape(d, d))
-        if mag > PROJECTION_FAIL_TOL:
-            raise ValueError(
-                f"state projection of magnitude {mag:.3e} at step {k + 1} "
-                f"exceeds {PROJECTION_FAIL_TOL:.0e}; reduce dt"
-            )
-        mats[k + 1] = rho
+    mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), validate_state(rho0).mat, "state")
     return Timeline(t0 + h * np.arange(n + 1), mats, "state")
 
 
 def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: float, dt: float) -> Timeline:
     """Integrate an effect from its terminal condition at t1 down to t0.
 
-    Runs dE/ds = +L†(E) in s = t1 - t; the identity is a fixed point, and the
-    [0, 1] spectrum is preserved up to per-step projections bounded like the
-    forward pass.
+    Runs dE/ds = +L†(E) in s = t1 - t with no per-step projection; the
+    identity is a fixed point, and the run aborts if any point's spectrum
+    leaves [0, 1] by more than 1e-10, counting steps down from t1.
     """
     n, h = _grid(t0, t1, dt)
     e = asoperator(effect_final)
     if hermiticity_defect(e) > DEFAULT_TOL:
         raise ValueError("terminal effect is not Hermitian within tolerance")
-    d = e.shape[0]
-    mats = np.empty((n + 1, d, d), dtype=complex)
-    mats[n] = e
     step = rk4_step(gen.superoperator(), h).conj().T
-    for k in range(n):
-        e, mag = _project_effect((step @ e.ravel()).reshape(d, d))
-        if mag > PROJECTION_FAIL_TOL:
-            raise ValueError(
-                f"effect projection of magnitude {mag:.3e} at step {k + 1} "
-                f"exceeds {PROJECTION_FAIL_TOL:.0e}; reduce dt"
-            )
-        mats[n - 1 - k] = e
-    return Timeline(t0 + h * np.arange(n + 1), mats, "effect")
+    mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), e, "effect")
+    return Timeline(t0 + h * np.arange(n + 1), mats[::-1], "effect")
 
 
 def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3) -> np.ndarray:
-    """Raw RK4 composition over a duration (no per-step projection).
+    """Raw RK4 composition over a duration, with no projection and no check.
 
     Used for chain stages, where the matching effect evolution must be the
     exact algebraic adjoint; duration 0 is the identity.
@@ -277,10 +267,7 @@ def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3)
         return asoperator(rho).copy()
     n, h = _grid(0.0, duration, dt)
     step = rk4_step(gen.superoperator(), h)
-    out = asoperator(rho).ravel()
-    for _ in range(n):
-        out = step @ out
-    return out.reshape(gen.dim, gen.dim)
+    return flow(np.broadcast_to(step, (n, *step.shape)), rho)[-1]
 
 
 def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float = 1e-3) -> np.ndarray:
@@ -289,10 +276,7 @@ def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float = 1
         return asoperator(effect).copy()
     n, h = _grid(0.0, duration, dt)
     step = rk4_step(gen.superoperator(), h).conj().T
-    out = asoperator(effect).ravel()
-    for _ in range(n):
-        out = step @ out
-    return out.reshape(gen.dim, gen.dim)
+    return flow(np.broadcast_to(step, (n, *step.shape)), effect)[-1]
 
 
 def stationary_state(gen: LindbladGenerator, sv_tol: float = 1e-10):

@@ -14,7 +14,7 @@ parts draw from named Philox substreams so reruns are bit-identical.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,7 +31,7 @@ from .classical import (
     rts_smoother,
     smoothing_chain,
 )
-from .dynamics import LindbladGenerator, propagate_forward, rk4_step, stationary_state
+from .dynamics import LindbladGenerator, flow, propagate_forward, rk4_step, stationary_state
 from .retrodiction import BoundaryPair, abl_distribution, conditional_at_stage
 from .thermo import (
     backward_neutrality_check,
@@ -618,10 +618,7 @@ def scenario_thermal_qubit(
     # L_k = L0 + a sin(w t_mid,k) L_X with L_X = -i[SX, .]: H frozen at each step's midpoint
     drive = drive_amp * np.sin(drive_freq * ((np.arange(n_steps) + 0.5) * dt))[:, None, None]
     steps = rk4_step(gen.superoperator() + drive * LindbladGenerator(SX).superoperator(), dt)
-    driven = [np.ravel(rho0).astype(complex)]
-    for step in steps:
-        driven.append(step @ driven[-1])
-    driven = np.reshape(driven, (n_steps + 1, 2, 2))
+    driven = flow(steps, rho0)
     phase = drive_freq * drive_times[:, None, None]
     h_t = ham + drive_amp * np.sin(phase) * SX
     dedt = np.gradient(np.einsum("kij,kji->k", h_t, driven).real, drive_times, edge_order=2)
@@ -752,7 +749,6 @@ def scenario_classical_limit(n_hmm=50, n_lg=10, seed=0, out_dir=None) -> Scenari
 class ScenarioEntry:
     func: object
     summary: str
-    defaults: dict = field(default_factory=dict)
 
 
 SCENARIOS = {
@@ -791,7 +787,4 @@ def run_scenario(name: str, **params) -> ScenarioReport:
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown scenario {name!r}; choose one of {known}")
-    entry = SCENARIOS[name]
-    merged = dict(entry.defaults)
-    merged.update(params)
-    return entry.func(**merged)
+    return SCENARIOS[name].func(**params)

@@ -271,6 +271,17 @@ def _counting_ops(model: MonitoringModel, dt: float):
     return a0, a1, sjumps
 
 
+def _counting_sandwich(ops, rho, fired) -> np.ndarray:
+    """One oracle step: the fire sandwich, or the quiet one plus the undetected and unmonitored jumps."""
+    a0, a1, sjumps = ops
+    if fired:
+        return a1 @ rho @ dagger(a1)
+    out = a0 @ rho @ dagger(a0)
+    for j in sjumps:
+        out = out + j @ rho @ dagger(j)
+    return out
+
+
 def simulate_counting(model, rho0, horizon, dt, seed):
     """Jump unravelling: fire with probability eta kappa Tr[c†c rho] dt per step.
 
@@ -366,24 +377,15 @@ class CountingEnumeration:
             raise ValueError(f"record length {len(incr)} does not match {self.steps} steps")
         if not 0 <= step_index <= self.steps:
             raise IndexError(f"step index {step_index} outside 0..{self.steps}")
-        a0, a1, sjumps = _counting_ops(self.model, self.dt)
-
-        def advance(rho, n):
-            if n:
-                return a1 @ rho @ dagger(a1)
-            out = a0 @ rho @ dagger(a0)
-            for j in sjumps:
-                out = out + j @ rho @ dagger(j)
-            return out
-
+        ops = _counting_ops(self.model, self.dt)
         rho = self.rho0
         for k in range(step_index):
-            rho = advance(rho, incr[k])
+            rho = _counting_sandwich(ops, rho, incr[k])
         nums = {}
         for m in ins.outcomes:
             br = ins.apply(m, rho)
             for k in range(step_index, self.steps):
-                br = advance(br, incr[k])
+                br = _counting_sandwich(ops, br, incr[k])
             nums[m] = pairing(self.effect_final, br)
         total = sum(nums.values())
         if total <= 0.0:
@@ -398,19 +400,15 @@ def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumerat
         raise ValueError(f"{steps} steps means {2**steps} records; 10 is the cap")
     rho0 = asoperator(rho0)
     ef = asoperator(effect_final)
-    a0, a1, sjumps = _counting_ops(model, dt)
-
+    ops = _counting_ops(model, dt)
     weights = {}
 
     def walk(rho, prefix):
         if len(prefix) == steps:
             weights[prefix] = pairing(ef, rho)
             return
-        quiet = a0 @ rho @ dagger(a0)
-        for j in sjumps:
-            quiet = quiet + j @ rho @ dagger(j)
-        walk(quiet, prefix + (0,))
-        walk(a1 @ rho @ dagger(a1), prefix + (1,))
+        for fired in (0, 1):
+            walk(_counting_sandwich(ops, rho, fired), prefix + (fired,))
 
     walk(rho0, ())
     return CountingEnumeration(model, rho0, ef, float(dt), int(steps), weights)

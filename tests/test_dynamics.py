@@ -166,11 +166,28 @@ def test_stationary_state_degenerate_kernel_rejected():
         dyn.stationary_state(gen)
 
 
+def test_propagated_timelines_end_on_the_raw_evolutions():
+    # no per-step projection: each pass is the plain step-matrix composition
+    g = rng(31)
+    gen = random_generator(g, 3)
+    ef = random_effect_interior(g, 3)
+    fwd = dyn.propagate_forward(gen, random_state(g, 3), 0.0, 0.6, 2e-3)
+    bwd = dyn.propagate_backward(gen, ef, 0.6, 0.0, 2e-3)
+    assert np.array_equal(fwd.mats[-1], dyn.evolve_state(gen, fwd.mats[0], 0.6, 2e-3))
+    assert np.array_equal(bwd.mats[0], dyn.evolve_effect(gen, ef, 0.6, 2e-3))
+
+
 def test_projection_failure_reported_loudly():
-    gen = amplitude_damping(40.0)
-    rho0 = np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises(ValueError, match="reduce dt"):
-        dyn.propagate_forward(gen, rho0, 0.0, 1.0, 0.1)
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    cases = [
+        lambda: dyn.propagate_forward(amplitude_damping(40.0), excited, 0.0, 1.0, 0.1),
+        lambda: dyn.propagate_backward(amplitude_damping(40.0), excited, 1.0, 0.0, 0.1),
+        # every step multiplies the excited population by about 1e5, so the flow overflows
+        lambda: dyn.propagate_forward(amplitude_damping(400.0), excited, 0.0, 100.0, 0.1),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="reduce dt"):
+            case()
 
 
 def test_grid_rejects_fractional_spans():
@@ -251,7 +268,4 @@ def test_stacked_driven_timeline_equals_per_step_generators():
     drive = amp * np.sin(freq * ((np.arange(n) + 0.5) * dt))[:, None, None]
     l_x = dyn.LindbladGenerator(al.SX).superoperator()
     steps = dyn.rk4_step(dyn.LindbladGenerator(ham0, (bath,)).superoperator() + drive * l_x, dt)
-    got = [rho0.ravel()]
-    for step in steps:
-        got.append(step @ got[-1])
-    assert np.max(np.abs(np.reshape(got, (n + 1, 2, 2)) - np.array(want))) < 1e-12
+    assert np.max(np.abs(dyn.flow(steps, rho0) - np.array(want))) < 1e-12
