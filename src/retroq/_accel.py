@@ -14,13 +14,14 @@ builds each step once per (model, dt) as a few d²×d² matrices:
 
 here A = 1 - (iH + ½ Σ_K K†K) dt over every generator jump K, and J_j runs
 over the unmonitored jumps. Both families are completely positive, so the
-filter needs no eigenvalue clamp. The forward kernels advance a
-(n_traj, d²) batch with one GEMM per step, holding each state as its real
-coordinates in an orthonormal Hermitian basis, where every branch is a
-real matrix; the backward pass applies the Hilbert-Schmidt adjoints S† of
-the same matrices, so forward and backward are exact adjoints by
-construction. Noise increments are drawn by the caller, and
-cross-trajectory reductions happen outside the kernels.
+filter needs no eigenvalue clamp. States are real coordinates in an
+orthonormal Hermitian basis, where every branch is a real matrix. The
+forward kernels advance a step-major (d², n_traj) block, a trajectory per
+column, with one GEMM per step into a buffer allocated once, and apply the
+counting fire branch only to the columns that fired. The backward pass
+applies the Hilbert-Schmidt adjoints S† of the same matrices, so forward
+and backward are exact adjoints by construction. The caller draws the
+noise; reductions across trajectories happen outside the kernels.
 """
 
 from __future__ import annotations
@@ -105,19 +106,19 @@ class RecordStep:
         return basis, real.real, (basis @ self.readout).real
 
     def combine(self, out: np.ndarray, x) -> np.ndarray:
-        """Weigh branch blocks [B_0 | B_1 | ...] along the last axis by outcome x.
+        """Weigh branch blocks [B_0; B_1; ...] stacked along the first axis by outcome x.
 
-        out has last axis n_branches * d²; x broadcasts against the rest.
+        out has first axis n_branches * d²; x broadcasts against the rest.
         """
         d2 = self.readout.size
-        x = np.asarray(x, dtype=float)[..., None]
+        x = np.asarray(x, dtype=float)
         if self.mode == "counting":
-            return np.where(x > 0.5, out[..., d2:2 * d2], out[..., :d2])
-        return out[..., :d2] + x * (out[..., d2:2 * d2] + x * out[..., 2 * d2:])
+            return np.where(x > 0.5, out[d2:2 * d2], out[:d2])
+        return out[:d2] + x * (out[d2:2 * d2] + x * out[2 * d2:])
 
     def superop(self, x) -> np.ndarray:
         """The unnormalized d²×d² map for one outcome (count or dY)."""
-        return self.combine(np.concatenate(list(self.branches), axis=1), x)
+        return self.combine(np.concatenate(list(self.branches)), x)
 
     def draw(self, readout: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Outcomes from the pre-step readout and the caller's noise draws."""
@@ -175,38 +176,47 @@ _COLLAPSE = {
 def _paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     """Filter a batch of trajectories; returns (sampled states, outcomes, readouts).
 
-    Counting outcomes are int64 counts and carry no readouts (None). Each
-    step is one real GEMM of the normalized coordinate rows against
-    [G_0 | G_1 | ... | g], then the per-row branch combination and trace
-    normalization.
+    Counting outcomes are int64 counts and carry no readouts (None). The
+    batch is one (d², n_traj) coordinate block, a trajectory per column,
+    stepped by one GEMM into a buffer allocated once: [G_0 | G_1 | G_2 | g]ᵀ
+    weighed by (1, dY, dY²), or [G_quiet | g]ᵀ with G_fireᵀ applied only to
+    the columns that fired. The diagonal coordinate rows sum to each trace.
     """
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
     pos = _sample_positions(steps, sample_indices)
-    d = step.dim
+    d, d2 = step.dim, step.readout.size
     basis, real, g = step.real_form()
-    gemm = np.concatenate([*real, g[:, None]], axis=1)
-    h = np.broadcast_to(_coordinates(basis, rho0), (n, d * d)).copy()
-    states = np.zeros((n, len(sample_indices), d * d), dtype=complex)
     counting = step.mode == "counting"
+    gemm_t = np.vstack([*real[:1 if counting else 3].transpose(0, 2, 1), g])
+    fire_t = real[-1].T.copy()
+    cur, nxt = np.empty((2, len(gemm_t), n))
+    cur[:d2] = _coordinates(basis, rho0)[:, None]
+    states = np.zeros((n, len(sample_indices), d2), dtype=complex)
     outcomes = np.zeros((n, steps), dtype=np.int64 if counting else float)
     readouts = None if counting else np.zeros((n, steps))
     if pos[0] >= 0:
-        states[:, pos[0]] = h @ basis
+        states[:, pos[0]] = cur[:d2].T @ basis
     for k in range(steps):
-        out = h @ gemm
-        readout = out[:, -1]
-        x = incr[:, k] if from_record else step.draw(readout, incr[:, k])
-        h = step.combine(out[:, :-1], x)
-        tr = h[:, :: d + 1].sum(axis=1)
+        np.matmul(gemm_t, cur[:d2], out=nxt)
+        x = incr[:, k] if from_record else step.draw(nxt[-1], incr[:, k])
+        if counting:
+            fired = np.flatnonzero(x > 0.5)
+            if fired.size:
+                nxt[:d2, fired] = fire_t @ cur[:d2, fired]
+            cur, nxt = nxt, cur  # the quiet block already holds the new state
+        else:
+            cur[:d2] = step.combine(nxt[:-1], x)
+        h = cur[:d2]
+        tr = h[:: d + 1].sum(axis=0)
         if np.any(tr <= 0.0):
             raise ValueError(_COLLAPSE[step.mode])
-        h /= tr[:, None]
+        h /= tr
         outcomes[:, k] = x
         if readouts is not None:
-            readouts[:, k] = readout
+            readouts[:, k] = nxt[-1]
         if pos[k + 1] >= 0:
-            states[:, pos[k + 1]] = h @ basis
+            states[:, pos[k + 1]] = h.T @ basis
     return states.reshape(n, -1, d, d), outcomes, readouts
 
 

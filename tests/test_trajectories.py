@@ -442,6 +442,84 @@ def test_ensemble_sample_times_selection():
         tr.ensemble_homodyne(model, EXCITED, 0.1, 1e-3, n_traj=3, seed=2, sample_times=(0.0335,))
 
 
+def cavity_model(d=4, eta=0.7, mode="diffusive"):
+    """Driven, dephased cavity truncated at d levels, monitored through a.
+
+    The post-jump state a rho a† / Tr[...] depends on the pre-jump state, so
+    a fire branch applied to the wrong trajectory shows in the states.
+    """
+    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1).astype(complex)
+    number = np.diag(np.arange(d)).astype(complex)
+    dephase = (dyn.Bath("dephase", (np.sqrt(0.3) * number,)),)
+    return tr.monitoring_model(
+        0.8 * (a + a.conj().T) + 0.2 * number, a, 1.0, eta=eta, mode=mode, extra_baths=dephase
+    )
+
+
+def cavity_state(d=4):
+    g = rng(5)
+    v = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    rho = v @ v.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_counting_ensemble_fires_on_the_right_rows():
+    """Every row of a counting ensemble in which most rows fire, several of
+    them more than once and at different steps, is its own count record
+    filtered alone: by the oracle's normalized sandwich product (which does
+    not read the record step) and by replay_counting."""
+    dt, steps, n = 0.15, 10, 256
+    model = cavity_model(eta=0.7, mode="counting")
+    rho0 = cavity_state()
+    times = dt * np.arange(steps + 1)
+    with pytest.warns(UserWarning, match="poorly"):
+        ens = tr.ensemble_counting(model, rho0, steps * dt, dt, n_traj=n, seed=29, sample_times=times)
+    totals = ens.total_counts()
+    assert np.mean(totals > 0) > 0.5 and np.sum(totals > 1) > 20
+    assert np.all(ens.counts.sum(axis=0) > 0)  # every step fires in some row
+    ops = tr._counting_ops(model, dt)
+    for row, counts in zip(ens.states, ens.counts):
+        rho = rho0
+        assert np.max(np.abs(row[0] - rho0)) < 1e-12
+        for k, fired in enumerate(counts):
+            rho = tr._counting_sandwich(ops, rho, fired)
+            rho = rho / np.trace(rho).real
+            assert np.max(np.abs(row[k + 1] - rho)) < 1e-12
+        rec = tr.MeasurementRecord("counting", times, counts, 0, model.kappa, model.eta)
+        assert np.max(np.abs(row - tr.replay_counting(model, rho0, rec).mats)) < 1e-12
+
+
+def test_homodyne_ensemble_rows_are_replays_of_their_currents():
+    """Each row of a d = 4 homodyne ensemble is the replay of its own dY, and
+    its xbars are <c + c†> in the replayed pre-step states."""
+    dt, steps = 2e-3, 40
+    model = cavity_model(eta=0.7)
+    rho0 = cavity_state()
+    times = dt * np.arange(steps + 1)
+    ens = tr.ensemble_homodyne(model, rho0, steps * dt, dt, n_traj=64, seed=37, sample_times=times)
+    assert ens.states.shape == (64, steps + 1, 4, 4)
+    for row, dys, xbars in zip(ens.states, ens.dys, ens.xbars):
+        rec = tr.MeasurementRecord("diffusive", times, dys, 0, model.kappa, model.eta)
+        replay = tr.replay_homodyne(model, rho0, rec).mats
+        assert np.max(np.abs(row - replay)) < 1e-12
+        want = np.einsum("ij,kji->k", model.x_c, replay[:-1]).real
+        assert np.max(np.abs(xbars - want)) < 1e-12
+
+
+def test_fixed_seed_reproduces_ensembles_bitwise():
+    rho0 = cavity_state(3)
+    hom = cavity_model(d=3, eta=0.6)
+    a = tr.ensemble_homodyne(hom, rho0, 0.05, 1e-3, n_traj=40, seed=4)
+    b = tr.ensemble_homodyne(hom, rho0, 0.05, 1e-3, n_traj=40, seed=4)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.dys, b.dys) and np.array_equal(a.xbars, b.xbars)
+    cnt = cavity_model(d=3, eta=0.6, mode="counting")
+    a = tr.ensemble_counting(cnt, rho0, 0.5, 1e-2, n_traj=40, seed=4)
+    b = tr.ensemble_counting(cnt, rho0, 0.5, 1e-2, n_traj=40, seed=4)
+    assert a.total_counts().sum() > 0
+    assert np.array_equal(a.states, b.states) and np.array_equal(a.counts, b.counts)
+
+
 def test_zero_innovation_record_maximizes_likelihood():
     model = decay_model(kappa=1.0, eta=0.8, omega=0.5)
     states, rec = tr.simulate_homodyne(model, EXCITED, 0.1, 1e-3, seed=14)
@@ -532,9 +610,13 @@ def test_mode_guards_and_coarse_dt_warning():
         tr.simulate_homodyne(cm, EXCITED, 0.1, 1e-3, seed=0)
     with pytest.warns(UserWarning, match="poorly"):
         tr.simulate_homodyne(decay_model(kappa=30.0, eta=0.5), GROUND, 0.05, 5e-3, seed=0)
+    coarse = decay_model(kappa=30.0, mode="counting")
     with pytest.warns(UserWarning, match="poorly"):
-        with pytest.raises(ValueError, match="jump probability"):
-            tr.simulate_counting(decay_model(kappa=30.0, mode="counting"), EXCITED, 0.1, 0.05, seed=0)
+        with pytest.raises(ValueError, match="jump probability exceeded 1; reduce dt"):
+            tr.simulate_counting(coarse, EXCITED, 0.1, 0.05, seed=0)
+    with pytest.warns(UserWarning, match="poorly"):
+        with pytest.raises(ValueError, match="jump probability exceeded 1; reduce dt"):
+            tr.ensemble_counting(coarse, EXCITED, 0.1, 0.05, n_traj=8, seed=0)
 
 
 def test_pqs_summary_csv(tmp_path):
