@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import sandwich_superop
+
 # Reported in benchmark machine facts only; no kernel uses numba.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
@@ -38,11 +40,6 @@ HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 def backend() -> str:
     """The kernel flavor; numpy is the only one."""
     return "numpy"
-
-
-def _kron_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-major superoperator of rho -> x rho y†."""
-    return np.kron(x, y.conj())
 
 
 def _vec_readout(op: np.ndarray) -> np.ndarray:
@@ -137,8 +134,8 @@ def record_step(model, dt: float) -> RecordStep:
     flat = [j for b in model.gen.baths for j in b.jumps]
     kk = sum(j.conj().T @ j for j in flat)
     a = np.eye(d) - (1j * model.gen.hamiltonian + 0.5 * kk) * dt
-    cc = _kron_conj(c, c)
-    quiet = _kron_conj(a, a) + sum(dt * _kron_conj(j, j) for j in model.unmonitored_jumps())
+    cc = sandwich_superop(c, c)
+    quiet = sandwich_superop(a, a) + sum(dt * sandwich_superop(j, j) for j in model.unmonitored_jumps())
     quiet = quiet + (1.0 - eta) * kappa * dt * cc  # emissions the detector misses
     if model.mode == "counting":
         branches = np.stack([quiet, eta * kappa * dt * cc])
@@ -148,7 +145,7 @@ def record_step(model, dt: float) -> RecordStep:
         gain = float(np.sqrt(eta * kappa))
         branches = np.stack([
             quiet,
-            gain * (_kron_conj(c, a) + _kron_conj(a, c)),
+            gain * (sandwich_superop(c, a) + sandwich_superop(a, c)),
             eta * kappa * cc,
         ])
         readout = _vec_readout(c + c.conj().T)

@@ -47,6 +47,25 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
+def sandwich_superop(x, y) -> np.ndarray:
+    """Row-major matrix of rho -> sum_a x_a rho y_a†, so vec(x rho y†) = (x ⊗ ȳ) vec(rho).
+
+    x and y are one operator each, aligned stacks (a, d, d) summed over a,
+    or batches (..., a, d, d) giving one matrix per batch entry; the sum over
+    a is one matrix product. vec(rho) is rho.reshape(-1).
+    """
+    x = np.asarray(x, dtype=complex)
+    d, lead = x.shape[-1], x.shape[:-3]
+    s = np.swapaxes(x.reshape(*lead, -1, d * d), -1, -2) @ np.conj(y).reshape(*lead, -1, d * d)
+    return s.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
+
+
+def apply_superop(s, x) -> np.ndarray:
+    """unvec(S vec(x)) for a d²×d² superoperator and one operator or a stack (..., d, d)."""
+    x = asstack(x)
+    return (x.reshape(*x.shape[:-2], -1) @ np.transpose(s)).reshape(x.shape)
+
+
 def ket(dim: int, i: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[i] = 1.0

@@ -1,66 +1,38 @@
 """Instruments, channels, and ancilla dilations.
 
 An instrument maps a state to one unnormalized branch per outcome,
-I_m(rho) = sum_a M_ma rho M_ma†, with sum_m I_m trace preserving. Effects
-travel the other way through the adjoint, I_m†(X) = sum_a M_ma† X M_ma.
+I_m(rho) = sum_a M_ma rho M_ma†, with sum_m I_m trace preserving. Each
+outcome is held as its Kraus family and as its d²×d² superoperator
+S_m = sum_a M_ma ⊗ M̄_ma on row-major vec(rho), the convention of the
+record step (algebra.sandwich_superop). Branches are S_m vec(rho); effects
+travel the other way through the adjoint S_m†, I_m†(X) = sum_a M_ma† X M_ma.
+Composition is a matrix product, and a channel is a one-outcome instrument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, asoperator, asstack, dagger, tensor
-
-
-def _check_kraus_sum(kraus_flat, dim, tol, what):
-    acc = np.zeros((dim, dim), dtype=complex)
-    for m in kraus_flat:
-        acc += dagger(m) @ m
-    defect = float(np.max(np.abs(acc - np.eye(dim))))
-    if defect > tol:
-        raise ValueError(f"{what}: completeness defect {defect:.3e} exceeds tolerance {tol:.1e}")
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Trace-preserving Kraus map."""
-
-    kraus: tuple
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        ops = tuple(asoperator(k) for k in self.kraus)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
-            raise ValueError("channel Kraus operators must share one dimension")
-        object.__setattr__(self, "kraus", ops)
-        _check_kraus_sum(ops, d, self.tol, "channel")
-
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
-
-    def apply(self, rho) -> np.ndarray:
-        r = asoperator(rho)
-        return sum(k @ r @ dagger(k) for k in self.kraus)
-
-    def adjoint(self, x) -> np.ndarray:
-        """Heisenberg-picture action: sum_k K† X K (unital when the map is TP)."""
-        xm = asoperator(x)
-        return sum(dagger(k) @ xm @ k for k in self.kraus)
+from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, sandwich_superop, tensor
 
 
 @dataclass(frozen=True)
 class Instrument:
-    """Outcome-labelled Kraus families, complete as a whole."""
+    """Outcome-labelled Kraus families, complete as a whole.
+
+    kraus holds one (a_m, d, d) array per outcome, superops the (n, d², d²)
+    stack of the S_m and superop their sum, the nonselective map.
+    completeness_defect is max |sum_m S_m† vec(I) - vec(I)|.
+    """
 
     outcomes: tuple
-    kraus: tuple  # tuple of tuples of matrices, aligned with outcomes
+    kraus: tuple
     tol: float = DEFAULT_TOL
+    superops: np.ndarray = field(init=False, repr=False, compare=False)
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    completeness_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(str(m) for m in self.outcomes)
@@ -68,56 +40,91 @@ class Instrument:
             raise ValueError("instrument outcome labels must be unique")
         if len(labels) != len(self.kraus):
             raise ValueError("instrument needs one Kraus family per outcome")
-        fams = tuple(tuple(asoperator(k) for k in fam) for fam in self.kraus)
-        if any(len(fam) == 0 for fam in fams):
-            raise ValueError("instrument outcome with empty Kraus family")
-        d = fams[0][0].shape[0]
-        if any(k.shape != (d, d) for fam in fams for k in fam):
-            raise ValueError("instrument Kraus operators must share one dimension")
-        object.__setattr__(self, "outcomes", labels)
-        object.__setattr__(self, "kraus", fams)
-        _check_kraus_sum([k for fam in fams for k in fam], d, self.tol, "instrument")
+        fams = tuple(np.asarray(fam, dtype=complex) for fam in self.kraus)
+        d = fams[0].shape[-1]
+        if any(fam.ndim != 3 or len(fam) == 0 or fam.shape[1:] != (d, d) for fam in fams):
+            raise ValueError("instrument needs a nonempty Kraus family per outcome, all d x d")
+        padded = np.zeros((len(fams), max(map(len, fams)), d, d), dtype=complex)
+        for i, fam in enumerate(fams):  # zero operators add nothing to S_m
+            padded[i, :len(fam)] = fam
+        self._settle(labels, fams, sandwich_superop(padded, padded))
+
+    def _settle(self, labels, fams, superops):
+        """Set the fields from checked parts, then check completeness once."""
+        d = fams[0].shape[-1]
+        total = superops.sum(axis=0)
+        resid = total[:: d + 1].sum(axis=0)  # vec(I) @ S, the conjugate of S† vec(I)
+        resid[:: d + 1] -= 1.0
+        defect = float(np.abs(resid).max())
+        for name, value in (("outcomes", labels), ("kraus", fams), ("superops", superops),
+                            ("superop", total), ("completeness_defect", defect)):
+            object.__setattr__(self, name, value)
+        if defect > self.tol:
+            raise ValueError(f"completeness defect {defect:.3e} exceeds tolerance {self.tol:.1e}")
 
     @property
     def dim(self) -> int:
-        return self.kraus[0][0].shape[0]
+        return self.kraus[0].shape[-1]
 
-    def _family(self, m):
+    def _index(self, m) -> int:
         try:
-            return self.kraus[self.outcomes.index(str(m))]
+            return self.outcomes.index(str(m))
         except ValueError:
             raise KeyError(f"unknown outcome {m!r}; have {self.outcomes}") from None
 
     def apply(self, m, rho) -> np.ndarray:
         """Unnormalized post-measurement branch for outcome m, of one state or a stack."""
-        r = asstack(rho)
-        return sum(k @ r @ dagger(k) for k in self._family(m))
+        return apply_superop(self.superops[self._index(m)], rho)
 
     def adjoint(self, m, x) -> np.ndarray:
-        xm = asoperator(x)
-        return sum(dagger(k) @ xm @ k for k in self._family(m))
+        """Heisenberg-picture branch I_m†(X) of one operator or a stack."""
+        return apply_superop(self.superops[self._index(m)].conj().T, x)
 
     def povm(self) -> dict:
         """Outcome label -> effect I_m†(I); effects sum to the identity."""
-        eye = np.eye(self.dim, dtype=complex)
-        return {m: self.adjoint(m, eye) for m in self.outcomes}
+        d = self.dim
+        effects = np.eye(d).reshape(-1) @ self.superops.conj()
+        return dict(zip(self.outcomes, effects.reshape(-1, d, d)))
 
     def nonselective(self) -> Channel:
-        return Channel(tuple(k for fam in self.kraus for k in fam), tol=self.tol)
+        return Channel(np.concatenate(self.kraus), tol=self.tol)
 
     def gauge_mix(self, m, u) -> "Instrument":
         """Replace outcome m's Kraus family {K_a} by {sum_a u[b,a] K_a}; u unitary."""
         u = np.asarray(u, dtype=complex)
-        fam = self._family(m)
-        if u.shape != (len(fam), len(fam)):
-            raise ValueError(f"mixing matrix shape {u.shape} does not fit {len(fam)} operators")
-        if np.max(np.abs(u @ dagger(u) - np.eye(len(fam)))) > self.tol:
+        i = self._index(m)
+        n = len(self.kraus[i])
+        if u.shape != (n, n):
+            raise ValueError(f"mixing matrix shape {u.shape} does not fit {n} operators")
+        if np.max(np.abs(u @ dagger(u) - np.eye(n))) > self.tol:
             raise ValueError("gauge mixing matrix is not unitary within tolerance")
-        mixed = tuple(sum(u[b, a] * fam[a] for a in range(len(fam))) for b in range(len(fam)))
-        fams = tuple(
-            mixed if lbl == str(m) else self.kraus[i] for i, lbl in enumerate(self.outcomes)
-        )
-        return Instrument(self.outcomes, fams, tol=self.tol)
+        mixed = np.einsum("ba,aij->bij", u, self.kraus[i])
+        return Instrument(self.outcomes, self.kraus[:i] + (mixed,) + self.kraus[i + 1:], tol=self.tol)
+
+
+@dataclass(frozen=True)
+class Channel:
+    """Trace-preserving Kraus map: the one-outcome instrument of its (a, d, d) Kraus family."""
+
+    kraus: tuple
+    tol: float = DEFAULT_TOL
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ins = Instrument(("channel",), (self.kraus,), tol=self.tol)
+        object.__setattr__(self, "kraus", ins.kraus[0])
+        object.__setattr__(self, "superop", ins.superop)
+
+    @property
+    def dim(self) -> int:
+        return self.kraus.shape[-1]
+
+    def apply(self, rho) -> np.ndarray:
+        return apply_superop(self.superop, rho)
+
+    def adjoint(self, x) -> np.ndarray:
+        """Heisenberg-picture action: sum_k K† X K (unital when the map is TP)."""
+        return apply_superop(self.superop.conj().T, x)
 
 
 def projective(labels_to_projectors: dict, tol: float = DEFAULT_TOL) -> Instrument:
@@ -145,13 +152,17 @@ def unsharp_z(eta: float, tol: float = DEFAULT_TOL) -> Instrument:
 
 
 def compose_preprocess(ins: Instrument, lam: Channel) -> Instrument:
-    """Instrument that first applies the channel, then measures: branches K_ma L_b."""
+    """Instrument that first applies the channel, then measures: branches K_ma L_b, maps S_m S_lam."""
     if ins.dim != lam.dim:
         raise ValueError(f"dimension mismatch: instrument {ins.dim} vs channel {lam.dim}")
-    fams = tuple(
-        tuple(k @ l for k in fam for l in lam.kraus) for fam in ins.kraus
-    )
-    return Instrument(ins.outcomes, fams, tol=max(ins.tol, lam.tol))
+    d, b = ins.dim, len(lam.kraus)
+    right = lam.kraus.transpose(1, 0, 2).reshape(d, b * d)  # [L_1 | L_2 | ...]
+    fams = tuple((fam.reshape(-1, d) @ right).reshape(-1, d, b, d).swapaxes(1, 2).reshape(-1, d, d)
+                 for fam in ins.kraus)
+    out = object.__new__(Instrument)
+    object.__setattr__(out, "tol", max(ins.tol, lam.tol))
+    out._settle(ins.outcomes, fams, ins.superops @ lam.superop)
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,15 +199,12 @@ def naimark_dilate(ins: Instrument) -> Dilation:
     over each outcome's block of Kraus indices.
     """
     d = ins.dim
-    flat = [(m, k) for m, fam in zip(ins.outcomes, ins.kraus) for k in fam]
-    kdim = len(flat)
-    if kdim < 2:
-        kdim = 2  # a 1-operator instrument still needs a nontrivial ancilla
-    v = np.zeros((d * kdim, d), dtype=complex)
-    for a, (_, kop) in enumerate(flat):
-        # row index (s', a): system slow, ancilla fast
-        for sp in range(d):
-            v[sp * kdim + a, :] = v[sp * kdim + a, :] + kop[sp, :]
+    flat = np.concatenate(ins.kraus)
+    kdim = max(len(flat), 2)  # a 1-operator instrument still needs a nontrivial ancilla
+    # row index (s', a): system slow, ancilla fast
+    v = np.zeros((d, kdim, d), dtype=complex)
+    v[:, :len(flat)] = flat.transpose(1, 0, 2)
+    v = v.reshape(d * kdim, d)
     # complete to a unitary: V is an isometry, so QR gives Q whose first d
     # columns equal V up to the diagonal phases of R
     q, r = np.linalg.qr(v, mode="complete")
@@ -206,16 +214,10 @@ def naimark_dilate(ins: Instrument) -> Dilation:
     if np.max(np.abs(u_first[:, :d] - v)) > 1e-10:
         raise ValueError("dilation completion failed to reproduce the isometry")
     # route the isometry columns to input ancilla index 0: column (s, 0) <- V[:, s]
-    u = np.zeros_like(u_first)
-    spare = list(range(d, d * kdim))
-    for col in range(d * kdim):
-        s, a = divmod(col, kdim)
-        u[:, col] = u_first[:, s] if a == 0 else u_first[:, spare.pop(0)]
-    projs = {}
-    for m in ins.outcomes:
-        p = np.zeros((kdim, kdim), dtype=complex)
-        for a, (lbl, _) in enumerate(flat):
-            if lbl == m:
-                p[a, a] = 1.0
-        projs[m] = p
+    first = np.arange(d * kdim) % kdim == 0
+    u = np.empty_like(u_first)
+    u[:, first], u[:, ~first] = u_first[:, :d], u_first[:, d:]
+    owner = np.full(kdim, -1)  # outcome index of each ancilla level
+    owner[:len(flat)] = np.repeat(np.arange(len(ins.outcomes)), [len(f) for f in ins.kraus])
+    projs = {m: np.diag(owner == i).astype(complex) for i, m in enumerate(ins.outcomes)}
     return Dilation(unitary=u, ancilla_dim=kdim, projectors=projs, outcomes=ins.outcomes)

@@ -140,20 +140,12 @@ def enumerate_hmm_smoothing(model: HmmModel, observations, cap: int = 10) -> np.
 
 def _transition_channel(t: np.ndarray, dim: int) -> Channel:
     """One Kraus per (x -> y) move, sqrt(T[x, y]) |y><x|; zero moves dropped."""
-    n = t.shape[0]
-    ops = []
-    for x in range(n):
-        for y in range(n):
-            if t[x, y] == 0.0:
-                continue
-            k = np.zeros((dim, dim), dtype=complex)
-            k[y, x] = np.sqrt(t[x, y])
-            ops.append(k)
-    for s in range(n, dim):
-        k = np.zeros((dim, dim), dtype=complex)
-        k[s, s] = 1.0
-        ops.append(k)
-    return Channel(tuple(ops))
+    xs, ys = np.nonzero(t)
+    sinks = np.arange(t.shape[0], dim)
+    ops = np.zeros((xs.size + sinks.size, dim, dim), dtype=complex)
+    ops[np.arange(xs.size), ys, xs] = np.sqrt(t[xs, ys])
+    ops[xs.size + np.arange(sinks.size), sinks, sinks] = 1.0
+    return Channel(ops)
 
 
 def diagonal_embed(model: HmmModel, observations):
@@ -172,12 +164,8 @@ def diagonal_embed(model: HmmModel, observations):
         raise ValueError("likelihood table is all zeros; nothing to embed")
     weights = model.likelihood / scale
     outcomes = tuple(f"m{m}" for m in range(model.n_symbols)) + ("discard",)
-    fams = [
-        (np.diag(np.sqrt(weights[m])).astype(complex),)
-        for m in range(model.n_symbols)
-    ]
-    fams.append((np.diag(np.sqrt(1.0 - weights.sum(axis=0))).astype(complex),))
-    base = Instrument(outcomes, tuple(fams))
+    roots = np.sqrt(np.vstack([weights, 1.0 - weights.sum(axis=0)]))
+    base = Instrument(outcomes, tuple(np.diag(w)[None] for w in roots))
     lam = _transition_channel(model.transition, n)
     instruments = tuple(
         base if k == 0 else compose_preprocess(base, lam) for k in range(obs.size)
@@ -202,31 +190,22 @@ def smoothing_chain(model: HmmModel, observations, dt: float = 1e-3) -> ChainSpe
     dim = n + 1
     gen = LindbladGenerator(np.zeros((dim, dim)), ())
     lam = _transition_channel(model.transition, dim)
+    weights = model.likelihood[obs]
+    scale = weights.max(axis=1, keepdims=True)
+    if np.any(scale <= 0.0):
+        raise ValueError(f"observed symbol {obs[np.argmax(scale <= 0.0)]} has zero weight everywhere")
+    ratio = weights / scale
+    states = np.arange(n)
+    keep = np.zeros((obs.size, n, 1, dim, dim), dtype=complex)
+    keep[:, states, 0, states, states] = np.sqrt(ratio)
+    leak = np.zeros((obs.size, dim, dim, dim), dtype=complex)
+    leak[:, states, n, states] = np.sqrt(1.0 - ratio)
+    leak[:, n, n, n] = 1.0
+    labels = tuple(f"x{x}" for x in range(n)) + ("discard",)
     stages = []
     for k in range(obs.size):
-        weights = model.likelihood[obs[k]]
-        scale = float(weights.max())
-        if scale <= 0.0:
-            raise ValueError(f"observed symbol {obs[k]} has zero weight everywhere")
-        keep = []
-        leak = []
-        for x in range(n):
-            opk = np.zeros((dim, dim), dtype=complex)
-            opk[x, x] = np.sqrt(weights[x] / scale)
-            keep.append((opk,))
-            opl = np.zeros((dim, dim), dtype=complex)
-            opl[n, x] = np.sqrt(1.0 - weights[x] / scale)
-            leak.append(opl)
-        hold = np.zeros((dim, dim), dtype=complex)
-        hold[n, n] = 1.0
-        leak.append(hold)
-        ins = Instrument(
-            tuple(f"x{x}" for x in range(n)) + ("discard",),
-            tuple(keep) + (tuple(leak),),
-        )
-        if k > 0:
-            ins = compose_preprocess(ins, lam)
-        stages.append(Stage(gen, 0.0, ins))
+        ins = Instrument(labels, (*keep[k], leak[k]))
+        stages.append(Stage(gen, 0.0, ins if k == 0 else compose_preprocess(ins, lam)))
     rho = np.zeros((dim, dim), dtype=complex)
     rho[:n, :n] = np.diag(model.prior)
     effect = np.eye(dim, dtype=complex)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import DEFAULT_TOL, asoperator, dagger, hermitian_part, hermiticity_defect, validate_state
+from .algebra import DEFAULT_TOL, asoperator, dagger, hermitian_part, hermiticity_defect
+from .algebra import sandwich_superop, validate_state
 
 PROJECTION_FAIL_TOL = 1e-10
 
@@ -97,12 +98,13 @@ class LindbladGenerator:
 
     def superoperator(self) -> np.ndarray:
         """Dense matrix of L acting on row-major vec(rho)."""
-        d = self.dim
-        eye = np.eye(d, dtype=complex)
+        eye = np.eye(self.dim, dtype=complex)
         h = self.hamiltonian
-        mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        # rho x = I rho (x†)†
+        mat = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, dagger(h)))
         for j, jsq in self._jumps_sq:
-            mat += np.kron(j, j.conj()) - 0.5 * (np.kron(jsq, eye) + np.kron(eye, jsq.T))
+            anti = sandwich_superop(jsq, eye) + sandwich_superop(eye, dagger(jsq))
+            mat += sandwich_superop(j, j) - 0.5 * anti
         return mat
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import asoperator, asstack, pairing
+from .algebra import apply_superop, asoperator, asstack, pairing
 from .channels import Instrument
 from .dynamics import LindbladGenerator, evolve_effect, evolve_state
 
@@ -81,20 +81,22 @@ def effective_effects(ins: Instrument, effect) -> dict:
     """Pull the effect through each outcome branch: O_m = sum_a M_ma† E M_ma.
 
     The O_m are PSD, invariant under Kraus gauge mixing, and reproduce the
-    conditional distribution as Tr[O_m rho] / Tr[(sum_k O_k) rho].
+    conditional distribution as Tr[O_m rho] / Tr[(sum_k O_k) rho]. The
+    effect may be a stack (..., d, d).
     """
-    e = asoperator(effect)
-    if e.shape[0] != ins.dim:
-        raise ValueError(f"dimension mismatch: instrument {ins.dim} vs effect {e.shape[0]}")
-    return {m: ins.adjoint(m, e) for m in ins.outcomes}
+    e = asstack(effect)
+    if e.shape[-1] != ins.dim:
+        raise ValueError(f"dimension mismatch: instrument {ins.dim} vs effect {e.shape[-1]}")
+    pulled = np.einsum("...k,mkl->m...l", e.reshape(*e.shape[:-2], -1), ins.superops.conj())
+    return dict(zip(ins.outcomes, pulled.reshape(-1, *e.shape)))
 
 
 def coarse_grain(ins: Instrument, partition: dict) -> Instrument:
     """Merge outcomes into blocks named by the partition values.
 
     Each block's Kraus family is the concatenation of its members', so block
-    probabilities are the sums of member probabilities. Blocks appear in
-    order of first membership.
+    superoperators and probabilities are the sums of the members'. Blocks
+    appear in order of first membership.
     """
     lookup = {str(k): v for k, v in partition.items()}
     missing = [m for m in ins.outcomes if m not in lookup]
@@ -102,8 +104,8 @@ def coarse_grain(ins: Instrument, partition: dict) -> Instrument:
         raise ValueError(f"partition does not cover outcomes {missing}")
     blocks: dict = {}
     for m, fam in zip(ins.outcomes, ins.kraus):
-        blocks.setdefault(str(lookup[m]), []).extend(fam)
-    return Instrument(tuple(blocks), tuple(tuple(fam) for fam in blocks.values()), tol=ins.tol)
+        blocks.setdefault(str(lookup[m]), []).append(fam)
+    return Instrument(tuple(blocks), tuple(np.concatenate(f) for f in blocks.values()), tol=ins.tol)
 
 
 @dataclass(frozen=True)
@@ -177,17 +179,17 @@ def chain_joint(spec: ChainSpec, outcomes) -> float:
 
 
 def backward_effect_chain(spec: ChainSpec) -> list:
-    """Effect just after each stage's measurement, filled back to front.
+    """Effect just after each stage's measurement, by one backward sweep.
 
     The last entry pulls the final effect through the closing evolution;
-    each earlier entry additionally crosses one later stage through the
-    nonselective instrument adjoint and the stage evolution's adjoint.
+    each earlier entry crosses one later stage through the adjoint of its
+    nonselective superoperator and the adjoint of its evolution.
     """
     e = evolve_effect(spec.final_generator, spec.effect_final, spec.final_duration, spec.dt)
     rev = [e]
     for st in reversed(spec.stages[1:]):
-        summed = sum(st.instrument.adjoint(m, e) for m in st.instrument.outcomes)
-        e = evolve_effect(st.generator, summed, st.duration, spec.dt)
+        e = apply_superop(st.instrument.superop.conj().T, e)
+        e = evolve_effect(st.generator, e, st.duration, spec.dt)
         rev.append(e)
     return rev[::-1]
 
@@ -195,8 +197,8 @@ def backward_effect_chain(spec: ChainSpec) -> list:
 def conditional_at_stage(spec: ChainSpec, j: int, eps: float = 0.0) -> dict:
     """Outcome distribution of stage j with every other stage summed out.
 
-    Stages before j act nonselectively on the forward state; stages after j
-    are absorbed into the backward effect.
+    Stages before j act on the forward state through their nonselective
+    superoperators; stages after j are absorbed into the backward effect.
     """
     n = len(spec.stages)
     if not 0 <= j < n:
@@ -204,7 +206,7 @@ def conditional_at_stage(spec: ChainSpec, j: int, eps: float = 0.0) -> dict:
     rho = spec.rho_i
     for st in spec.stages[:j]:
         rho = evolve_state(st.generator, rho, st.duration, spec.dt)
-        rho = st.instrument.nonselective().apply(rho)
+        rho = apply_superop(st.instrument.superop, rho)
     st = spec.stages[j]
     rho = evolve_state(st.generator, rho, st.duration, spec.dt)
     e = backward_effect_chain(spec)[j]

@@ -161,8 +161,7 @@ def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0), seed=0, out_dir=None) -> S
         ins = unsharp_z(eta)
         post = abl_distribution(BoundaryPair(PLUS, GROUND), ins)["+"]
         nonsel = abl_distribution(BoundaryPair(PLUS, np.eye(2)), ins)["+"]
-        acc = sum(k.conj().T @ k for fam in ins.kraus for k in fam)
-        residual = float(np.max(np.abs(acc - np.eye(2))))
+        residual = ins.completeness_defect
         label = f"{eta:g}"
         values[f"p_plus_postselected_eta_{label}"] = float(post)
         values[f"p_plus_nonselective_eta_{label}"] = float(nonsel)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from retroq import _accel
 from retroq import algebra as al
 from retroq import channels as ch
+from retroq import trajectories as tr
 
 
 def rng(seed=0):
@@ -122,6 +124,16 @@ def test_gauge_mix_preserves_branches_and_povm():
         ins.gauge_mix("m0", np.ones((3, 3)))
 
 
+def test_gauge_mix_leaves_every_superoperator_unchanged():
+    g = rng(17)
+    ins = random_instrument(g, 3, [3, 2, 1])
+    for i, size in enumerate((3, 2, 1)):
+        mixed = ins.gauge_mix(f"m{i}", haar_unitary(g, size))
+        assert not np.allclose(mixed.kraus[i], ins.kraus[i])
+        assert np.max(np.abs(mixed.superops - ins.superops)) < 1e-12
+        assert np.max(np.abs(mixed.superop - ins.superop)) < 1e-12
+
+
 def test_compose_preprocess_equals_sequential_action():
     g = rng(14)
     ins = random_instrument(g, 2, [1, 2])
@@ -130,6 +142,54 @@ def test_compose_preprocess_equals_sequential_action():
     rho = random_state(g, 2)
     for m in ins.outcomes:
         assert np.allclose(composed.apply(m, rho), ins.apply(m, lam_ops.apply(rho)), atol=1e-12)
+
+
+def test_compose_preprocess_superoperators_are_products():
+    # S_m S_lam, and the superoperators rebuilt from the composite Kraus families
+    g = rng(18)
+    ins = random_instrument(g, 3, [2, 3])
+    lam = random_instrument(g, 3, [2, 1]).nonselective()
+    composed = ch.compose_preprocess(ins, lam)
+    assert [len(f) for f in composed.kraus] == [6, 9]
+    rebuilt = ch.Instrument(composed.outcomes, composed.kraus)
+    for i in range(len(ins.outcomes)):
+        assert np.max(np.abs(composed.superops[i] - ins.superops[i] @ lam.superop)) < 1e-12
+        assert np.max(np.abs(composed.superops[i] - rebuilt.superops[i])) < 1e-12
+    assert composed.completeness_defect < 1e-12
+
+
+def test_stack_calls_equal_per_matrix_calls():
+    g = rng(19)
+    d = 3
+    ins = random_instrument(g, d, [2, 1])
+    lam = ins.nonselective()
+    stack = np.stack([random_state(g, d) for _ in range(4)]).reshape(2, 2, d, d)
+    xs = g.normal(size=(2, 2, d, d)) + 1j * g.normal(size=(2, 2, d, d))
+    maps = [lam.apply, lam.adjoint]
+    for m in ins.outcomes:
+        maps += [lambda x, m=m: ins.apply(m, x), lambda x, m=m: ins.adjoint(m, x)]
+    for f in maps:
+        for arg in (stack, xs):
+            got = f(arg)
+            assert got.shape == arg.shape
+            for idx in np.ndindex(2, 2):
+                assert np.max(np.abs(got[idx] - f(arg[idx]))) < 1e-12
+
+
+def test_one_operator_superoperator_is_the_record_step_branch():
+    # The counting fire branch of record_step is the superoperator of the
+    # one-operator family {sqrt(eta kappa dt) c}: both read one vec convention.
+    g = rng(20)
+    d = 3
+    c = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    h = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    kappa, eta, dt = 0.7, 0.6, 1e-3
+    step = _accel.record_step(tr.monitoring_model(h + h.conj().T, c, kappa, eta, "counting"), dt)
+    fire = np.sqrt(eta * kappa * dt) * c
+    w, v = np.linalg.eigh(np.eye(d) - fire.conj().T @ fire)
+    ins = ch.Instrument(("fire", "rest"), ((fire,), ((v * np.sqrt(w)) @ v.conj().T,)))
+    assert np.max(np.abs(ins.superops[0] - step.branches[1])) < 1e-12
+    assert np.max(np.abs(al.sandwich_superop(c, c) - np.kron(c, c.conj()))) < 1e-12
 
 
 def test_naimark_dilation_reproduces_branches():

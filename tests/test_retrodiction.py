@@ -192,6 +192,20 @@ def test_stack_with_one_complex_pairing_raises_the_pairing_message():
     assert _error(lambda: rd.abl_distribution(rd.BoundaryPair(rhos, effects), ins)) == single
 
 
+def test_effective_effects_of_a_stack_equal_per_effect_calls():
+    g = rng(17)
+    d = 3
+    ins = random_instrument(g, d, (2, 1, 2))
+    effects = np.stack([random_effect(g, d) for _ in range(6)]).reshape(3, 2, d, d)
+    stacked = rd.effective_effects(ins, effects)
+    for idx in np.ndindex(3, 2):
+        single = rd.effective_effects(ins, effects[idx])
+        for m in ins.outcomes:
+            assert stacked[m].shape == effects.shape
+            assert np.max(np.abs(stacked[m][idx] - single[m])) < 1e-12
+            assert np.max(np.abs(single[m] - ins.adjoint(m, effects[idx]))) < 1e-12
+
+
 def test_effective_effects_limits_and_ratio_identity():
     g = rng(3)
     d = 3
@@ -331,10 +345,29 @@ def test_backward_chain_entries_are_effects():
         assert w.min() > -1e-10 and w.max() < 1.0 + 1e-10
 
 
+def composite_chain(g, d, n_stages):
+    """random_chain whose instruments are compose_preprocess composites."""
+    spec = random_chain(g, d, n_stages, outcome_sizes=(2, 1))
+    stages = tuple(
+        rd.Stage(st.generator, st.duration, ch.compose_preprocess(
+            st.instrument, random_instrument(g, d, (2, 2)).nonselective()
+        ))
+        for st in spec.stages
+    )
+    return rd.ChainSpec(
+        spec.rho_i, stages, spec.final_generator, spec.final_duration, spec.effect_final, spec.dt
+    )
+
+
 def test_conditional_at_stage_matches_enumeration():
     g = rng(11)
-    for d, n_stages, sizes in ((2, 2, (1, 1)), (2, 3, (1, 2)), (3, 2, (2, 1))):
-        spec = random_chain(g, d, n_stages, outcome_sizes=sizes)
+    cases = [(2, 2, (1, 1)), (2, 3, (1, 2)), (3, 2, (2, 1)), (3, 3, "composite")]
+    for d, n_stages, sizes in cases:
+        if sizes == "composite":
+            spec = composite_chain(g, d, n_stages)
+            assert [len(f) for f in spec.stages[0].instrument.kraus] == [8, 4]
+        else:
+            spec = random_chain(g, d, n_stages, outcome_sizes=sizes)
         for j in range(n_stages):
             got = rd.conditional_at_stage(spec, j)
             want = conditional_from_enumeration(spec, j)
@@ -389,6 +422,16 @@ def test_coarse_grain_blocks_add_up():
 
     with pytest.raises(ValueError, match="cover"):
         rd.coarse_grain(ins, {"m0": "a"})
+
+
+def test_coarse_grain_block_superoperators_are_member_sums():
+    ins = random_instrument(rng(16), 3, (2, 1, 3, 1))
+    merged = rd.coarse_grain(ins, {"m0": "a", "m1": "b", "m2": "a", "m3": "a"})
+    assert merged.outcomes == ("a", "b")
+    s = ins.superops
+    assert np.max(np.abs(merged.superops[0] - (s[0] + s[2] + s[3]))) < 1e-12
+    assert np.max(np.abs(merged.superops[1] - s[1])) < 1e-12
+    assert np.max(np.abs(merged.superop - ins.superop)) < 1e-12
 
 
 def test_refining_a_stage_keeps_the_denominator():
