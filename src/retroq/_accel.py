@@ -18,10 +18,12 @@ filter needs no eigenvalue clamp. States are real coordinates in an
 orthonormal Hermitian basis, where every branch is a real matrix. The
 forward kernels advance a step-major (d², n_traj) block, a trajectory per
 column, with one GEMM per step into a buffer allocated once, and apply the
-counting fire branch only to the columns that fired. The backward pass
-applies the Hilbert-Schmidt adjoints S† of the same matrices, so forward
-and backward are exact adjoints by construction. The caller draws the
-noise; reductions across trajectories happen outside the kernels.
+counting fire branch only to the columns that fired. The backward passes
+of ``trajectories`` run ``dynamics.flow`` over the Hilbert-Schmidt
+adjoints S† (conjugate transposes) of the per-outcome stack ``superop``
+returns, so forward and backward are exact adjoints by construction. The
+caller draws the noise; reductions across trajectories happen outside the
+kernels.
 """
 
 from __future__ import annotations
@@ -92,12 +94,7 @@ class RecordStep:
         return int(round(np.sqrt(self.readout.size)))
 
     def real_form(self):
-        """(basis, G, g): the branches and readout in Hermitian-basis coordinates.
-
-        For the coordinates h of rho, h @ G[b] are those of S_b(rho) and
-        h @ g = Tr[R rho]; for the coordinates f of an effect E, f @ G[b]ᵀ
-        are those of S_b†(E).
-        """
+        """(basis, G, g): for rho's basis coordinates h, h @ G[b] is S_b(rho) and h @ g is Tr[R rho]."""
         basis = _hermitian_basis(self.dim)
         real = basis @ self.branches.transpose(0, 2, 1) @ basis.conj().T
         return basis, real.real, (basis @ self.readout).real
@@ -114,7 +111,8 @@ class RecordStep:
         return out[:d2] + x * (out[d2:2 * d2] + x * out[2 * d2:])
 
     def superop(self, x) -> np.ndarray:
-        """The unnormalized d²×d² map for one outcome (count or dY)."""
+        """The unnormalized d²×d² map of one outcome (count or dY), or (n, d², d²) for n outcomes."""
+        x = np.asarray(x, dtype=float)[..., None, None]
         return self.combine(np.concatenate(list(self.branches)), x)
 
     def draw(self, readout: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -234,29 +232,3 @@ def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     """
     states, counts, _ = _paths(step, rho0, incr, from_record, sample_indices)
     return states, counts
-
-
-def backward_effects(step: RecordStep, increments, effect_final) -> np.ndarray:
-    """Effects E_k = S_k†(E_{k+1}) along a record, shape (steps + 1, d, d).
-
-    The terminal entry is effect_final itself; every earlier entry is
-    scaled to spectral norm 1. The loop runs on Hermitian-basis coordinates
-    and rescales by their 2-norm (the Frobenius norm), which vanishes only
-    with the effect.
-    """
-    d = step.dim
-    basis, real, _ = step.real_form()
-    adjoint = np.concatenate(list(real.transpose(0, 2, 1)), axis=1)
-    n = len(increments)
-    rows = np.empty((n, d * d))
-    f = _coordinates(basis, effect_final)
-    for k in range(n - 1, -1, -1):
-        f = step.combine(f @ adjoint, increments[k])
-        s = np.sqrt(f @ f)
-        if s <= 0.0:
-            raise ValueError("effect collapsed to zero; record incompatible with the effect")
-        f = f / s
-        rows[k] = f
-    body = (rows @ basis).reshape(n, d, d)
-    body /= np.abs(np.linalg.eigvalsh(body)).max(axis=1)[:, None, None]
-    return np.concatenate([body, np.asarray(effect_final, dtype=complex)[None]])

@@ -125,13 +125,11 @@ def enumerate_hmm_smoothing(model: HmmModel, observations, cap: int = 10) -> np.
     n = model.n_states
     if obs.size > cap:
         raise ValueError(f"{obs.size} steps means {n ** obs.size} paths; {cap} is the cap")
-    out = np.zeros((obs.size, n))
-    for path in np.ndindex(*([n] * obs.size)):
-        w = model.prior[path[0]] * model.likelihood[obs[0], path[0]]
-        for k in range(1, obs.size):
-            w *= model.transition[path[k - 1], path[k]] * model.likelihood[obs[k], path[k]]
-        for k, x in enumerate(path):
-            out[k, x] += w
+    steps = obs.size
+    w = model.prior * model.likelihood[obs[0]]
+    for k in range(1, steps):  # w[x_0, ..., x_k] is the weight of that path
+        w = w[..., None] * (model.transition * model.likelihood[obs[k]])
+    out = np.array([w.sum(axis=tuple(j for j in range(steps) if j != k)) for k in range(steps)])
     total = out.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("observation sequence has zero likelihood")

@@ -195,18 +195,27 @@ def rk4_step(superop, h: float) -> np.ndarray:
     return step
 
 
-def flow(steps, x) -> np.ndarray:
+def flow(steps, x, norm=None):
     """The (n + 1, d, d) timeline x_{k+1} = steps[k] vec(x_k) of an (n, d², d²) step stack.
 
     Each step is a row-major matrix on vec(x); a time-homogeneous caller
-    passes one step matrix broadcast to (n, d², d²).
+    passes one step matrix broadcast to (n, d², d²). A normalizer norm(vec)
+    divides each new point by its norm and makes the call return (timeline,
+    norms); the flow stops at the first norm that is not positive.
     """
     x = asoperator(x)
     out = np.empty((len(steps) + 1, x.size), dtype=complex)
     out[0] = x.ravel()
+    norms = np.empty(len(steps))
     for k, step in enumerate(steps):
         out[k + 1] = step @ out[k]
-    return out.reshape(-1, *x.shape)
+        if norm is not None:
+            s = norms[k] = norm(out[k + 1])
+            if not s > 0.0:
+                return out[:k + 1].reshape(-1, *x.shape), norms[:k + 1]
+            out[k + 1] /= s
+    mats = out.reshape(-1, *x.shape)
+    return mats if norm is None else (mats, norms)
 
 
 def _checked_flow(steps, x, kind: str) -> np.ndarray:

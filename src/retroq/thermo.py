@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LOG_FLOOR, asoperator, dagger, hermitian_eig, pairing, state_spectrum
+from .algebra import LOG_FLOOR, apply_superop, asoperator, dagger, hermitian_eig, pairing, state_spectrum
 from .dynamics import (
     Bath,
     LindbladGenerator,
@@ -48,12 +48,6 @@ def _log(w):
 def _trace_of_product(a, b):
     """Re Tr[A B] over broadcast stacks."""
     return np.einsum("...ij,...ji->...", a, b).real
-
-
-def _apply(superop, mats):
-    """A row-major superoperator applied to every matrix of a stack."""
-    d = mats.shape[-1]
-    return (mats.reshape(*mats.shape[:-2], d * d) @ superop.T).reshape(mats.shape)
 
 
 def von_neumann_entropy(rho) -> float | np.ndarray:
@@ -109,7 +103,7 @@ def entropy_production_rate(gen: LindbladGenerator, rho, sigma) -> float | np.nd
     ws, vs = state_spectrum(sigma)
     _check_stationary(gen, _rebuild(ws, vs))
     grad = _rebuild(_log(wr), vr) - _rebuild(_log(ws), vs)
-    return _float_or_array(-_trace_of_product(_apply(gen.superoperator(), _rebuild(wr, vr)), grad))
+    return _float_or_array(-_trace_of_product(apply_superop(gen.superoperator(), _rebuild(wr, vr)), grad))
 
 
 def _dissipator(gen: LindbladGenerator, label: str) -> np.ndarray:
@@ -121,7 +115,7 @@ def heat_current(gen: LindbladGenerator, bath_label: str, rho, hamiltonian=None)
     """-Tr[H L^(r)(rho)] for one labelled dissipator: energy flowing into that bath."""
     h = gen.hamiltonian if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
     w, v = state_spectrum(rho)
-    return _float_or_array(-_trace_of_product(h, _apply(_dissipator(gen, bath_label), _rebuild(w, v))))
+    return _float_or_array(-_trace_of_product(h, apply_superop(_dissipator(gen, bath_label), _rebuild(w, v))))
 
 
 def work_rate(rho, dh_dt) -> float | np.ndarray:
@@ -138,7 +132,7 @@ def _gibbs_check(gen: LindbladGenerator, label: str, sigma: np.ndarray, beta: fl
     want = gibbs_state(gen.hamiltonian, beta)
     if np.max(np.abs(asoperator(sigma) - want)) > 1e-8:
         raise ValueError(f"sigma for bath {label!r} is not the Gibbs state at beta={beta}")
-    defect = float(np.max(np.abs(_apply(_dissipator(gen, label), sigma))))
+    defect = float(np.max(np.abs(apply_superop(_dissipator(gen, label), sigma))))
     if defect > STATIONARY_TOL:
         raise ValueError(
             f"bath {label!r} does not hold its Gibbs state stationary (defect {defect:.3e})"

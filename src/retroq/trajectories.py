@@ -8,8 +8,9 @@ simulated pair equal the exact Bayesian retrodiction of the discretized
 model wherever that retrodiction is enumerable.
 
 Every pass reads one record-step object (``_accel.record_step``): the
-forward filter, replay and the ensembles apply its superoperators, and the
-backward passes apply their exact adjoints.
+forward filter, replay and the ensembles step it in the ``_accel`` kernels
+(so a replay reproduces its simulation bit for bit), and the backward
+passes run ``dynamics.flow`` over its maps' exact adjoints.
 """
 
 from __future__ import annotations
@@ -23,15 +24,21 @@ from . import _accel
 from .algebra import (
     asoperator,
     dagger,
+    hermitian_part,
     hermiticity_defect,
     pairing,
     spectral_norm_hermitian,
+    state_spectrum,
 )
 from .channels import Instrument
-from .dynamics import Bath, LindbladGenerator, Timeline, _grid
+from .dynamics import Bath, LindbladGenerator, Timeline, _grid, flow
 from .retrodiction import BoundaryPair, abl_distribution
 
 MODES = ("diffusive", "counting")
+
+# Byte budget for the step maps a backward pass holds at once: a 4000-step
+# record at d = 8 would otherwise hold 262 MB of maps.
+_STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -182,13 +189,24 @@ class PqsPair:
         return pairing(self.effects.mats[k], self.states.mats[k])
 
 
-def _require_mode(model: MonitoringModel, mode: str) -> None:
+def _require_mode(model: MonitoringModel, mode: str, record=None) -> None:
     if model.mode != mode:
         raise ValueError(f"model mode is {model.mode!r}, operation needs {mode!r}")
+    if record is not None and record.mode != mode:
+        raise ValueError(f"record mode is {record.mode!r}, operation needs {mode!r}")
 
 
 def _noise(seed: int):
     return np.random.Generator(np.random.Philox(int(seed)))
+
+
+def _initial_state(model: MonitoringModel, rho0) -> np.ndarray:
+    """rho0 as given, once it is checked to be a state of the model's dimension."""
+    rho = asoperator(rho0)
+    if rho.shape[0] != model.dim:
+        raise ValueError(f"state dimension {rho.shape[0]} does not match model {model.dim}")
+    state_spectrum(rho)
+    return rho
 
 
 def _warn_coarse(model: MonitoringModel, dt: float) -> None:
@@ -216,7 +234,7 @@ def simulate_homodyne(model, rho0, horizon, dt, seed):
     n, h = _grid(0.0, horizon, dt)
     dws = _noise(seed).normal(0.0, np.sqrt(h), size=(1, n))
     states, dys, _ = _accel.homodyne_paths(
-        _accel.record_step(model, h), asoperator(rho0), dws, False, range(n + 1)
+        _accel.record_step(model, h), _initial_state(model, rho0), dws, False, range(n + 1)
     )
     times = h * np.arange(n + 1)
     record = MeasurementRecord("diffusive", times, dys[0], int(seed), model.kappa, model.eta)
@@ -225,24 +243,38 @@ def simulate_homodyne(model, rho0, horizon, dt, seed):
 
 def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
     """Deterministically re-filter a stored record from a fresh initial state."""
-    _require_mode(model, "diffusive")
-    if record.mode != "diffusive":
-        raise ValueError("record is not diffusive")
+    _require_mode(model, "diffusive", record)
     states, _, _ = _accel.homodyne_paths(
-        _accel.record_step(model, record.dt), asoperator(rho0),
+        _accel.record_step(model, record.dt), _initial_state(model, rho0),
         record.increments[None, :], True, range(record.steps + 1),
     )
     return Timeline(record.times, states[0], "state")
 
 
 def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
+    """Effects E_k = S_k†(E_{k+1}): flow over the adjoint step maps, blocked under _STACK_BYTES.
+
+    The Frobenius norm rescales each step, as the trace would vanish for a
+    valid traceless effect such as σz.
+    """
     ef = asoperator(effect_final)
     if ef.shape[0] != model.dim:
         raise ValueError(f"effect dimension {ef.shape[0]} does not match model {model.dim}")
     if hermiticity_defect(ef) > 1e-9:
         raise ValueError("terminal effect is not Hermitian")
-    mats = _accel.backward_effects(_accel.record_step(model, record.dt), record.increments, ef)
-    return Timeline(record.times, mats, "effect")
+    step = _accel.record_step(model, record.dt)
+    incr = record.increments[::-1]
+    block = max(1, _STACK_BYTES // step.branches[0].nbytes)
+    points = [ef[None]]
+    for lo in range(0, incr.size, block):
+        maps = step.superop(incr[lo:lo + block]).conj().transpose(0, 2, 1)
+        mats, norms = flow(maps, points[-1][-1], lambda v: np.sqrt(np.vdot(v, v).real))
+        if not np.all(norms > 0.0):
+            raise ValueError("effect collapsed to zero; record incompatible with the effect")
+        points.append(mats[1:])
+    body = hermitian_part(np.concatenate(points[1:])[::-1])
+    body /= np.abs(np.linalg.eigvalsh(body)).max(axis=1)[:, None, None]
+    return Timeline(record.times, np.concatenate([body, ef[None]]), "effect")
 
 
 def backward_homodyne(model, record: MeasurementRecord, effect_final) -> Timeline:
@@ -253,9 +285,7 @@ def backward_homodyne(model, record: MeasurementRecord, effect_final) -> Timelin
     unmonitored sandwiches, all acting on the incoming effect. Entries are
     scaled to spectral norm 1; the terminal entry is the final effect itself.
     """
-    _require_mode(model, "diffusive")
-    if record.mode != "diffusive":
-        raise ValueError("record is not diffusive")
+    _require_mode(model, "diffusive", record)
     return _backward(model, record, effect_final)
 
 
@@ -292,7 +322,7 @@ def simulate_counting(model, rho0, horizon, dt, seed):
     n, h = _grid(0.0, horizon, dt)
     us = _noise(seed).random(size=(1, n))
     states, counts = _accel.counting_paths(
-        _accel.record_step(model, h), asoperator(rho0), us, False, range(n + 1)
+        _accel.record_step(model, h), _initial_state(model, rho0), us, False, range(n + 1)
     )
     times = h * np.arange(n + 1)
     record = MeasurementRecord("counting", times, counts[0], int(seed), model.kappa, model.eta)
@@ -301,11 +331,9 @@ def simulate_counting(model, rho0, horizon, dt, seed):
 
 def replay_counting(model, rho0, record: MeasurementRecord) -> Timeline:
     """Re-filter a stored count record (the forward half of a PQS pair)."""
-    _require_mode(model, "counting")
-    if record.mode != "counting":
-        raise ValueError("record is not a counting record")
+    _require_mode(model, "counting", record)
     states, _ = _accel.counting_paths(
-        _accel.record_step(model, record.dt), asoperator(rho0),
+        _accel.record_step(model, record.dt), _initial_state(model, rho0),
         record.increments[None, :], True, range(record.steps + 1),
     )
     return Timeline(record.times, states[0], "state")
@@ -319,9 +347,7 @@ def backward_counting(model, record: MeasurementRecord, effect_final) -> Timelin
     1, which cancels in every smoothed probability. The terminal entry is
     the final effect itself.
     """
-    _require_mode(model, "counting")
-    if record.mode != "counting":
-        raise ValueError("record is not a counting record")
+    _require_mode(model, "counting", record)
     return _backward(model, record, effect_final)
 
 
@@ -346,9 +372,7 @@ def record_log_likelihood(model, states: Timeline, record: MeasurementRecord) ->
 
 def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarray:
     """Per-step innovation dW = dY - sqrt(eta kappa) <X_c> dt."""
-    _require_mode(model, "diffusive")
-    if record.mode != "diffusive":
-        raise ValueError("record is not diffusive")
+    _require_mode(model, "diffusive", record)
     if not np.allclose(states.times, record.times, atol=1e-12):
         raise ValueError("state timeline does not match the record grid")
     xc = model.x_c
@@ -472,7 +496,7 @@ def ensemble_homodyne(model, rho0, horizon, dt, n_traj, seed, sample_times=None)
     idx = _resolve_samples(times, sample_times)
     dws = _noise(seed).normal(0.0, np.sqrt(h), size=(int(n_traj), n))
     states, dys, xbars = _accel.homodyne_paths(
-        _accel.record_step(model, h), asoperator(rho0), dws, False, idx
+        _accel.record_step(model, h), _initial_state(model, rho0), dws, False, idx
     )
     return HomodyneEnsemble(model, times[idx], states, dys, xbars, h, int(seed))
 
@@ -486,7 +510,7 @@ def ensemble_counting(model, rho0, horizon, dt, n_traj, seed, sample_times=None)
     idx = _resolve_samples(times, sample_times)
     us = _noise(seed).random(size=(int(n_traj), n))
     states, counts = _accel.counting_paths(
-        _accel.record_step(model, h), asoperator(rho0), us, False, idx
+        _accel.record_step(model, h), _initial_state(model, rho0), us, False, idx
     )
     return CountingEnsemble(model, times[idx], states, counts, h, int(seed))
 

@@ -86,6 +86,24 @@ def test_forward_backward_matches_path_enumeration():
         assert np.allclose(smoothed.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_module_path_enumeration_matches_forward_backward():
+    g = rng(11)
+    for _ in range(40):
+        n, n_sym = int(g.integers(1, 5)), int(g.integers(1, 4))
+        model = random_hmm(g, n, n_sym)
+        obs = g.integers(0, n_sym, size=int(g.integers(1, 7)))
+        _, _, smoothed = cl.hmm_forward_backward(model, obs)
+        assert np.max(np.abs(cl.enumerate_hmm_smoothing(model, obs) - smoothed)) < 1e-12
+    model = random_hmm(g, 2, 2)
+    with pytest.raises(ValueError, match="5 is the cap"):
+        cl.enumerate_hmm_smoothing(model, [0] * 6, cap=5)
+    with pytest.raises(ValueError, match="cap"):
+        cl.enumerate_hmm_smoothing(model, [0] * 11)
+    blind = cl.HmmModel(np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="zero likelihood"):
+        cl.enumerate_hmm_smoothing(blind, [0, 1])
+
+
 def test_diagonal_embed_single_stage_is_bayes_rule():
     g = rng(3)
     model = random_hmm(g, 3, 2)

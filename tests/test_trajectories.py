@@ -304,6 +304,79 @@ def test_backward_counting_quiet_record_hand_recursion():
         assert np.allclose(effects.mats[k], want, atol=1e-13)
 
 
+def hand_effects(model, rec, effect_final):
+    """The backward recursion in sandwich form, every term acting on the
+    incoming effect, each earlier point scaled to spectral norm 1."""
+    dt = rec.dt
+    jumps = [j for b in model.gen.baths for j in b.jumps]
+    base = np.eye(model.dim) - (1j * model.gen.hamiltonian + 0.5 * sum(j.conj().T @ j for j in jumps)) * dt
+    c, cd = model.c, model.c.conj().T
+    sq = np.sqrt(model.eta * model.kappa)
+    leak = (1.0 - model.eta) * model.kappa * dt
+    others = [np.sqrt(dt) * j for j in model.unmonitored_jumps()]
+    out = [np.asarray(effect_final, dtype=complex)]
+    for x in rec.increments[::-1]:
+        e = out[-1]
+        if model.mode == "counting" and x:
+            nxt = model.eta * model.kappa * dt * (cd @ e @ c)
+        else:
+            m = base + sq * c * x if model.mode == "diffusive" else base
+            nxt = m.conj().T @ e @ m + leak * (cd @ e @ c)
+            for j in others:
+                nxt = nxt + j.conj().T @ e @ j
+        out.append(nxt / al.spectral_norm_hermitian(nxt))
+    return np.array(out[::-1])
+
+
+def test_backward_homodyne_keeps_a_traceless_terminal_effect():
+    """σz has zero trace, so only a norm that vanishes with the effect alone
+    (not the trace) can rescale its backward pass."""
+    model = decay_model(kappa=1.0, eta=0.8, omega=1.1)
+    _, rec = tr.simulate_homodyne(model, 0.5 * np.eye(2), 0.2, 1e-3, seed=17)
+    effects = tr.backward_homodyne(model, rec, al.SZ)
+    assert np.array_equal(effects.mats[-1], al.SZ)
+    assert np.max(np.abs(effects.mats - hand_effects(model, rec, al.SZ))) < 1e-10
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_backward_pass_spans_stack_blocks_at_d8(mode):
+    """A d = 8 record long enough that its step maps are built in three
+    blocks: the effects join across block edges as one recursion."""
+    model = cavity_model(d=8, eta=0.7, mode=mode)
+    simulate = tr.simulate_homodyne if mode == "diffusive" else tr.simulate_counting
+    _, rec = simulate(model, np.diag(np.eye(8)[7]), 1.5, 0.01, seed=4)
+    per_block = tr._STACK_BYTES // (16 * 8**4)
+    assert rec.steps > 2 * per_block
+    if mode == "counting":
+        assert 0 < rec.increments.sum() < rec.steps
+    effect = np.diag(np.linspace(0.0, 1.0, 8))
+    effects = getattr(tr, f"backward_{'homodyne' if mode == 'diffusive' else 'counting'}")(model, rec, effect)
+    assert np.max(np.abs(effects.mats - hand_effects(model, rec, effect))) < 1e-10
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_forward_passes_reject_invalid_initial_states(mode):
+    """simulate, replay and ensemble check rho0 as propagate_forward does and
+    never filter a matrix that is not a state of the model."""
+    model = decay_model(mode=mode)
+    kind = "homodyne" if mode == "diffusive" else "counting"
+    simulate, replay, ensemble = (getattr(tr, f"{f}_{kind}") for f in ("simulate", "replay", "ensemble"))
+    _, rec = simulate(model, EXCITED, 0.01, 1e-3, seed=1)
+    bad = [
+        (np.array([[0.5, 0.3], [0.0, 0.5]]), "state rejected: not Hermitian"),
+        (2.0 * np.eye(2), "state rejected: trace 4 differs from 1"),
+        (np.diag([1.5, -0.5]), "state rejected: negative eigenvalue"),
+        (np.eye(3) / 3.0, "state dimension 3 does not match model 2"),
+    ]
+    for rho0, message in bad:
+        with pytest.raises(ValueError, match=message):
+            simulate(model, rho0, 0.01, 1e-3, seed=1)
+        with pytest.raises(ValueError, match=message):
+            replay(model, rho0, rec)
+        with pytest.raises(ValueError, match=message):
+            ensemble(model, rho0, 0.01, 1e-3, n_traj=4, seed=1)
+
+
 def test_counting_smoothed_matches_enumeration_exactly():
     """Insert a projective readout at every grid point of every feasible
     6-step record: the smoothed distribution must equal exact Bayesian
