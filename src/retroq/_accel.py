@@ -12,18 +12,18 @@ builds each step once per (model, dt) as a few d²×d² matrices:
   Kraus operator M(dY) = A + √(ηκ) c dY (Rouchon & Ralph, PRA 91, 012118,
   2015), read under the drift dY = √(ηκ) <c + c†> dt + dW;
 
-here A = 1 - (iH + ½ Σ_K K†K) dt over every generator jump K, and J_j runs
-over the unmonitored jumps. Both families are completely positive, so the
-filter needs no eigenvalue clamp. States are real coordinates in an
-orthonormal Hermitian basis, where every branch is a real matrix. The
-forward kernels advance a step-major (d², n_traj) block, a trajectory per
-column, with one GEMM per step into a buffer allocated once, and apply the
-counting fire branch only to the columns that fired. The backward passes
-of ``trajectories`` run ``dynamics.flow`` over the Hilbert-Schmidt
-adjoints S† (conjugate transposes) of the per-outcome stack ``superop``
-returns, so forward and backward are exact adjoints by construction. The
-caller draws the noise; reductions across trajectories happen outside the
-kernels.
+here A = 1 + G dt with the generator's no-jump matrix G = -iH - ½ Σ_K K†K
+over every jump K, and J_j runs over the unmonitored jumps. Both families
+are completely positive, so the filter needs no eigenvalue clamp. States
+are real coordinates in an orthonormal Hermitian basis, where every branch
+is a real matrix. The forward kernels advance a step-major (d², n_traj)
+block, a trajectory per column, with one GEMM per step into a buffer
+allocated once, and apply the counting fire branch only to the columns
+that fired. The backward passes of ``trajectories`` run ``dynamics.flow``
+over the Hilbert-Schmidt adjoints S† (conjugate transposes) of the
+per-outcome stack ``superop`` returns, so forward and backward are exact
+adjoints by construction. The caller draws the noise; reductions across
+trajectories happen outside the kernels.
 """
 
 from __future__ import annotations
@@ -129,9 +129,7 @@ def record_step(model, dt: float) -> RecordStep:
     d = model.dim
     c = np.asarray(model.c, dtype=complex)
     kappa, eta = model.kappa, model.eta
-    flat = [j for b in model.gen.baths for j in b.jumps]
-    kk = sum(j.conj().T @ j for j in flat)
-    a = np.eye(d) - (1j * model.gen.hamiltonian + 0.5 * kk) * dt
+    a = np.eye(d) + dt * model.gen.no_jump
     cc = sandwich_superop(c, c)
     quiet = sandwich_superop(a, a) + sum(dt * sandwich_superop(j, j) for j in model.unmonitored_jumps())
     quiet = quiet + (1.0 - eta) * kappa * dt * cc  # emissions the detector misses

@@ -9,7 +9,6 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 LOG_FLOOR = 1e-300
 
-SI = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -1,24 +1,25 @@
 """Markovian generators and fixed-step propagation of states (forward) and effects (backward).
 
 States follow d rho/dt = L(rho); effects follow dE/dt = -L†(E) with a terminal
-condition, integrated here as dE/ds = +L†(E) in reversed time s. Every pass
-runs flow over one classic RK4 step matrix (rk4_step of L's superoperator)
-on vec(rho), the backward pass over its conjugate transpose, the
-Hilbert-Schmidt adjoint, so the discrete backward flow is the exact adjoint
-of the discrete forward flow. No step is projected or clamped: the
-propagate_* passes check the whole timeline once, in one batched eigvalsh,
-and raise if any point leaves the valid set by more than PROJECTION_FAIL_TOL.
+condition, integrated here as dE/ds = +L†(E) in reversed time s. A generator
+builds the superoperator of L once; every pass runs flow over one classic
+RK4 step matrix of it (rk4_step) on vec(rho), the backward pass over its
+conjugate transpose, the Hilbert-Schmidt adjoint, so the discrete backward
+flow is the exact adjoint of the discrete forward flow. No step is projected
+or clamped: the propagate_* passes check the whole timeline once, in one
+batched eigvalsh, and raise if any point leaves the valid set by more than
+PROJECTION_FAIL_TOL.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import DEFAULT_TOL, asoperator, dagger, hermitian_part, hermiticity_defect
+from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, hermitian_part, hermiticity_defect
 from .algebra import sandwich_superop, validate_state
 
 PROJECTION_FAIL_TOL = 1e-10
@@ -48,9 +49,17 @@ class Bath:
 
 @dataclass(frozen=True)
 class LindbladGenerator:
+    """L(rho) = G rho + rho G† + sum_K K rho K† over every bath's jumps K, hbar = 1.
+
+    no_jump is G = -iH - ½ sum_K K†K and superop the d²×d² matrix of L on row-major
+    vec(rho), both read-only; adjoint reads its conjugate transpose, the exact L†.
+    """
+
     hamiltonian: np.ndarray
     baths: tuple = ()
     tol: float = DEFAULT_TOL
+    no_jump: np.ndarray = field(init=False, repr=False, compare=False)
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = asoperator(self.hamiltonian)
@@ -62,11 +71,14 @@ class LindbladGenerator:
             raise ValueError("bath labels must be unique")
         if any(b.jumps[0].shape != h.shape for b in baths):
             raise ValueError("bath jump operators must match the Hamiltonian dimension")
-        object.__setattr__(self, "hamiltonian", hermitian_part(h))
-        object.__setattr__(self, "baths", baths)
-        # precompute L†L per jump for the anticommutator terms
-        jj = tuple((j, dagger(j) @ j) for b in baths for j in b.jumps)
-        object.__setattr__(self, "_jumps_sq", jj)
+        h = hermitian_part(h)
+        eye = np.eye(h.shape[0], dtype=complex)
+        jumps = np.array([j for b in baths for j in b.jumps], dtype=complex).reshape(-1, *h.shape)
+        g = -1j * h - 0.5 * (dagger(jumps) @ jumps).sum(axis=0)
+        superop = sandwich_superop(g, eye) + sandwich_superop(eye, g) + sandwich_superop(jumps, jumps)
+        g.flags.writeable = superop.flags.writeable = False
+        for name, value in (("hamiltonian", h), ("baths", baths), ("no_jump", g), ("superop", superop)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -79,33 +91,16 @@ class LindbladGenerator:
         raise KeyError(f"no bath labelled {label!r}; have {[b.label for b in self.baths]}")
 
     def apply(self, rho) -> np.ndarray:
-        """Schrodinger-picture generator L(rho), hbar = 1."""
-        r = asoperator(rho)
-        h = self.hamiltonian
-        out = -1j * (h @ r - r @ h)
-        for j, jsq in self._jumps_sq:
-            out += j @ r @ dagger(j) - 0.5 * (jsq @ r + r @ jsq)
-        return out
+        """Schrodinger-picture L(rho) of one operator or a stack (..., d, d)."""
+        return apply_superop(self.superop, rho)
 
     def adjoint(self, x) -> np.ndarray:
-        """Heisenberg-picture generator L†(X); annihilates the identity."""
-        xm = asoperator(x)
-        h = self.hamiltonian
-        out = 1j * (h @ xm - xm @ h)
-        for j, jsq in self._jumps_sq:
-            out += dagger(j) @ xm @ j - 0.5 * (jsq @ xm + xm @ jsq)
-        return out
+        """Heisenberg-picture L†(X) of one operator or a stack; annihilates the identity."""
+        return apply_superop(self.superop.conj().T, x)
 
     def superoperator(self) -> np.ndarray:
-        """Dense matrix of L acting on row-major vec(rho)."""
-        eye = np.eye(self.dim, dtype=complex)
-        h = self.hamiltonian
-        # rho x = I rho (x†)†
-        mat = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, dagger(h)))
-        for j, jsq in self._jumps_sq:
-            anti = sandwich_superop(jsq, eye) + sandwich_superop(eye, dagger(jsq))
-            mat += sandwich_superop(j, j) - 0.5 * anti
-        return mat
+        """The read-only matrix of L acting on row-major vec(rho)."""
+        return self.superop
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,8 @@ def scenario_weak_measurement(
 
     The pointer is a truncated oscillator: q = sigma_q (a + a^dag) makes the
     vacuum a Gaussian with Var(q) = sigma_q^2 and p its exact conjugate. The
-    coupling exp(-i g sigma_z x p) acts by matrix exponential, the qubit is
+    coupling exp(-i g sigma_z x p) acts through one real matrix exponential
+    of the pointer block per coupling, the qubit is
     post-selected on cos(theta)|0> + e^{i phi} sin(theta)|1>, and both shift
     residuals against g Re(A_w) and g Im(A_w)/(2 sigma_q^2) must scale
     quadratically over the g sweep. The default post-selections cover weak
@@ -230,10 +231,12 @@ def scenario_weak_measurement(
         raise ValueError(f"n_trunc={n_trunc} too small; need at least 20")
     lower = np.diag(np.sqrt(np.arange(1, n_trunc)), 1)
     q_op = sigma_q * (lower + lower.T)
-    p_op = 1j * (lower.T - lower) / (2.0 * sigma_q)
-    pointer0 = ket(n_trunc, 0)
+    minus_ip = (lower.T - lower) / (2.0 * sigma_q)
+    p_op = 1j * minus_ip
     qubit_in = (ket(2, 0) + ket(2, 1)) / np.sqrt(2.0)
-    unitaries = {float(g): expm(-1j * g * tensor(SZ, p_op)) for g in gs}
+    # exp(-i g sz x p) is u = exp(-i g p) on |0> and its inverse on |1>; -i p is real
+    # antisymmetric, so u is real orthogonal and its transpose is the |1> block
+    blocks = {float(g): expm(g * minus_ip) for g in gs}
     values = {}
     assertions = []
     rows = []
@@ -244,8 +247,8 @@ def scenario_weak_measurement(
         tag_pair = f"theta_{theta:g}_phi_{phi:g}"
         dqs, dps, worst_leak = [], [], 0.0
         for g in gs:
-            psi = unitaries[float(g)] @ np.kron(qubit_in, pointer0)
-            pf = np.tensordot(fvec.conj(), psi.reshape(2, n_trunc), axes=(0, 0))
+            u = blocks[float(g)]  # rows: the |0> and |1> parts of U (qubit_in ⊗ |0>)
+            pf = np.tensordot(fvec.conj(), qubit_in[:, None] * np.stack([u[:, 0], u[0]]), axes=(0, 0))
             norm2 = float(np.vdot(pf, pf).real)
             leak = float((abs(pf[-1]) ** 2 + abs(pf[-2]) ** 2) / norm2)
             worst_leak = max(worst_leak, leak)

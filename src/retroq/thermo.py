@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LOG_FLOOR, apply_superop, asoperator, dagger, hermitian_eig, pairing, state_spectrum
+from .algebra import LOG_FLOOR, asoperator, dagger, hermitian_eig, pairing, state_spectrum
 from .dynamics import (
     Bath,
     LindbladGenerator,
@@ -103,19 +103,19 @@ def entropy_production_rate(gen: LindbladGenerator, rho, sigma) -> float | np.nd
     ws, vs = state_spectrum(sigma)
     _check_stationary(gen, _rebuild(ws, vs))
     grad = _rebuild(_log(wr), vr) - _rebuild(_log(ws), vs)
-    return _float_or_array(-_trace_of_product(apply_superop(gen.superoperator(), _rebuild(wr, vr)), grad))
+    return _float_or_array(-_trace_of_product(gen.apply(_rebuild(wr, vr)), grad))
 
 
-def _dissipator(gen: LindbladGenerator, label: str) -> np.ndarray:
-    """Superoperator of the labelled bath's dissipator alone, no Hamiltonian part."""
-    return LindbladGenerator(np.zeros_like(gen.hamiltonian), (gen.bath(label),)).superoperator()
+def _dissipator(gen: LindbladGenerator, label: str) -> LindbladGenerator:
+    """The labelled bath's dissipator alone, as a generator with no Hamiltonian part."""
+    return LindbladGenerator(np.zeros_like(gen.hamiltonian), (gen.bath(label),))
 
 
 def heat_current(gen: LindbladGenerator, bath_label: str, rho, hamiltonian=None) -> float | np.ndarray:
     """-Tr[H L^(r)(rho)] for one labelled dissipator: energy flowing into that bath."""
     h = gen.hamiltonian if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
     w, v = state_spectrum(rho)
-    return _float_or_array(-_trace_of_product(h, apply_superop(_dissipator(gen, bath_label), _rebuild(w, v))))
+    return _float_or_array(-_trace_of_product(h, _dissipator(gen, bath_label).apply(_rebuild(w, v))))
 
 
 def work_rate(rho, dh_dt) -> float | np.ndarray:
@@ -132,7 +132,7 @@ def _gibbs_check(gen: LindbladGenerator, label: str, sigma: np.ndarray, beta: fl
     want = gibbs_state(gen.hamiltonian, beta)
     if np.max(np.abs(asoperator(sigma) - want)) > 1e-8:
         raise ValueError(f"sigma for bath {label!r} is not the Gibbs state at beta={beta}")
-    defect = float(np.max(np.abs(apply_superop(_dissipator(gen, label), sigma))))
+    defect = float(np.max(np.abs(_dissipator(gen, label).apply(sigma))))
     if defect > STATIONARY_TOL:
         raise ValueError(
             f"bath {label!r} does not hold its Gibbs state stationary (defect {defect:.3e})"

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _accel
 from .algebra import (
+    DEFAULT_TOL,
     asoperator,
     dagger,
     hermitian_part,
@@ -128,6 +129,8 @@ class MeasurementRecord:
             incr = incr.astype(np.int64)
         else:
             incr = np.asarray(self.increments, dtype=float)
+            if not np.isfinite(incr).all():
+                raise ValueError("record increments must be finite")
         if incr.shape != (times.size - 1,):
             raise ValueError(
                 f"need one increment per step: {incr.shape[0]} given, "
@@ -260,7 +263,7 @@ def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
     ef = asoperator(effect_final)
     if ef.shape[0] != model.dim:
         raise ValueError(f"effect dimension {ef.shape[0]} does not match model {model.dim}")
-    if hermiticity_defect(ef) > 1e-9:
+    if hermiticity_defect(ef) > DEFAULT_TOL:
         raise ValueError("terminal effect is not Hermitian")
     step = _accel.record_step(model, record.dt)
     incr = record.increments[::-1]
@@ -449,9 +452,6 @@ class HomodyneEnsemble:
     xbars: np.ndarray  # (n_traj, steps)
     dt: float
     seed: int
-
-    def mean_states(self) -> np.ndarray:
-        return self.states.mean(axis=0)
 
     def innovations(self) -> np.ndarray:
         return self.dys - _sq(self.model) * self.xbars * self.dt

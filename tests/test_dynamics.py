@@ -69,6 +69,26 @@ def test_superoperator_agrees_with_apply():
     rho = random_state(g, 3)
     vec = gen.superoperator() @ rho.ravel()
     assert np.allclose(vec.reshape(3, 3), gen.apply(rho), atol=1e-12)
+    # independent expansion on row-major vec: vec(A rho B) = (A ⊗ Bᵀ) vec(rho)
+    eye, h = np.eye(3), gen.hamiltonian
+    want = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for j in gen.baths[0].jumps:
+        jj = j.conj().T @ j
+        want += np.kron(j, j.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
+    assert np.max(np.abs(gen.superoperator() - want)) < 1e-12
+
+
+def test_apply_and_adjoint_take_stacks_and_the_superoperator_is_read_only():
+    g = rng(23)
+    gen = two_bath_qutrit(g)
+    stack = g.normal(size=(2, 4, 3, 3)) + 1j * g.normal(size=(2, 4, 3, 3))
+    for fn in (gen.apply, gen.adjoint):
+        out = fn(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 4):
+            assert np.max(np.abs(out[idx] - fn(stack[idx]))) < 1e-13
+    with pytest.raises(ValueError, match="read-only"):
+        gen.superoperator()[0, 0] = 1.0
 
 
 def test_amplitude_damping_closed_form():

@@ -62,6 +62,17 @@ def test_record_validation():
         tr.MeasurementRecord("pointer", np.linspace(0, 1, 5), np.zeros(4), 0, 1.0, 1.0)
 
 
+def test_record_rejects_non_finite_increments(tmp_path):
+    times = np.linspace(0, 1, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="record increments must be finite"):
+            tr.MeasurementRecord("diffusive", times, np.array([0.0, bad, 0.1, 0.0]), 0, 1.0, 1.0)
+    path = tmp_path / "nan.csv"
+    path.write_text("diffusive,0.25,4,0,1.0,1.0\n0.0\n0.1\nnan\n-0.2\n")
+    with pytest.raises(ValueError, match="record increments must be finite"):
+        tr.record_from_csv(path)
+
+
 def test_record_csv_roundtrip(tmp_path):
     model = decay_model(eta=0.4)
     _, rec = tr.simulate_homodyne(model, GROUND, 0.05, 1e-3, seed=7)
