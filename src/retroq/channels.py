@@ -29,7 +29,6 @@ class Instrument:
 
     outcomes: tuple
     kraus: tuple
-    tol: float = DEFAULT_TOL
     superops: np.ndarray = field(init=False, repr=False, compare=False)
     superop: np.ndarray = field(init=False, repr=False, compare=False)
     completeness_defect: float = field(init=False, repr=False, compare=False)
@@ -59,8 +58,8 @@ class Instrument:
         for name, value in (("outcomes", labels), ("kraus", fams), ("superops", superops),
                             ("superop", total), ("completeness_defect", defect)):
             object.__setattr__(self, name, value)
-        if defect > self.tol:
-            raise ValueError(f"completeness defect {defect:.3e} exceeds tolerance {self.tol:.1e}")
+        if defect > DEFAULT_TOL:
+            raise ValueError(f"completeness defect {defect:.3e} exceeds tolerance {DEFAULT_TOL:.1e}")
 
     @property
     def dim(self) -> int:
@@ -87,7 +86,7 @@ class Instrument:
         return dict(zip(self.outcomes, effects.reshape(-1, d, d)))
 
     def nonselective(self) -> Channel:
-        return Channel(np.concatenate(self.kraus), tol=self.tol)
+        return Channel(np.concatenate(self.kraus))
 
     def gauge_mix(self, m, u) -> "Instrument":
         """Replace outcome m's Kraus family {K_a} by {sum_a u[b,a] K_a}; u unitary."""
@@ -96,10 +95,10 @@ class Instrument:
         n = len(self.kraus[i])
         if u.shape != (n, n):
             raise ValueError(f"mixing matrix shape {u.shape} does not fit {n} operators")
-        if np.max(np.abs(u @ dagger(u) - np.eye(n))) > self.tol:
+        if np.max(np.abs(u @ dagger(u) - np.eye(n))) > DEFAULT_TOL:
             raise ValueError("gauge mixing matrix is not unitary within tolerance")
         mixed = np.einsum("ba,aij->bij", u, self.kraus[i])
-        return Instrument(self.outcomes, self.kraus[:i] + (mixed,) + self.kraus[i + 1:], tol=self.tol)
+        return Instrument(self.outcomes, self.kraus[:i] + (mixed,) + self.kraus[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,10 @@ class Channel:
     """Trace-preserving Kraus map: the one-outcome instrument of its (a, d, d) Kraus family."""
 
     kraus: tuple
-    tol: float = DEFAULT_TOL
     superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ins = Instrument(("channel",), (self.kraus,), tol=self.tol)
+        ins = Instrument(("channel",), (self.kraus,))
         object.__setattr__(self, "kraus", ins.kraus[0])
         object.__setattr__(self, "superop", ins.superop)
 
@@ -127,15 +125,13 @@ class Channel:
         return apply_superop(self.superop.conj().T, x)
 
 
-def projective(labels_to_projectors: dict, tol: float = DEFAULT_TOL) -> Instrument:
+def projective(labels_to_projectors: dict) -> Instrument:
     """Instrument of one projector per outcome."""
     items = list(labels_to_projectors.items())
-    return Instrument(
-        tuple(k for k, _ in items), tuple((asoperator(p),) for _, p in items), tol=tol
-    )
+    return Instrument(tuple(k for k, _ in items), tuple((asoperator(p),) for _, p in items))
 
 
-def unsharp_z(eta: float, tol: float = DEFAULT_TOL) -> Instrument:
+def unsharp_z(eta: float) -> Instrument:
     """Unsharp Z readout with sharpness eta: effects (I ± eta sigma_z)/2, Kraus their roots.
 
     The square roots come out as a I ± b sigma_z with a, b the half-sum and
@@ -148,7 +144,7 @@ def unsharp_z(eta: float, tol: float = DEFAULT_TOL) -> Instrument:
     a, b = (sp + sm) / 2.0, (sp - sm) / 2.0
     eye = np.eye(2, dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
-    return Instrument(("+", "-"), ((a * eye + b * sz,), (a * eye - b * sz,)), tol=tol)
+    return Instrument(("+", "-"), ((a * eye + b * sz,), (a * eye - b * sz,)))
 
 
 def compose_preprocess(ins: Instrument, lam: Channel) -> Instrument:
@@ -160,7 +156,6 @@ def compose_preprocess(ins: Instrument, lam: Channel) -> Instrument:
     fams = tuple((fam.reshape(-1, d) @ right).reshape(-1, d, b, d).swapaxes(1, 2).reshape(-1, d, d)
                  for fam in ins.kraus)
     out = object.__new__(Instrument)
-    object.__setattr__(out, "tol", max(ins.tol, lam.tol))
     out._settle(ins.outcomes, fams, ins.superops @ lam.superop)
     return out
 

@@ -1,10 +1,12 @@
 """Commutative limit of the bidirectional calculus.
 
 Three ingredients live here. Discrete hidden-Markov smoothing (forward
-filter, backward message, pointwise product), the diagonal embedding that
-maps an HMM onto density matrices, instruments, and effects so the quantum
-chain machinery reproduces the classical answer, and linear-Gaussian
-Kalman/RTS smoothing with a brute-force joint-Gaussian oracle.
+filter, backward message, pointwise product, and a path-enumeration
+oracle), the sink embedding (smoothing_chain) that maps an HMM onto a
+measurement chain of density matrices, instruments, and a final effect so
+the quantum chain machinery reproduces the classical answer, and
+linear-Gaussian Kalman/RTS smoothing with a brute-force joint-Gaussian
+oracle.
 
 Conventions: an observation fires at every step, including step 0 on the
 prior itself; the transition matrix acts between consecutive steps and is
@@ -21,6 +23,7 @@ from .dynamics import LindbladGenerator
 from .retrodiction import ChainSpec, Stage
 
 PROB_TOL = 1e-12
+ENUMERATION_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -115,16 +118,16 @@ def hmm_forward_backward(model: HmmModel, observations):
     return alphas, betas, smoothed
 
 
-def enumerate_hmm_smoothing(model: HmmModel, observations, cap: int = 10) -> np.ndarray:
+def enumerate_hmm_smoothing(model: HmmModel, observations) -> np.ndarray:
     """Smoothed marginals by explicit weight over every hidden path.
 
-    Exponential in the step count, hence the cap; exists as an oracle for
-    the recursive smoother.
+    Exponential in the step count, hence capped at ENUMERATION_CAP steps;
+    exists as an oracle for the recursive smoother.
     """
     obs = _check_observations(model, observations)
     n = model.n_states
-    if obs.size > cap:
-        raise ValueError(f"{obs.size} steps means {n ** obs.size} paths; {cap} is the cap")
+    if obs.size > ENUMERATION_CAP:
+        raise ValueError(f"{obs.size} steps means {n ** obs.size} paths; {ENUMERATION_CAP} is the cap")
     steps = obs.size
     w = model.prior * model.likelihood[obs[0]]
     for k in range(1, steps):  # w[x_0, ..., x_k] is the weight of that path
@@ -146,42 +149,19 @@ def _transition_channel(t: np.ndarray, dim: int) -> Channel:
     return Channel(ops)
 
 
-def diagonal_embed(model: HmmModel, observations):
-    """Map an HMM to (initial state, per-step instruments, final effect).
-
-    The prior becomes a diagonal density matrix and each step becomes one
-    instrument with an outcome per symbol, Kraus diag(sqrt(L_m / s)) with s
-    chosen so a discard outcome can restore completeness. Steps after the
-    first fold the transition in front of the measurement. The terminal
-    all-ones backward message is the identity effect.
-    """
-    obs = _check_observations(model, observations)
-    n = model.n_states
-    scale = float(np.max(model.likelihood.sum(axis=0)))
-    if scale <= 0.0:
-        raise ValueError("likelihood table is all zeros; nothing to embed")
-    weights = model.likelihood / scale
-    outcomes = tuple(f"m{m}" for m in range(model.n_symbols)) + ("discard",)
-    roots = np.sqrt(np.vstack([weights, 1.0 - weights.sum(axis=0)]))
-    base = Instrument(outcomes, tuple(np.diag(w)[None] for w in roots))
-    lam = _transition_channel(model.transition, n)
-    instruments = tuple(
-        base if k == 0 else compose_preprocess(base, lam) for k in range(obs.size)
-    )
-    return np.diag(model.prior).astype(complex), instruments, np.eye(n, dtype=complex)
-
-
-def smoothing_chain(model: HmmModel, observations, dt: float = 1e-3) -> ChainSpec:
+def smoothing_chain(model: HmmModel, observations) -> ChainSpec:
     """Measurement chain whose stage conditionals are the HMM smoothed marginals.
 
-    The embedding of diagonal_embed cannot condition on the observed symbols
-    once a chain sums the other stages out nonselectively. This variant adds
-    one auxiliary basis state acting as a sink: each stage keeps state x with
+    A plain diagonal embedding, one outcome per symbol plus a discard outcome
+    restoring completeness, cannot condition on the observed symbols once a
+    chain sums the other stages out nonselectively. This chain adds one
+    auxiliary basis state acting as a sink: each stage keeps state x with
     weight L_y(x)/s under an outcome of its own and routes the complement
     into the sink, and the final effect annihilates the sink. Summing a
     stage's outcomes then reproduces exactly the conditioning on its observed
     symbol, so conditional_at_stage(chain, k) returns the smoothed
-    distribution over states (plus a zero-weight discard entry).
+    distribution over states (plus a zero-weight discard entry). Every stage
+    and the closing evolution have duration 0, so no RK4 step is taken.
     """
     obs = _check_observations(model, observations)
     n = model.n_states
@@ -208,7 +188,7 @@ def smoothing_chain(model: HmmModel, observations, dt: float = 1e-3) -> ChainSpe
     rho[:n, :n] = np.diag(model.prior)
     effect = np.eye(dim, dtype=complex)
     effect[n, n] = 0.0
-    return ChainSpec(rho, tuple(stages), gen, 0.0, effect, dt=dt)
+    return ChainSpec(rho, tuple(stages), gen, 0.0, effect)
 
 
 @dataclass(frozen=True)

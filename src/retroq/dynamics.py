@@ -13,7 +13,6 @@ PROJECTION_FAIL_TOL.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +56,12 @@ class LindbladGenerator:
 
     hamiltonian: np.ndarray
     baths: tuple = ()
-    tol: float = DEFAULT_TOL
     no_jump: np.ndarray = field(init=False, repr=False, compare=False)
     superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = asoperator(self.hamiltonian)
-        if hermiticity_defect(h) > self.tol * max(1.0, float(np.max(np.abs(h)))):
+        if hermiticity_defect(h) > DEFAULT_TOL * max(1.0, float(np.max(np.abs(h)))):
             raise ValueError("Hamiltonian is not Hermitian within tolerance")
         baths = tuple(self.baths)
         labels = [b.label for b in baths]
@@ -137,37 +135,6 @@ class Timeline:
 
     def at(self, t: float) -> np.ndarray:
         return self.mats[self.index(t)]
-
-    def to_csv(self, path):
-        d = self.dim
-        header = ["time"]
-        for i in range(d):
-            for j in range(d):
-                header += [f"re_{i}{j}", f"im_{i}{j}"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([self.kind])
-            w.writerow(header)
-            for t, m in zip(self.times, self.mats):
-                row = [repr(float(t))]
-                flat = m.ravel()
-                for z in flat:
-                    row += [repr(float(z.real)), repr(float(z.imag))]
-                w.writerow(row)
-
-
-def timeline_from_csv(path) -> Timeline:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    kind = rows[0][0]
-    ncol = len(rows[1]) - 1
-    d = int(round(np.sqrt(ncol / 2)))
-    times, mats = [], []
-    for row in rows[2:]:
-        times.append(float(row[0]))
-        vals = np.array([float(x) for x in row[1:]])
-        mats.append((vals[0::2] + 1j * vals[1::2]).reshape(d, d))
-    return Timeline(np.array(times), np.array(mats), kind)
 
 
 def _grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
@@ -285,12 +252,12 @@ def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float = 1
     return flow(np.broadcast_to(step, (n, *step.shape)), effect)[-1]
 
 
-def stationary_state(gen: LindbladGenerator, sv_tol: float = 1e-10):
+def stationary_state(gen: LindbladGenerator):
     """Null space of the vectorized generator; errors if the kernel is degenerate."""
     mat = gen.superoperator()
     _, s, vh = np.linalg.svd(mat)
     smax = float(s.max()) if s.size else 1.0
-    null = [vh[i].conj() for i in range(len(s)) if s[i] < sv_tol * max(smax, 1.0)]
+    null = [vh[i].conj() for i in range(len(s)) if s[i] < 1e-10 * max(smax, 1.0)]
     if not null:
         raise ValueError("no stationary state found (empty null space)")
     if len(null) > 1:

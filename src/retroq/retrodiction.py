@@ -105,7 +105,7 @@ def coarse_grain(ins: Instrument, partition: dict) -> Instrument:
     blocks: dict = {}
     for m, fam in zip(ins.outcomes, ins.kraus):
         blocks.setdefault(str(lookup[m]), []).append(fam)
-    return Instrument(tuple(blocks), tuple(np.concatenate(f) for f in blocks.values()), tol=ins.tol)
+    return Instrument(tuple(blocks), tuple(np.concatenate(f) for f in blocks.values()))
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,11 @@ def _substreams(seed: int, n: int) -> list:
     return [int(s) for s in gen.integers(0, 2**62, size=n)]
 
 
+def _check_n_traj(n_traj: int) -> None:
+    if n_traj < 2:
+        raise ValueError(f"n_traj={n_traj} too small; a standard error needs at least 2 trajectories")
+
+
 def _write_csv(out_dir, fname: str, header: list, rows: list):
     if out_dir is None:
         return None
@@ -151,6 +156,8 @@ def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0), seed=0, out_dir=None) -> S
     one stays 1/2 for every sharpness; the instrument's completeness residual
     is reported alongside.
     """
+    if len(etas) == 0:
+        raise ValueError("etas is empty; give at least one sharpness")
     for eta in etas:
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta={eta} outside [0, 1]")
@@ -229,6 +236,8 @@ def scenario_weak_measurement(
         raise ValueError("couplings must lie in (0, 0.3]")
     if n_trunc < 20:
         raise ValueError(f"n_trunc={n_trunc} too small; need at least 20")
+    if sigma_q <= 0.0:
+        raise ValueError(f"sigma_q={sigma_q} must be positive")
     lower = np.diag(np.sqrt(np.arange(1, n_trunc)), 1)
     q_op = sigma_q * (lower + lower.T)
     minus_ip = (lower.T - lower) / (2.0 * sigma_q)
@@ -315,6 +324,8 @@ def scenario_epr(
     for which the correlator is cos(angle difference) and the default
     settings reach 2 sqrt(2).
     """
+    if len(alice) != 2 or len(bob) != 2:
+        raise ValueError(f"CHSH needs two settings per side, got {len(alice)} and {len(bob)}")
     bell = projector((np.kron(ket(2, 0), ket(2, 0)) + np.kron(ket(2, 1), ket(2, 1))) / np.sqrt(2.0))
     values = {}
     assertions = []
@@ -388,6 +399,7 @@ def scenario_homodyne_cavity(
     """
     if dt * kappa > 0.01:
         raise ValueError(f"dt*kappa = {dt * kappa:g} too coarse; need <= 0.01")
+    _check_n_traj(n_traj)
     s_ens, s_path, s_eta0 = _substreams(seed, 3)
     model = monitoring_model(np.zeros((2, 2)), SM, kappa, eta)
     sample_times = [k * horizon / 10.0 for k in range(1, 11)]
@@ -470,6 +482,7 @@ def scenario_counting(
     """
     if oracle_steps > 8:
         raise ValueError(f"oracle_steps={oracle_steps} exceeds the cap of 8")
+    _check_n_traj(n_traj)
     s_mc, s_dark = _substreams(seed, 2)
     model = monitoring_model(omega * SX, SM, kappa, 1.0, mode="counting")
     rho0 = np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]])
@@ -565,6 +578,7 @@ def scenario_thermal_qubit(
     near stationarity a strong monitor's information gain can push the
     conditional mean negative, which the bound does not cover.
     """
+    _check_n_traj(n_traj)
     s_mon = _substreams(seed, 1)[0]
     ham = -0.5 * omega * SZ
     bath = thermal_bath(omega, beta, gamma_down, "bath")
@@ -670,6 +684,8 @@ def scenario_classical_limit(n_hmm=50, n_lg=10, seed=0, out_dir=None) -> Scenari
     Random linear-Gaussian models: Kalman/RTS must match the joint-Gaussian
     batch oracle. A degenerate uniform model must smooth to uniform.
     """
+    if n_hmm < 1 or n_lg < 1:
+        raise ValueError(f"n_hmm={n_hmm} and n_lg={n_lg} must each be at least 1")
     gen = np.random.default_rng(np.random.Philox(int(seed)))
     dev_embed = 0.0
     dev_enum = 0.0

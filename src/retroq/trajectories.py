@@ -96,6 +96,8 @@ class MonitoringModel:
 
 def monitoring_model(hamiltonian, c, kappa, eta=1.0, mode="diffusive", extra_baths=()):
     """Assemble a MonitoringModel, giving the monitored channel its own bath."""
+    if kappa <= 0.0:  # before the square root, which would warn on a negative rate
+        raise ValueError("monitored rate kappa must be positive")
     cop = asoperator(c)
     monitor = Bath("monitor", (np.sqrt(kappa) * cop,))
     gen = LindbladGenerator(asoperator(hamiltonian), (monitor,) + tuple(extra_baths))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from retroq import classical as cl
-from retroq.channels import projective
-from retroq.retrodiction import BoundaryPair, abl_distribution, conditional_at_stage, effective_effects
+from retroq.retrodiction import conditional_at_stage
 
 
 def rng(seed=0):
@@ -95,33 +94,11 @@ def test_module_path_enumeration_matches_forward_backward():
         _, _, smoothed = cl.hmm_forward_backward(model, obs)
         assert np.max(np.abs(cl.enumerate_hmm_smoothing(model, obs) - smoothed)) < 1e-12
     model = random_hmm(g, 2, 2)
-    with pytest.raises(ValueError, match="5 is the cap"):
-        cl.enumerate_hmm_smoothing(model, [0] * 6, cap=5)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="10 is the cap"):
         cl.enumerate_hmm_smoothing(model, [0] * 11)
     blind = cl.HmmModel(np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="zero likelihood"):
         cl.enumerate_hmm_smoothing(blind, [0, 1])
-
-
-def test_diagonal_embed_single_stage_is_bayes_rule():
-    g = rng(3)
-    model = random_hmm(g, 3, 2)
-    plain = cl.HmmModel(np.eye(3), model.likelihood, model.prior)
-    rho, instruments, effect = cl.diagonal_embed(plain, [1])
-    eff = effective_effects(instruments[0], effect)["m1"]
-    basis = projective({f"x{i}": np.diag(np.eye(3)[i]) for i in range(3)})
-    got = abl_distribution(BoundaryPair(rho, eff), basis)
-    want = plain.prior * plain.likelihood[1]
-    want /= want.sum()
-    for i in range(3):
-        assert abs(got[f"x{i}"] - want[i]) < 1e-12
-
-
-def test_diagonal_embed_rejects_empty_likelihood():
-    model = cl.HmmModel(np.eye(2), np.zeros((1, 2)), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="all zeros"):
-        cl.diagonal_embed(model, [0])
 
 
 def test_uniform_model_smooths_to_uniform():

@@ -92,10 +92,24 @@ def test_unknown_field_exits_2_naming_it(tmp_path, capsys):
     assert "etaz" in err and "accepted" in err
 
 
-def test_out_of_range_parameter_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("name, params", [
+    pytest.param("unsharp-qubit", {"etas": [1.5]}, id="unsharp-eta-above-1"),
+    pytest.param("unsharp-qubit", {"etas": []}, id="unsharp-no-etas"),
+    pytest.param("weak-measurement", {"sigma_q": 0}, id="weak-sigma-q-0"),
+    pytest.param("epr", {"alice": [0.0]}, id="epr-one-setting"),
+    pytest.param("homodyne-cavity", {"n_traj": 1}, id="homodyne-n-traj-1"),
+    pytest.param("homodyne-cavity", {"n_traj": 0}, id="homodyne-n-traj-0"),
+    pytest.param("homodyne-cavity", {"kappa": -1}, id="homodyne-kappa-negative"),
+    pytest.param("counting", {"n_traj": 1}, id="counting-n-traj-1"),
+    pytest.param("counting", {"kappa": -1}, id="counting-kappa-negative"),
+    pytest.param("thermal-qubit", {"n_traj": 1}, id="thermal-n-traj-1"),
+    pytest.param("classical-limit", {"n_hmm": 0}, id="classical-n-hmm-0"),
+    pytest.param("classical-limit", {"n_lg": 0}, id="classical-n-lg-0"),
+])
+def test_out_of_range_parameter_exits_2(name, params, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema_version": 1, "etas": [1.5]}))
-    assert run_cli("run", "unsharp-qubit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    cfg.write_text(json.dumps({"schema_version": 1, **params}))
+    assert run_cli("run", name, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert "rejected" in capsys.readouterr().err
 
 

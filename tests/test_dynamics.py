@@ -216,18 +216,6 @@ def test_grid_rejects_fractional_spans():
         dyn.propagate_forward(gen, np.eye(2) / 2, 0.0, 1.0005, 1e-2)
 
 
-def test_timeline_csv_roundtrip(tmp_path):
-    g = rng(28)
-    gen = random_generator(g, 2)
-    tl = dyn.propagate_forward(gen, random_state(g, 2), 0.0, 0.1, 1e-2)
-    path = tmp_path / "tl.csv"
-    tl.to_csv(path)
-    back = dyn.timeline_from_csv(path)
-    assert back.kind == "state"
-    assert np.allclose(back.times, tl.times)
-    assert np.allclose(back.mats, tl.mats, atol=0)
-
-
 def test_timeline_grid_lookup():
     tl = dyn.Timeline(np.array([0.0, 0.1, 0.2]), np.stack([np.eye(2)] * 3), "effect")
     assert tl.index(0.1) == 1
