@@ -16,14 +16,14 @@ here A = 1 + G dt with the generator's no-jump matrix G = -iH - ½ Σ_K K†K
 over every jump K, and J_j runs over the unmonitored jumps. Both families
 are completely positive, so the filter needs no eigenvalue clamp. States
 are real coordinates in an orthonormal Hermitian basis, where every branch
-is a real matrix. The forward kernels advance a step-major (d², n_traj)
-block, a trajectory per column, with one GEMM per step into a buffer
-allocated once, and apply the counting fire branch only to the columns
-that fired. The backward passes of ``trajectories`` run ``dynamics.flow``
-over the Hilbert-Schmidt adjoints S† (conjugate transposes) of the
-per-outcome stack ``superop`` returns, so forward and backward are exact
-adjoints by construction. The caller draws the noise; reductions across
-trajectories happen outside the kernels.
+is a real matrix. One kernel, ``_paths``, applies every record step. It
+advances a step-major (d², n_traj) block, a trajectory per column, with
+one GEMM per step into a buffer allocated once, and applies the counting
+fire branch only to the columns that fired. The backward passes of
+``trajectories`` run the same kernel on the transposed real branches,
+which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
+forward and backward are exact adjoints by construction. The caller draws
+the noise; reductions across trajectories happen outside the kernels.
 """
 
 from __future__ import annotations
@@ -99,30 +99,6 @@ class RecordStep:
         real = basis @ self.branches.transpose(0, 2, 1) @ basis.conj().T
         return basis, real.real, (basis @ self.readout).real
 
-    def combine(self, out: np.ndarray, x) -> np.ndarray:
-        """Weigh branch blocks [B_0; B_1; ...] stacked along the first axis by outcome x.
-
-        out has first axis n_branches * d²; x broadcasts against the rest.
-        """
-        d2 = self.readout.size
-        x = np.asarray(x, dtype=float)
-        if self.mode == "counting":
-            return np.where(x > 0.5, out[d2:2 * d2], out[:d2])
-        return out[:d2] + x * (out[d2:2 * d2] + x * out[2 * d2:])
-
-    def superop(self, x) -> np.ndarray:
-        """The unnormalized d²×d² map of one outcome (count or dY), or (n, d², d²) for n outcomes."""
-        x = np.asarray(x, dtype=float)[..., None, None]
-        return self.combine(np.concatenate(list(self.branches)), x)
-
-    def draw(self, readout: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Outcomes from the pre-step readout and the caller's noise draws."""
-        if self.mode == "counting":
-            if np.any(readout > 1.0):
-                raise ValueError("jump probability exceeded 1; reduce dt")
-            return (noise < readout).astype(float)
-        return self.gain * readout * self.dt + noise
-
 
 def record_step(model, dt: float) -> RecordStep:
     """Build the record step of a MonitoringModel on a grid of spacing dt."""
@@ -163,53 +139,73 @@ def _sample_positions(steps: int, sample_indices) -> np.ndarray:
 _COLLAPSE = {
     "diffusive": "a trajectory collapsed to zero trace; reduce dt",
     "counting": "a record branch has zero weight; the record is infeasible",
+    "adjoint": "effect collapsed to zero; record incompatible with the effect",
 }
 
 
-def _paths(step: RecordStep, rho0, incr, from_record, sample_indices):
+def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=False):
     """Filter a batch of trajectories; returns (sampled states, outcomes, readouts).
 
-    Counting outcomes are int64 counts and carry no readouts (None). The
-    batch is one (d², n_traj) coordinate block, a trajectory per column,
-    stepped by one GEMM into a buffer allocated once: [G_0 | G_1 | G_2 | g]ᵀ
-    weighed by (1, dY, dY²), or [G_quiet | g]ᵀ with G_fireᵀ applied only to
-    the columns that fired. The diagonal coordinate rows sum to each trace.
+    Outcomes are drawn in place from incr (a count fires when its uniform
+    draw is below the pre-step jump probability, a current is
+    dY = √(ηκ) <c + c†> dt + dW), or are incr itself when from_record is
+    true; counts are int64. Readouts, the pre-step <c + c†>, exist only for
+    drawn currents and are None otherwise. The batch is one (d², n_traj)
+    coordinate block, a trajectory per column, stepped by one GEMM into a
+    buffer allocated once: [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²),
+    or [G_quiet | g]ᵀ with G_fireᵀ applied only to the columns that fired.
+    The diagonal coordinate rows sum to each trace, which divides each new
+    state.
+
+    With adjoint set, the block holds effects and every branch matrix is
+    replaced by its transpose, which in an orthonormal basis is its
+    Hilbert-Schmidt adjoint: a step is E -> S_b†(E). Each effect is divided
+    by its Euclidean norm, its Frobenius norm, as the trace would vanish for
+    a valid traceless effect such as σz.
     """
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
-    pos = _sample_positions(steps, sample_indices)
+    pos = _sample_positions(steps, sample_indices).tolist()
     d, d2 = step.dim, step.readout.size
     basis, real, g = step.real_form()
+    if not adjoint:
+        real = real.transpose(0, 2, 1)
     counting = step.mode == "counting"
-    gemm_t = np.vstack([*real[:1 if counting else 3].transpose(0, 2, 1), g])
-    fire_t = real[-1].T.copy()
-    cur, nxt = np.empty((2, len(gemm_t), n))
+    gemm = np.vstack([*real[:1 if counting else 3], g])
+    fire = real[-1].copy()
+    cur, nxt = np.empty((2, len(gemm), n))
     cur[:d2] = _coordinates(basis, rho0)[:, None]
     states = np.zeros((n, len(sample_indices), d2), dtype=complex)
-    outcomes = np.zeros((n, steps), dtype=np.int64 if counting else float)
-    readouts = None if counting else np.zeros((n, steps))
+    dtype = np.int64 if counting else float
+    outcomes = incr.astype(dtype) if from_record else np.zeros((n, steps), dtype=dtype)
+    readouts = None if counting or from_record else np.zeros((n, steps))
     if pos[0] >= 0:
         states[:, pos[0]] = cur[:d2].T @ basis
     for k in range(steps):
-        np.matmul(gemm_t, cur[:d2], out=nxt)
-        x = incr[:, k] if from_record else step.draw(nxt[-1], incr[:, k])
-        if counting:
-            fired = np.flatnonzero(x > 0.5)
-            if fired.size:
-                nxt[:d2, fired] = fire_t @ cur[:d2, fired]
-            cur, nxt = nxt, cur  # the quiet block already holds the new state
-        else:
-            cur[:d2] = step.combine(nxt[:-1], x)
         h = cur[:d2]
-        tr = h[:: d + 1].sum(axis=0)
-        if np.any(tr <= 0.0):
-            raise ValueError(_COLLAPSE[step.mode])
-        h /= tr
-        outcomes[:, k] = x
-        if readouts is not None:
+        np.matmul(gemm, h, out=nxt)
+        x = outcomes[:, k]  # drawn in place unless the record is given
+        if counting and not from_record:
+            if nxt[-1].max() > 1.0:
+                raise ValueError("jump probability exceeded 1; reduce dt")
+            np.less(incr[:, k], nxt[-1], out=x)
+        elif not from_record:
+            np.add(step.gain * nxt[-1] * step.dt, incr[:, k], out=x)
             readouts[:, k] = nxt[-1]
+        if counting:
+            fired = np.flatnonzero(x)
+            if fired.size:
+                nxt[:d2, fired] = fire @ h[:, fired]
+            cur, nxt = nxt, cur  # the quiet block already holds the new state
+            h = cur[:d2]
+        else:
+            np.add(nxt[:d2], x * (nxt[d2:2 * d2] + x * nxt[2 * d2:-1]), out=h)
+        scale = np.hypot.reduce(h) if adjoint else np.add.reduce(h[:: d + 1])
+        if not scale.min() > 0.0:
+            raise ValueError(_COLLAPSE["adjoint" if adjoint else step.mode])
+        h /= scale
         if pos[k + 1] >= 0:
-            states[:, pos[k + 1]] = h.T @ basis
+            np.matmul(h.T, basis, out=states[:, pos[k + 1]])
     return states.reshape(n, -1, d, d), outcomes, readouts
 
 
@@ -217,7 +213,7 @@ def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     """Filter diffusive trajectories; returns (sampled states, dY, <c + c†>).
 
     incr (n_traj, steps) holds per-step dW draws, or recorded dY when
-    from_record is true.
+    from_record is true; a known record returns no readouts (None).
     """
     return _paths(step, rho0, incr, from_record, sample_indices)
 

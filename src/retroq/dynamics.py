@@ -157,27 +157,20 @@ def rk4_step(superop, h: float) -> np.ndarray:
     return step
 
 
-def flow(steps, x, norm=None):
+def flow(steps, x):
     """The (n + 1, d, d) timeline x_{k+1} = steps[k] vec(x_k) of an (n, d², d²) step stack.
 
     Each step is a row-major matrix on vec(x); a time-homogeneous caller
-    passes one step matrix broadcast to (n, d², d²). A normalizer norm(vec)
-    divides each new point by its norm and makes the call return (timeline,
-    norms); the flow stops at the first norm that is not positive.
+    passes one step matrix broadcast to (n, d², d²). Only Lindblad step
+    matrices run here: record steps, forward and backward, run the record
+    kernel of ``_accel``, the backward passes on its transposed real branches.
     """
     x = asoperator(x)
     out = np.empty((len(steps) + 1, x.size), dtype=complex)
     out[0] = x.ravel()
-    norms = np.empty(len(steps))
     for k, step in enumerate(steps):
         out[k + 1] = step @ out[k]
-        if norm is not None:
-            s = norms[k] = norm(out[k + 1])
-            if not s > 0.0:
-                return out[:k + 1].reshape(-1, *x.shape), norms[:k + 1]
-            out[k + 1] /= s
-    mats = out.reshape(-1, *x.shape)
-    return mats if norm is None else (mats, norms)
+    return out.reshape(-1, *x.shape)
 
 
 def _checked_flow(steps, x, kind: str) -> np.ndarray:
@@ -214,6 +207,20 @@ def propagate_forward(gen: LindbladGenerator, rho0, t0: float, t1: float, dt: fl
     return Timeline(t0 + h * np.arange(n + 1), mats, "state")
 
 
+def _terminal_effect(effect, dim: int) -> np.ndarray:
+    """effect as a complex matrix, once it is checked to be a finite, nonzero Hermitian d×d operator."""
+    e = asoperator(effect)
+    if e.shape[0] != dim:
+        raise ValueError(f"terminal effect dimension {e.shape[0]} does not match model {dim}")
+    if not np.isfinite(e).all():
+        raise ValueError("terminal effect has non-finite entries")
+    if hermiticity_defect(e) > DEFAULT_TOL:
+        raise ValueError("terminal effect is not Hermitian within tolerance")
+    if not np.any(e):
+        raise ValueError("terminal effect is zero")
+    return e
+
+
 def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: float, dt: float) -> Timeline:
     """Integrate an effect from its terminal condition at t1 down to t0.
 
@@ -222,9 +229,7 @@ def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: floa
     leaves [0, 1] by more than 1e-10, counting steps down from t1.
     """
     n, h = _grid(t0, t1, dt)
-    e = asoperator(effect_final)
-    if hermiticity_defect(e) > DEFAULT_TOL:
-        raise ValueError("terminal effect is not Hermitian within tolerance")
+    e = _terminal_effect(effect_final, gen.dim)
     step = rk4_step(gen.superoperator(), h).conj().T
     mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), e, "effect")
     return Timeline(t0 + h * np.arange(n + 1), mats[::-1], "effect")

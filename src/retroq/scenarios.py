@@ -232,8 +232,12 @@ def scenario_weak_measurement(
     amplified weak value.
     """
     gs = np.asarray(gs, dtype=float)
+    if np.unique(gs).size < 2:
+        raise ValueError(f"gs={gs.tolist()} needs at least two distinct couplings to fit a slope")
     if np.any(gs <= 0.0) or np.any(gs > 0.3):
         raise ValueError("couplings must lie in (0, 0.3]")
+    if len(post_selections) == 0:
+        raise ValueError("post_selections is empty; give at least one post-selection")
     if n_trunc < 20:
         raise ValueError(f"n_trunc={n_trunc} too small; need at least 20")
     if sigma_q <= 0.0:

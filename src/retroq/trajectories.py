@@ -7,10 +7,11 @@ out of every conditional probability, so the smoothed distributions from a
 simulated pair equal the exact Bayesian retrodiction of the discretized
 model wherever that retrodiction is enumerable.
 
-Every pass reads one record-step object (``_accel.record_step``): the
-forward filter, replay and the ensembles step it in the ``_accel`` kernels
-(so a replay reproduces its simulation bit for bit), and the backward
-passes run ``dynamics.flow`` over its maps' exact adjoints.
+Every pass reads one record-step object (``_accel.record_step``) and runs
+one loop, the record kernel ``_accel._paths``: the forward filter, replay
+and the ensembles step its real branch matrices (so a replay reproduces
+its simulation bit for bit), and the backward passes step their
+transposes, the exact adjoints, over the reversed record.
 """
 
 from __future__ import annotations
@@ -22,24 +23,17 @@ import numpy as np
 
 from . import _accel
 from .algebra import (
-    DEFAULT_TOL,
     asoperator,
     dagger,
-    hermitian_part,
-    hermiticity_defect,
     pairing,
     spectral_norm_hermitian,
     state_spectrum,
 )
 from .channels import Instrument
-from .dynamics import Bath, LindbladGenerator, Timeline, _grid, flow
+from .dynamics import Bath, LindbladGenerator, Timeline, _grid, _terminal_effect
 from .retrodiction import BoundaryPair, abl_distribution
 
 MODES = ("diffusive", "counting")
-
-# Byte budget for the step maps a backward pass holds at once: a 4000-step
-# record at d = 8 would otherwise hold 262 MB of maps.
-_STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -257,27 +251,13 @@ def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
 
 
 def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
-    """Effects E_k = S_k†(E_{k+1}): flow over the adjoint step maps, blocked under _STACK_BYTES.
-
-    The Frobenius norm rescales each step, as the trace would vanish for a
-    valid traceless effect such as σz.
-    """
-    ef = asoperator(effect_final)
-    if ef.shape[0] != model.dim:
-        raise ValueError(f"effect dimension {ef.shape[0]} does not match model {model.dim}")
-    if hermiticity_defect(ef) > DEFAULT_TOL:
-        raise ValueError("terminal effect is not Hermitian")
+    """Effects E_k = S_k†(E_{k+1}): the record kernel run adjoint over the reversed record."""
+    ef = _terminal_effect(effect_final, model.dim)
     step = _accel.record_step(model, record.dt)
-    incr = record.increments[::-1]
-    block = max(1, _STACK_BYTES // step.branches[0].nbytes)
-    points = [ef[None]]
-    for lo in range(0, incr.size, block):
-        maps = step.superop(incr[lo:lo + block]).conj().transpose(0, 2, 1)
-        mats, norms = flow(maps, points[-1][-1], lambda v: np.sqrt(np.vdot(v, v).real))
-        if not np.all(norms > 0.0):
-            raise ValueError("effect collapsed to zero; record incompatible with the effect")
-        points.append(mats[1:])
-    body = hermitian_part(np.concatenate(points[1:])[::-1])
+    mats, _, _ = _accel._paths(
+        step, ef, record.increments[None, ::-1], True, range(1, record.steps + 1), adjoint=True
+    )
+    body = mats[0, ::-1]
     body /= np.abs(np.linalg.eigvalsh(body)).max(axis=1)[:, None, None]
     return Timeline(record.times, np.concatenate([body, ef[None]]), "effect")
 

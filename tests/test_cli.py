@@ -96,6 +96,10 @@ def test_unknown_field_exits_2_naming_it(tmp_path, capsys):
     pytest.param("unsharp-qubit", {"etas": [1.5]}, id="unsharp-eta-above-1"),
     pytest.param("unsharp-qubit", {"etas": []}, id="unsharp-no-etas"),
     pytest.param("weak-measurement", {"sigma_q": 0}, id="weak-sigma-q-0"),
+    pytest.param("weak-measurement", {"post_selections": []}, id="weak-no-post-selections"),
+    pytest.param("weak-measurement", {"gs": []}, id="weak-no-couplings"),
+    pytest.param("weak-measurement", {"gs": [0.05]}, id="weak-one-coupling"),
+    pytest.param("weak-measurement", {"gs": [0.05, 0.05]}, id="weak-repeated-coupling"),
     pytest.param("epr", {"alice": [0.0]}, id="epr-one-setting"),
     pytest.param("homodyne-cavity", {"n_traj": 1}, id="homodyne-n-traj-1"),
     pytest.param("homodyne-cavity", {"n_traj": 0}, id="homodyne-n-traj-0"),

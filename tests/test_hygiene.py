@@ -79,3 +79,29 @@ def test_every_public_name_has_a_reader():
     others = {str(p.relative_to(ROOT)): p.read_text()
               for p in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py"), ROOT / "README.md"])}
     assert dead_names(modules, others) == []
+
+
+def names_read(node) -> set:
+    """Every bare name and attribute name that occurs in an AST subtree."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def attributes_read(node) -> set:
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_counting_oracle_stays_a_second_route():
+    """The enumeration oracle checks the record kernel only while it shares
+    none of its code: it never names the record step, and no module but
+    _accel reads a record step's branches."""
+    snippet = ast.parse("branches = _accel.record_step(m, dt).branches")
+    assert names_read(snippet) == {"branches", "_accel", "record_step", "m", "dt"}
+    assert attributes_read(snippet) == {"record_step", "branches"}
+    oracle = {"_counting_ops", "_counting_sandwich", "CountingEnumeration", "enumerate_counting"}
+    tree = ast.parse((SRC / "trajectories.py").read_text())
+    found = {n.name: names_read(n) for n in tree.body if getattr(n, "name", None) in oracle}
+    assert set(found) == oracle
+    assert {name: names & {"_accel", "record_step", "RecordStep"} for name, names in found.items()} == dict.fromkeys(oracle, set())
+    readers = [p.name for p in sorted(SRC.glob("*.py")) if "branches" in attributes_read(ast.parse(p.read_text()))]
+    assert readers == ["_accel.py"]

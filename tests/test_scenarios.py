@@ -79,7 +79,7 @@ def test_weak_measurement_validation():
 
 def test_weak_measurement_flags_truncation_leakage():
     with pytest.raises(ValueError, match="increase n_trunc"):
-        sc.scenario_weak_measurement(gs=(0.3,), sigma_q=0.05, n_trunc=20)
+        sc.scenario_weak_measurement(gs=(0.1, 0.3), sigma_q=0.05, n_trunc=20)
 
 
 def test_epr_chsh_maximum():

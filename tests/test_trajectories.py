@@ -219,9 +219,10 @@ def test_backward_pass_telescopes_with_extra_baths():
             nxt = nxt + j.conj().T @ e @ j
         raw_e.append(nxt)
     raw_e = raw_e[::-1]
+    s0, s1, s2 = step.branches
     raw_r = [rho0.reshape(-1)]
     for dy in rec.increments:
-        raw_r.append(step.superop(dy) @ raw_r[-1])
+        raw_r.append((s0 + dy * s1 + dy**2 * s2) @ raw_r[-1])
     vals = np.array([al.pairing(e, r.reshape(2, 2)) for e, r in zip(raw_e, raw_r)])
     assert np.max(np.abs(vals / vals[-1] - 1.0)) < 1e-12
     for got, raw in zip(effects.mats, raw_e):
@@ -238,12 +239,12 @@ def test_diffusive_posterior_two_routes_agree():
     plus = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     minus = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
     _, rec = tr.simulate_homodyne(model, plus, 0.5, 1e-3, seed=3)
-    step = _accel.record_step(model, rec.dt)
+    s0, s1, s2 = _accel.record_step(model, rec.dt).branches
 
     def log_normalizer(rho):
         v, total = rho.reshape(-1), 0.0
         for dy in rec.increments:
-            v = step.superop(dy) @ v
+            v = (s0 + dy * s1 + dy**2 * s2) @ v
             t = np.trace(v.reshape(2, 2)).real
             total += np.log(t)
             v = v / t
@@ -339,25 +340,30 @@ def hand_effects(model, rec, effect_final):
     return np.array(out[::-1])
 
 
-def test_backward_homodyne_keeps_a_traceless_terminal_effect():
-    """σz has zero trace, so only a norm that vanishes with the effect alone
-    (not the trace) can rescale its backward pass."""
-    model = decay_model(kappa=1.0, eta=0.8, omega=1.1)
-    _, rec = tr.simulate_homodyne(model, 0.5 * np.eye(2), 0.2, 1e-3, seed=17)
-    effects = tr.backward_homodyne(model, rec, al.SZ)
-    assert np.array_equal(effects.mats[-1], al.SZ)
-    assert np.max(np.abs(effects.mats - hand_effects(model, rec, al.SZ))) < 1e-10
+@pytest.mark.parametrize("sign", (1.0, -1.0), ids=("sz", "minus-sz"))
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_backward_pass_keeps_a_traceless_terminal_effect(mode, sign):
+    """±σz have zero trace, so only a norm that vanishes with the effect
+    alone can rescale their backward pass, in either mode. The trace of
+    S†(-σz) is negative here, so a pass that divided by the trace would
+    raise or flip the effect's sign."""
+    model = decay_model(kappa=1.0, eta=0.8, omega=1.1, mode=mode)
+    kind = "homodyne" if mode == "diffusive" else "counting"
+    _, rec = getattr(tr, f"simulate_{kind}")(model, 0.5 * np.eye(2), 2.0, 1e-2, seed=20)
+    if mode == "counting":
+        assert 0 < rec.increments.sum() < rec.steps
+    effects = getattr(tr, f"backward_{kind}")(model, rec, sign * al.SZ)
+    assert np.array_equal(effects.mats[-1], sign * al.SZ)
+    assert np.max(np.abs(effects.mats - hand_effects(model, rec, sign * al.SZ))) < 1e-10
 
 
 @pytest.mark.parametrize("mode", tr.MODES)
-def test_backward_pass_spans_stack_blocks_at_d8(mode):
-    """A d = 8 record long enough that its step maps are built in three
-    blocks: the effects join across block edges as one recursion."""
+def test_backward_pass_is_the_hand_recursion_at_d8(mode):
+    """At d = 8 the branches are far from self-adjoint, so a pass that
+    applied S_b in place of S_b† would miss the sandwich recursion."""
     model = cavity_model(d=8, eta=0.7, mode=mode)
     simulate = tr.simulate_homodyne if mode == "diffusive" else tr.simulate_counting
     _, rec = simulate(model, np.diag(np.eye(8)[7]), 1.5, 0.01, seed=4)
-    per_block = tr._STACK_BYTES // (16 * 8**4)
-    assert rec.steps > 2 * per_block
     if mode == "counting":
         assert 0 < rec.increments.sum() < rec.steps
     effect = np.diag(np.linspace(0.0, 1.0, 8))
@@ -386,6 +392,28 @@ def test_forward_passes_reject_invalid_initial_states(mode):
             replay(model, rho0, rec)
         with pytest.raises(ValueError, match=message):
             ensemble(model, rho0, 0.01, 1e-3, n_traj=4, seed=1)
+
+
+@pytest.mark.parametrize("effect, message", [
+    (np.ones((2, 3)), "expected a square matrix"),
+    (np.eye(3), "terminal effect dimension 3 does not match model 2"),
+    (np.diag([np.nan, 1.0]), "terminal effect has non-finite entries"),
+    (np.diag([np.inf, 1.0]), "terminal effect has non-finite entries"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "terminal effect is not Hermitian"),
+    (np.zeros((2, 2)), "terminal effect is zero"),
+], ids=["not-square", "wrong-dimension", "nan", "inf", "not-hermitian", "zero"])
+def test_backward_passes_reject_invalid_terminal_effects(effect, message):
+    """The record passes and propagate_backward share one check, so a bad
+    terminal effect fails by name (never as an incompatible record, a
+    step-size problem or a RuntimeWarning) on every route."""
+    for mode in tr.MODES:
+        model = decay_model(mode=mode)
+        kind = "homodyne" if mode == "diffusive" else "counting"
+        _, rec = getattr(tr, f"simulate_{kind}")(model, EXCITED, 0.01, 1e-3, seed=1)
+        with pytest.raises(ValueError, match=message):
+            getattr(tr, f"backward_{kind}")(model, rec, effect)
+    with pytest.raises(ValueError, match=message):
+        dyn.propagate_backward(decay_model().gen, effect, 0.01, 0.0, 1e-3)
 
 
 def test_counting_smoothed_matches_enumeration_exactly():
