@@ -1,15 +1,18 @@
-"""Command-line front end: scenario discovery, config loading, execution.
+"""Command-line front end: scenario discovery, config loading, execution,
+and every file a run writes.
 
 Exit codes are the contract: 0 when every assertion in the requested run
 passed, 1 when any assertion failed, 2 for configuration or validation
 problems (unknown scenario, malformed config, out-of-range parameters).
 
-Output layout: each run writes `report.json` (deterministic: same config
-and seed give byte-identical bytes; timestamps live only in the manifest),
-`manifest.json` (tool version, config hash, seed, wall-clock stamps,
-pass/fail summary), and whatever CSV tables the scenario produces. The
-output directory comes from --out, else the RETROQ_OUT environment
-variable, else ./runs/<scenario>.
+Output layout: each scenario run writes `report.json` (deterministic: same
+config and seed give byte-identical bytes; timestamps live only in the
+manifest), `manifest.json` (tool version, config hash, seed, wall-clock
+stamps, pass/fail summary), and the CSV tables its report carries. `run`
+and `verify-all` run each scenario and write its report and tables through
+one function. The output directory comes from --out, else the RETROQ_OUT
+environment variable, else ./runs/<scenario>; verify-all puts each scenario
+in a subdirectory of that root and its manifest at the root.
 """
 
 import argparse
@@ -60,7 +63,7 @@ def _check_params(name: str, params: dict) -> None:
     unknown = sorted(set(params) - allowed)
     if unknown:
         fields = ", ".join(unknown)
-        known = ", ".join(sorted(allowed - {"out_dir"}))
+        known = ", ".join(sorted(allowed))
         raise ConfigError(f"unknown field(s) for {name}: {fields}; accepted: {known}")
     lists = {k: tuple(v) for k, v in params.items() if isinstance(v, list)}
     params.update(lists)
@@ -89,10 +92,31 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _report_payload(report, out_dir: str) -> dict:
-    d = report.as_dict()
-    d["artifacts"] = sorted(os.path.relpath(p, out_dir) for p in d["artifacts"])
-    return d
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _run_and_write(name: str, params: dict, seed, out_dir: str):
+    """Run one scenario, --seed over params, and write its report.json and tables.
+
+    Returns the report, or None once the scenario's rejection of its
+    parameters is printed; nothing is written for a rejected run.
+    """
+    if seed is not None:
+        params = {**params, "seed": seed}
+    try:
+        report = run_scenario(name, **params)
+    except (ValueError, TypeError) as exc:
+        print(f"configuration rejected by {name}: {exc}", file=sys.stderr)
+        return None
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "report.json"), report.as_dict())
+    for fname, (header, rows) in report.tables.items():
+        _write_csv(os.path.join(out_dir, fname), header, rows)
+    return report
 
 
 def _print_failures(report) -> None:
@@ -108,15 +132,6 @@ def cmd_list() -> int:
     for name, entry in SCENARIOS.items():
         print(f"{name:<{width}}  {entry.summary}")
     return 0
-
-
-def _execute(name: str, params: dict, seed, out_dir: str):
-    """Run one scenario with CLI-level overrides applied; returns the report."""
-    merged = dict(params)
-    if seed is not None:
-        merged["seed"] = seed
-    merged["out_dir"] = out_dir
-    return run_scenario(name, **merged)
 
 
 def cmd_run(name: str, config_path, seed, out_flag) -> int:
@@ -136,13 +151,9 @@ def cmd_run(name: str, config_path, seed, out_flag) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     out_dir = _resolve_out(out_flag, name)
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        report = _execute(name, params, seed, out_dir)
-    except (ValueError, TypeError) as exc:
-        print(f"configuration rejected by {name}: {exc}", file=sys.stderr)
+    report = _run_and_write(name, params, seed, out_dir)
+    if report is None:
         return 2
-    _write_json(os.path.join(out_dir, "report.json"), _report_payload(report, out_dir))
     manifest = {
         "tool_version": __version__,
         "config_sha256": config_hash,
@@ -163,9 +174,9 @@ def cmd_verify_all(seed, out_flag) -> int:
     reports = []
     for name in SCENARIOS:
         out_dir = _resolve_out(os.path.join(out_flag, name) if out_flag else None, name)
-        os.makedirs(out_dir, exist_ok=True)
-        report = _execute(name, {}, seed, out_dir)
-        _write_json(os.path.join(out_dir, "report.json"), _report_payload(report, out_dir))
+        report = _run_and_write(name, {}, seed, out_dir)
+        if report is None:
+            return 2
         reports.append(report)
         print(f"{name}: {'PASS' if report.passed else 'FAIL'} ({len(report.assertions)} assertions)")
     print()

@@ -7,13 +7,14 @@ and the classical smoothing batteries. Each returns a ScenarioReport whose
 assertions carry an expected value, a tolerance, and a derivation tag
 stating how the expected value was obtained (closed-form, oracle,
 exact-identity, two-route, monte-carlo-3sigma, symmetry, scaling-fit,
-combinatorial, qualitative).
+combinatorial, qualitative) and the CSV tables of its sweep, each a header
+and rows under a file name. Scenarios write no files; the CLI writes every
+report and table.
 
 Every scenario is deterministic given its parameters and seed; stochastic
 parts draw from named Philox substreams so reruns are bit-identical.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ class ScenarioReport:
     name: str
     values: dict
     assertions: tuple
-    artifacts: tuple = ()
+    tables: dict
 
     @property
     def passed(self) -> bool:
@@ -118,7 +119,7 @@ class ScenarioReport:
             "passed": self.passed,
             "values": {k: self.values[k] for k in sorted(self.values)},
             "assertions": [a.as_dict() for a in self.assertions],
-            "artifacts": list(self.artifacts),
+            "artifacts": sorted(self.tables),
         }
 
 
@@ -132,24 +133,12 @@ def _check_n_traj(n_traj: int) -> None:
         raise ValueError(f"n_traj={n_traj} too small; a standard error needs at least 2 trajectories")
 
 
-def _write_csv(out_dir, fname: str, header: list, rows: list):
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, fname)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    return path
-
-
 PLUS = projector((ket(2, 0) + ket(2, 1)) / np.sqrt(2.0))
 GROUND = projector(ket(2, 0))
 EXCITED = projector(ket(2, 1))
 
 
-def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0), seed=0, out_dir=None) -> ScenarioReport:
+def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0), seed=0) -> ScenarioReport:
     """Unsharp Z readout between pre-selection |+> and post-selection |0>.
 
     Post-selected outcome probability is (1 + eta)/2 while the nonselective
@@ -178,13 +167,9 @@ def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0), seed=0, out_dir=None) -> S
             _at_most(f"completeness_residual_eta_{label}", residual, 1e-12, "exact-identity"),
         ]
         rows.append((eta, post, nonsel, residual))
-    art = _write_csv(
-        out_dir, "unsharp_qubit.csv",
-        ["eta", "p_plus_postselected", "p_plus_nonselective", "completeness_residual"],
-        rows,
-    )
+    header = ["eta", "p_plus_postselected", "p_plus_nonselective", "completeness_residual"]
     return ScenarioReport(
-        "unsharp-qubit", values, tuple(assertions), (art,) if art else ()
+        "unsharp-qubit", values, tuple(assertions), {"unsharp_qubit.csv": (header, rows)}
     )
 
 
@@ -195,14 +180,16 @@ def _scaling_fit(gs: np.ndarray, residuals: np.ndarray):
     residual <= C g^2; the bound holds on the sweep whenever the fitted
     slope is at least 2. A parity-symmetric pointer makes the residual
     exactly odd in g, so the measured slope is 3, not 2; slope 1 would
-    flag a wrong first-order coefficient. Residuals at rounding level
-    skip the fit and report a perfect score.
+    flag a wrong first-order coefficient. Only residuals above rounding
+    level enter the fit; with fewer than two of them the fit is skipped and
+    reports a perfect score.
     """
     c = float((residuals / gs**2).max())
-    if float(residuals.max(initial=0.0)) <= 1e-12:
+    fit = residuals > 1e-12
+    if np.count_nonzero(fit) < 2:
         return c, np.inf, 1.0
-    x = np.log(gs)
-    y = np.log(residuals)
+    x = np.log(gs[fit])
+    y = np.log(residuals[fit])
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(((y - fitted) ** 2).sum())
@@ -217,7 +204,6 @@ def scenario_weak_measurement(
     post_selections=((0.0, 0.0), (np.pi / 4.0, 0.0), (0.72 * np.pi, 0.3)),
     n_trunc=40,
     seed=0,
-    out_dir=None,
 ) -> ScenarioReport:
     """Exact pointer shifts against first-order weak values.
 
@@ -303,13 +289,9 @@ def scenario_weak_measurement(
                     _at_most(f"first_order_exact_{axis}_{tag_pair}",
                              float(res.max()), 1e-12, "symmetry")
                 )
-    art = _write_csv(
-        out_dir, "weak_measurement.csv",
-        ["theta", "phi", "g", "delta_q", "delta_p", "first_order_q", "first_order_p"],
-        rows,
-    )
+    header = ["theta", "phi", "g", "delta_q", "delta_p", "first_order_q", "first_order_p"]
     return ScenarioReport(
-        "weak-measurement", values, tuple(assertions), (art,) if art else ()
+        "weak-measurement", values, tuple(assertions), {"weak_measurement.csv": (header, rows)}
     )
 
 
@@ -319,7 +301,7 @@ def _spin_projector(theta: float, sign: int) -> np.ndarray:
 
 
 def scenario_epr(
-    alice=(0.0, np.pi / 2.0), bob=(np.pi / 4.0, -np.pi / 4.0), seed=0, out_dir=None
+    alice=(0.0, np.pi / 2.0), bob=(np.pi / 4.0, -np.pi / 4.0), seed=0
 ) -> ScenarioReport:
     """Bell-pair statistics: joint tables, the CHSH combination, and the
     no-signalling structure of Bob's marginals.
@@ -381,12 +363,12 @@ def scenario_epr(
         assertions.append(
             _close("chsh_maximum", chsh, 2.0 * np.sqrt(2.0), 1e-12, "closed-form")
         )
-    art = _write_csv(out_dir, "epr.csv", ["theta_a", "theta_b", "s", "t", "p"], rows)
-    return ScenarioReport("epr", values, tuple(assertions), (art,) if art else ())
+    header = ["theta_a", "theta_b", "s", "t", "p"]
+    return ScenarioReport("epr", values, tuple(assertions), {"epr.csv": (header, rows)})
 
 
 def scenario_homodyne_cavity(
-    kappa=1.0, eta=0.7, horizon=1.0, dt=5e-4, n_traj=10_000, seed=0, out_dir=None
+    kappa=1.0, eta=0.7, horizon=1.0, dt=5e-4, n_traj=10_000, seed=0
 ) -> ScenarioReport:
     """Diffusive monitoring of a decaying excitation.
 
@@ -454,13 +436,10 @@ def scenario_homodyne_cavity(
         ),
         _at_most("unmonitored_smoothing_gap", abs(sm0 - fil0), 5e-3, "deterministic-limit"),
     ]
-    art = _write_csv(
-        out_dir, "homodyne_cavity.csv",
-        ["time", "mean_excited", "stderr", "exact"],
-        list(zip(ens.sample_times, mean_pop, se_pop, exact)),
-    )
+    table = (["time", "mean_excited", "stderr", "exact"],
+             list(zip(ens.sample_times, mean_pop, se_pop, exact)))
     return ScenarioReport(
-        "homodyne-cavity", values, tuple(assertions), (art,) if art else ()
+        "homodyne-cavity", values, tuple(assertions), {"homodyne_cavity.csv": table}
     )
 
 
@@ -473,7 +452,6 @@ def scenario_counting(
     omega=1.3,
     n_traj=10_000,
     seed=0,
-    out_dir=None,
 ) -> ScenarioReport:
     """Photon-counting records against exact Bayesian retrodiction.
 
@@ -505,9 +483,7 @@ def scenario_counting(
             continue
         partition_ok = partition_ok and weight > 0.0
         feasible += 1
-        rec = MeasurementRecord(
-            "counting", times, np.array(bits, dtype=np.int64), 0, kappa, 1.0
-        )
+        rec = MeasurementRecord("counting", times, np.array(bits, dtype=np.int64))
         states = replay_counting(model, rho0, rec)
         effects = backward_counting(model, rec, effect)
         pair = PqsPair(states, effects, rec)
@@ -542,12 +518,9 @@ def scenario_counting(
     assertions.append(
         _close("dark_state_counts", float(dark.total_counts().sum()), 0.0, 0.0, "closed-form")
     )
-    art = _write_csv(
-        out_dir, "counting_oracle.csv",
-        ["record_as_integer", "weight"],
-        [(int("".join(map(str, bits)), 2), w) for bits, w in sorted(enum.weights.items())],
-    )
-    return ScenarioReport("counting", values, tuple(assertions), (art,) if art else ())
+    table = (["record_as_integer", "weight"],
+             [(int("".join(map(str, bits)), 2), w) for bits, w in sorted(enum.weights.items())])
+    return ScenarioReport("counting", values, tuple(assertions), {"counting_oracle.csv": table})
 
 
 def scenario_thermal_qubit(
@@ -564,7 +537,6 @@ def scenario_thermal_qubit(
     monitor_horizon=0.5,
     n_traj=10_000,
     seed=0,
-    out_dir=None,
 ) -> ScenarioReport:
     """Thermal-qubit thermodynamics along relaxation, conduction, and driving.
 
@@ -617,11 +589,7 @@ def scenario_thermal_qubit(
     )
     sigma_ss = stationary_state(pair_gen)
     flat = propagate_forward(pair_gen, sigma_ss, 0.0, 0.02, 1e-3)
-    gap2 = clausius_gap(
-        pair_gen, flat,
-        {"hot": gibbs_state(ham, beta_hot), "cold": gibbs_state(ham, beta_cold)},
-        {"hot": beta_hot, "cold": beta_cold},
-    )
+    gap2 = clausius_gap(pair_gen, flat)
     j_cold = heat_current(pair_gen, "cold", sigma_ss)
     j_hot = heat_current(pair_gen, "hot", sigma_ss)
     conduction = (beta_cold - beta_hot) * j_cold
@@ -666,21 +634,20 @@ def scenario_thermal_qubit(
         _at_least("backward_pass_report_identical", 1.0 if neutral.reports_identical else 0.0, 1.0, "exact-identity"),
         _at_most("backward_pairing_drift", neutral.pairing_drift, 1e-8, "exact-identity"),
     ]
-    arts = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "thermal_relaxation.csv")
-        rep.to_csv(path)
-        arts.append(path)
-        arts.append(_write_csv(
-            out_dir, "conditional_clausius.csv",
-            ["time", "mean", "stderr"],
-            list(zip(ens.sample_times, cond_mean, cond_se)),
-        ))
-    return ScenarioReport("thermal-qubit", values, tuple(assertions), tuple(arts))
+    tables = {
+        "thermal_relaxation.csv": (
+            ["time", "entropy", "relative_entropy", "production_rate", "j_bath", "clausius_gap"],
+            np.column_stack([rep.times, rep.entropy, rep.relative_entropy, rep.production_rate,
+                             rep.heat_currents["bath"], rep.clausius_gap]),
+        ),
+        "conditional_clausius.csv": (
+            ["time", "mean", "stderr"], list(zip(ens.sample_times, cond_mean, cond_se))
+        ),
+    }
+    return ScenarioReport("thermal-qubit", values, tuple(assertions), tables)
 
 
-def scenario_classical_limit(n_hmm=50, n_lg=10, seed=0, out_dir=None) -> ScenarioReport:
+def scenario_classical_limit(n_hmm=50, n_lg=10, seed=0) -> ScenarioReport:
     """Smoothing equivalence batteries in the commutative limit.
 
     Random HMMs: the sink-embedded quantum chain, classical
@@ -757,13 +724,10 @@ def scenario_classical_limit(n_hmm=50, n_lg=10, seed=0, out_dir=None) -> Scenari
         _at_most("rts_vs_batch", dev_rts, 1e-8, "oracle"),
         _at_least("smoothing_never_widens", float(order_min), -1e-10, "inequality"),
     ]
-    art = _write_csv(
-        out_dir, "classical_limit.csv",
-        ["battery", "max_deviation"],
-        [(0, dev_embed), (1, dev_enum), (2, dev_filter), (3, dev_rts)],
-    )
+    table = (["battery", "max_deviation"],
+             [(0, dev_embed), (1, dev_enum), (2, dev_filter), (3, dev_rts)])
     return ScenarioReport(
-        "classical-limit", values, tuple(assertions), (art,) if art else ()
+        "classical-limit", values, tuple(assertions), {"classical_limit.csv": table}
     )
 
 

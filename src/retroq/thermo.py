@@ -128,30 +128,33 @@ def work_rate(rho, dh_dt) -> float | np.ndarray:
     return _float_or_array(_trace_of_product(dh, _rebuild(w, v)))
 
 
-def _gibbs_check(gen: LindbladGenerator, label: str, sigma: np.ndarray, beta: float) -> None:
-    want = gibbs_state(gen.hamiltonian, beta)
-    if np.max(np.abs(asoperator(sigma) - want)) > 1e-8:
-        raise ValueError(f"sigma for bath {label!r} is not the Gibbs state at beta={beta}")
-    defect = float(np.max(np.abs(_dissipator(gen, label).apply(sigma))))
-    if defect > STATIONARY_TOL:
-        raise ValueError(
-            f"bath {label!r} does not hold its Gibbs state stationary (defect {defect:.3e})"
-        )
+def _bath_betas(gen: LindbladGenerator) -> dict:
+    """Each bath's beta tag, once that bath alone is checked to hold its Gibbs state stationary."""
+    for b in gen.baths:
+        sigma = gibbs_state(gen.hamiltonian, b.beta)
+        defect = float(np.max(np.abs(_dissipator(gen, b.label).apply(sigma))))
+        if defect > STATIONARY_TOL:
+            raise ValueError(
+                f"bath {b.label!r} does not hold its Gibbs state stationary (defect {defect:.3e})"
+            )
+    return {b.label: b.beta for b in gen.baths}
 
 
-def clausius_gap(gen: LindbladGenerator, states: Timeline, sigma_per_bath: dict, betas: dict):
-    """dS/dt + sum_r beta_r J^(r) per grid point.
+def clausius_gap(gen: LindbladGenerator, states: Timeline):
+    """dS/dt + sum_r beta_r J^(r) per grid point, over every bath of gen.
 
     dS/dt comes from central differences, second-order one-sided at the ends.
 
-    Each bath's sigma must be its own Gibbs state and stationary under that
-    dissipator alone; the result is the summed per-bath Spohn production and
-    is nonnegative up to discretization.
+    Every bath must carry a beta tag and hold its own Gibbs state stationary
+    under its dissipator alone; the result is the summed per-bath Spohn
+    production and is nonnegative up to discretization.
     """
     if states.kind != "state":
         raise ValueError("clausius_gap wants a state timeline")
-    for label, beta in betas.items():
-        _gibbs_check(gen, label, asoperator(sigma_per_bath[label]), float(beta))
+    untagged = [b.label for b in gen.baths if b.beta is None]
+    if untagged:
+        raise ValueError(f"the Clausius gap needs every bath's beta; untagged: {', '.join(untagged)}")
+    betas = _bath_betas(gen)
     currents = {label: heat_current(gen, label, states.mats) for label in betas}
     return _clausius_gap(states.times, von_neumann_entropy(states.mats), currents, betas)
 
@@ -179,21 +182,6 @@ class ThermoReport:
     heat_currents: dict
     clausius_gap: np.ndarray | None
 
-    def to_csv(self, path) -> None:
-        labels = list(self.heat_currents)
-        cols = ["time", "entropy", "relative_entropy", "production_rate"]
-        cols += [f"j_{label}" for label in labels]
-        if self.clausius_gap is not None:
-            cols.append("clausius_gap")
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k, t in enumerate(self.times):
-                row = [self.entropy[k], self.relative_entropy[k], self.production_rate[k]]
-                row += [self.heat_currents[label][k] for label in labels]
-                if self.clausius_gap is not None:
-                    row.append(self.clausius_gap[k])
-                fh.write(",".join([repr(float(t))] + [repr(float(x)) for x in row]) + "\n")
-
 
 def thermo_report(gen: LindbladGenerator, states: Timeline, sigma) -> ThermoReport:
     """Assemble entropy, D(rho_t||sigma), Spohn rate, and heat currents.
@@ -209,9 +197,7 @@ def thermo_report(gen: LindbladGenerator, states: Timeline, sigma) -> ThermoRepo
     currents = {b.label: heat_current(gen, b.label, states.mats) for b in gen.baths}
     gap = None
     if gen.baths and all(b.beta is not None for b in gen.baths):
-        for b in gen.baths:
-            _gibbs_check(gen, b.label, gibbs_state(gen.hamiltonian, b.beta), float(b.beta))
-        gap = _clausius_gap(states.times, entropy, currents, {b.label: b.beta for b in gen.baths})
+        gap = _clausius_gap(states.times, entropy, currents, _bath_betas(gen))
     return ThermoReport(states.times.copy(), entropy, rel, prod, currents, gap)
 
 

@@ -105,9 +105,6 @@ class MeasurementRecord:
     mode: str
     times: np.ndarray
     increments: np.ndarray
-    seed: int
-    kappa: float
-    eta: float
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -143,28 +140,6 @@ class MeasurementRecord:
     def steps(self) -> int:
         return self.times.size - 1
 
-    def to_csv(self, path) -> None:
-        """Header line mode,dt,steps,seed,kappa,eta, then one increment per line."""
-        with open(path, "w") as fh:
-            fh.write(f"{self.mode},{self.dt!r},{self.steps},{self.seed},")
-            fh.write(f"{self.kappa!r},{self.eta!r}\n")
-            for x in self.increments:
-                fh.write(f"{int(x) if self.mode == 'counting' else repr(float(x))}\n")
-
-
-def record_from_csv(path) -> MeasurementRecord:
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        if len(head) != 6:
-            raise ValueError("malformed record file: header needs 6 fields")
-        mode, dt, steps, seed, kappa, eta = head
-        vals = [float(line) for line in fh if line.strip()]
-    dt, steps = float(dt), int(steps)
-    if len(vals) != steps:
-        raise ValueError(f"record file lists {len(vals)} increments, header says {steps}")
-    return MeasurementRecord(
-        mode, dt * np.arange(steps + 1), np.asarray(vals), int(seed), float(kappa), float(eta)
-    )
 
 
 @dataclass(frozen=True)
@@ -236,7 +211,7 @@ def simulate_homodyne(model, rho0, horizon, dt, seed):
         _accel.record_step(model, h), _initial_state(model, rho0), dws, False, range(n + 1)
     )
     times = h * np.arange(n + 1)
-    record = MeasurementRecord("diffusive", times, dys[0], int(seed), model.kappa, model.eta)
+    record = MeasurementRecord("diffusive", times, dys[0])
     return Timeline(times, states[0], "state"), record
 
 
@@ -310,7 +285,7 @@ def simulate_counting(model, rho0, horizon, dt, seed):
         _accel.record_step(model, h), _initial_state(model, rho0), us, False, range(n + 1)
     )
     times = h * np.arange(n + 1)
-    record = MeasurementRecord("counting", times, counts[0], int(seed), model.kappa, model.eta)
+    record = MeasurementRecord("counting", times, counts[0])
     return Timeline(times, states[0], "state"), record
 
 
@@ -408,7 +383,7 @@ def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumerat
     if steps > 10:
         raise ValueError(f"{steps} steps means {2**steps} records; 10 is the cap")
     rho0 = asoperator(rho0)
-    ef = asoperator(effect_final)
+    ef = _terminal_effect(effect_final, model.dim)
     ops = _counting_ops(model, dt)
     weights = {}
 

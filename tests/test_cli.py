@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
 from retroq import cli
-from retroq.scenarios import SCENARIOS, ScenarioReport, _at_most, _close
+from retroq.scenarios import SCENARIOS, _at_most, _close
 
 
 def run_cli(*argv):
@@ -117,6 +118,14 @@ def test_out_of_range_parameter_exits_2(name, params, tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_out_dir_in_a_config_is_an_unknown_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "out_dir": str(tmp_path / "elsewhere")}))
+    assert run_cli("run", "epr", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "unknown field(s) for epr: out_dir" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "elsewhere").exists()
+
+
 def test_env_var_supplies_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("RETROQ_OUT", str(tmp_path))
     monkeypatch.chdir(tmp_path)
@@ -139,7 +148,7 @@ def test_assertion_failure_exits_1_naming_the_assertion(tmp_path, capsys, monkey
     def sabotaged(name, **params):
         report = SCENARIOS["epr"].func(**params)
         broken = _close("sabotaged_tolerance", report.values["chsh"], 0.0, 0.0, "closed-form")
-        return ScenarioReport(report.name, report.values, report.assertions + (broken,))
+        return dataclasses.replace(report, assertions=report.assertions + (broken,))
 
     monkeypatch.setattr(cli, "run_scenario", sabotaged)
     assert run_cli("run", "epr", "--out", str(tmp_path / "o")) == 1
@@ -168,7 +177,7 @@ def test_verify_all_propagates_failure(tmp_path, capsys, monkeypatch):
     def failing(name, **params):
         report = SCENARIOS["epr"].func(**{k: v for k, v in params.items()})
         broken = _at_most("impossible", 1.0, 0.0, "oracle")
-        return ScenarioReport(report.name, report.values, (broken,))
+        return dataclasses.replace(report, assertions=(broken,))
 
     monkeypatch.setattr(cli, "SCENARIOS", {"epr": SCENARIOS["epr"]})
     monkeypatch.setattr(cli, "run_scenario", failing)
@@ -177,6 +186,15 @@ def test_verify_all_propagates_failure(tmp_path, capsys, monkeypatch):
     assert "FAIL epr/impossible" in out
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["results"] == {"epr": False}
+
+
+def test_verify_all_reports_a_rejected_seed(tmp_path, capsys):
+    """verify-all shares run's path, so a seed the first stochastic scenario
+    refuses exits 2 with the same message instead of a traceback; it writes
+    nothing for that scenario and no root manifest."""
+    assert run_cli("verify-all", "--seed", "-1", "--out", str(tmp_path)) == 2
+    assert "configuration rejected by homodyne-cavity: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["epr", "unsharp-qubit", "weak-measurement"]
 
 
 def test_seed_flag_recorded_in_manifest(tmp_path):

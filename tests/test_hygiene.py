@@ -105,3 +105,12 @@ def test_counting_oracle_stays_a_second_route():
     assert {name: names & {"_accel", "record_step", "RecordStep"} for name, names in found.items()} == dict.fromkeys(oracle, set())
     readers = [p.name for p in sorted(SRC.glob("*.py")) if "branches" in attributes_read(ast.parse(p.read_text()))]
     assert readers == ["_accel.py"]
+
+
+def test_only_the_cli_and_pqs_summary_csv_write_files():
+    """Scenarios return their tables and the CLI writes every file; the one
+    other writer is trajectories.pqs_summary_csv."""
+    assert names_read(ast.parse("os.makedirs(d)\nwith open(p) as fh: pass")) >= {"makedirs", "open"}
+    writers = [p.name for p in sorted(SRC.glob("*.py"))
+               if names_read(ast.parse(p.read_text())) & {"open", "makedirs"}]
+    assert writers == ["cli.py", "trajectories.py"]

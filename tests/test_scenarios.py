@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def test_unknown_scenario_raises():
 def test_assertion_and_report_plumbing():
     good = sc._close("a", 1.0, 1.0, 1e-12, "closed-form")
     bad = sc._close("b", 1.0, 2.0, 1e-12, "closed-form")
-    rep = sc.ScenarioReport("demo", {"x": 1.0}, (good, bad))
+    rep = sc.ScenarioReport("demo", {"x": 1.0}, (good, bad), {"b.csv": ([], []), "a.csv": ([], [])})
     assert good.passed and not bad.passed
     assert not rep.passed
     assert rep.failures() == [bad]
@@ -36,6 +38,7 @@ def test_assertion_and_report_plumbing():
     assert d["name"] == "demo"
     assert d["passed"] is False
     assert d["assertions"][1]["expected"] == 2.0
+    assert d["artifacts"] == ["a.csv", "b.csv"]
     assert sc._at_least("c", 0.5, 0.0, "t").passed
     assert not sc._at_most("d", 0.5, 0.0, "t").passed
 
@@ -80,6 +83,19 @@ def test_weak_measurement_validation():
 def test_weak_measurement_flags_truncation_leakage():
     with pytest.raises(ValueError, match="increase n_trunc"):
         sc.scenario_weak_measurement(gs=(0.1, 0.3), sigma_q=0.05, n_trunc=20)
+
+
+def test_weak_measurement_fits_only_residuals_above_rounding():
+    """At theta = 0 the q residuals are [0, 7.4e-9]: one residual above
+    rounding level is no fit, so the exactness assertion decides, and no
+    log of zero warns or turns the slope into NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sc.scenario_weak_measurement(gs=(0.1, 0.2), sigma_q=0.05, n_trunc=20)
+    assert not any(np.isnan(v) for v in rep.values.values())
+    exact = {a.name: a for a in rep.assertions}["first_order_exact_q_theta_0_phi_0"]
+    assert not exact.passed
+    assert 1e-9 < exact.actual < 1e-8
 
 
 def test_epr_chsh_maximum():
@@ -133,6 +149,9 @@ def test_thermal_qubit_small_ensemble():
     assert rep.values["first_law_max_err"] < 1e-6
     assert rep.values["conditional_clausius_min_margin"] > 0.0
     assert rep.values["production_at_sigma"] == pytest.approx(0.0, abs=1e-12)
+    header, rows = rep.tables["thermal_relaxation.csv"]
+    assert header == ["time", "entropy", "relative_entropy", "production_rate", "j_bath", "clausius_gap"]
+    assert np.shape(rows) == (1601, 6)
 
 
 def test_classical_limit_battery():
@@ -155,17 +174,13 @@ def test_seed_actually_moves_monte_carlo_values():
     assert a.values["count_mean"] != b.values["count_mean"]
 
 
-def test_artifacts_written_when_out_dir_given(tmp_path):
-    rep = sc.run_scenario("unsharp-qubit", out_dir=str(tmp_path))
-    assert len(rep.artifacts) == 1
-    lines = open(rep.artifacts[0]).read().splitlines()
-    assert lines[0] == "eta,p_plus_postselected,p_plus_nonselective,completeness_residual"
-    assert len(lines) == 5
-    row = [float(x) for x in lines[-1].split(",")]
+def test_report_carries_its_csv_tables():
+    rep = sc.run_scenario("unsharp-qubit")
+    assert list(rep.tables) == ["unsharp_qubit.csv"]
+    assert rep.as_dict()["artifacts"] == ["unsharp_qubit.csv"]
+    header, rows = rep.tables["unsharp_qubit.csv"]
+    assert header == ["eta", "p_plus_postselected", "p_plus_nonselective", "completeness_residual"]
+    assert len(rows) == 4
+    row = [float(x) for x in rows[-1]]
     assert row[0] == 1.0
     assert abs(row[1] - 1.0) < 1e-12
-
-
-def test_no_artifacts_without_out_dir():
-    rep = sc.run_scenario("epr")
-    assert rep.artifacts == ()

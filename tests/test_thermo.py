@@ -154,12 +154,24 @@ def test_clausius_gap_single_bath_relaxation():
     gen = thermal_gen(omega=1.0, beta=1.2, gamma_down=1.0)
     sigma = th.gibbs_state(gen.hamiltonian, 1.2)
     states = dyn.propagate_forward(gen, np.diag([0.2, 0.8]), 0.0, 0.4, 2.5e-4)
-    gap = th.clausius_gap(gen, states, {"bath": sigma}, {"bath": 1.2})
+    gap = th.clausius_gap(gen, states)
     rate = np.array([th.entropy_production_rate(gen, m, sigma) for m in states.mats])
     assert np.all(gap[1:-1] > 0.0)
     assert np.max(np.abs(gap - rate)[1:-1]) < 1e-6
-    with pytest.raises(ValueError, match="Gibbs"):
-        th.clausius_gap(gen, states, {"bath": 0.5 * np.eye(2)}, {"bath": 1.2})
+
+
+def test_clausius_gap_reads_every_bath_tag():
+    """The gap sums over every bath of the generator: a bath without a beta
+    tag, or one that does not hold its own Gibbs state stationary, is refused."""
+    ham = -0.5 * al.SZ
+    tagged = th.thermal_bath(1.0, 1.2, 1.0, "bath")
+    states = dyn.propagate_forward(dyn.LindbladGenerator(ham, (tagged,)), np.diag([0.2, 0.8]), 0.0, 0.01, 1e-3)
+    untagged = dyn.LindbladGenerator(ham, (tagged, dyn.Bath("decay", (al.SM,))))
+    with pytest.raises(ValueError, match="untagged: decay"):
+        th.clausius_gap(untagged, states)
+    hot_tag = dyn.LindbladGenerator(ham, (dyn.Bath("bath", tagged.jumps, beta=0.4),))
+    with pytest.raises(ValueError, match="does not hold its Gibbs state stationary"):
+        th.clausius_gap(hot_tag, states)
 
 
 def test_clausius_gap_two_bath_steady_conduction():
@@ -177,16 +189,14 @@ def test_clausius_gap_two_bath_steady_conduction():
     )
     sigma_ss = dyn.stationary_state(gen)
     states = dyn.propagate_forward(gen, sigma_ss, 0.0, 0.02, 1e-3)
-    sigmas = {label: th.gibbs_state(gen.hamiltonian, b) for label, b in
-              (("hot", beta_hot), ("cold", beta_cold))}
-    gap = th.clausius_gap(gen, states, sigmas, {"hot": beta_hot, "cold": beta_cold})
+    gap = th.clausius_gap(gen, states)
     j_cold = th.heat_current(gen, "cold", sigma_ss)
     want = (beta_cold - beta_hot) * j_cold
     assert want > 0.0
     assert np.max(np.abs(gap - want)) < 1e-7
 
 
-def test_thermo_report_assembly_and_csv(tmp_path):
+def test_thermo_report_assembly():
     gen = thermal_gen(omega=1.0, beta=1.2)
     sigma = th.gibbs_state(gen.hamiltonian, 1.2)
     states = dyn.propagate_forward(gen, np.diag([0.2, 0.8]), 0.0, 0.2, 1e-3)
@@ -195,11 +205,6 @@ def test_thermo_report_assembly_and_csv(tmp_path):
     assert np.all(rep.production_rate >= -1e-8)
     assert np.all(rep.clausius_gap[1:-1] >= -1e-6)
     assert set(rep.heat_currents) == {"bath"}
-    path = tmp_path / "report.csv"
-    rep.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "time,entropy,relative_entropy,production_rate,j_bath,clausius_gap"
-    assert len(rows) == states.times.size + 1
     # a bath without a beta tag drops the Clausius column
     bare = dyn.LindbladGenerator(
         gen.hamiltonian, (dyn.Bath("decay", (al.SM,)),)
@@ -307,7 +312,7 @@ def test_thermo_report_reuses_its_entropy_and_currents(monkeypatch):
     monkeypatch.setattr(th, "state_spectrum", counted)
     rep = th.thermo_report(gen, states, sigma)
     assert len(calls) == 6
-    want = th.clausius_gap(gen, states, {"bath": sigma}, {"bath": 1.2})
+    want = th.clausius_gap(gen, states)
     assert np.array_equal(rep.clausius_gap, want)
     assert np.array_equal(rep.entropy, th.von_neumann_entropy(states.mats))
     assert np.array_equal(rep.heat_currents["bath"], th.heat_current(gen, "bath", states.mats))

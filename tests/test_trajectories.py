@@ -53,42 +53,20 @@ def test_unmonitored_jumps_drop_exactly_one_copy():
 
 def test_record_validation():
     with pytest.raises(ValueError, match="uniform"):
-        tr.MeasurementRecord("diffusive", np.array([0.0, 0.1, 0.3]), np.zeros(2), 0, 1.0, 1.0)
+        tr.MeasurementRecord("diffusive", np.array([0.0, 0.1, 0.3]), np.zeros(2))
     with pytest.raises(ValueError, match="one increment per step"):
-        tr.MeasurementRecord("diffusive", np.linspace(0, 1, 5), np.zeros(3), 0, 1.0, 1.0)
+        tr.MeasurementRecord("diffusive", np.linspace(0, 1, 5), np.zeros(3))
     with pytest.raises(ValueError, match="0 or 1"):
-        tr.MeasurementRecord("counting", np.linspace(0, 1, 5), np.array([0, 2, 0, 1]), 0, 1.0, 1.0)
+        tr.MeasurementRecord("counting", np.linspace(0, 1, 5), np.array([0, 2, 0, 1]))
     with pytest.raises(ValueError, match="mode"):
-        tr.MeasurementRecord("pointer", np.linspace(0, 1, 5), np.zeros(4), 0, 1.0, 1.0)
+        tr.MeasurementRecord("pointer", np.linspace(0, 1, 5), np.zeros(4))
 
 
-def test_record_rejects_non_finite_increments(tmp_path):
+def test_record_rejects_non_finite_increments():
     times = np.linspace(0, 1, 5)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="record increments must be finite"):
-            tr.MeasurementRecord("diffusive", times, np.array([0.0, bad, 0.1, 0.0]), 0, 1.0, 1.0)
-    path = tmp_path / "nan.csv"
-    path.write_text("diffusive,0.25,4,0,1.0,1.0\n0.0\n0.1\nnan\n-0.2\n")
-    with pytest.raises(ValueError, match="record increments must be finite"):
-        tr.record_from_csv(path)
-
-
-def test_record_csv_roundtrip(tmp_path):
-    model = decay_model(eta=0.4)
-    _, rec = tr.simulate_homodyne(model, GROUND, 0.05, 1e-3, seed=7)
-    rec.to_csv(tmp_path / "rec.csv")
-    back = tr.record_from_csv(tmp_path / "rec.csv")
-    assert back.mode == rec.mode and back.seed == rec.seed
-    assert back.kappa == rec.kappa and back.eta == rec.eta
-    assert np.array_equal(back.increments, rec.increments)
-    assert np.allclose(back.times, rec.times, atol=1e-12)
-
-    cm = decay_model(mode="counting")
-    _, crec = tr.simulate_counting(cm, EXCITED, 0.05, 1e-3, seed=8)
-    crec.to_csv(tmp_path / "crec.csv")
-    cback = tr.record_from_csv(tmp_path / "crec.csv")
-    assert cback.increments.dtype == np.int64
-    assert np.array_equal(cback.increments, crec.increments)
+            tr.MeasurementRecord("diffusive", times, np.array([0.0, bad, 0.1, 0.0]))
 
 
 def test_fixed_seed_reproduces_record_bitwise():
@@ -308,7 +286,7 @@ def test_backward_counting_quiet_record_hand_recursion():
     the spectral norm stays 1 so no rescaling kicks in."""
     kappa, dt = 0.8, 0.01
     model = decay_model(kappa=kappa, mode="counting")
-    rec = tr.MeasurementRecord("counting", dt * np.arange(6), np.zeros(5, dtype=int), 0, kappa, 1.0)
+    rec = tr.MeasurementRecord("counting", dt * np.arange(6), np.zeros(5, dtype=int))
     effects = tr.backward_counting(model, rec, np.eye(2))
     decay = (1.0 - 0.5 * kappa * dt) ** 2
     for k in range(6):
@@ -403,15 +381,18 @@ def test_forward_passes_reject_invalid_initial_states(mode):
     (np.zeros((2, 2)), "terminal effect is zero"),
 ], ids=["not-square", "wrong-dimension", "nan", "inf", "not-hermitian", "zero"])
 def test_backward_passes_reject_invalid_terminal_effects(effect, message):
-    """The record passes and propagate_backward share one check, so a bad
-    terminal effect fails by name (never as an incompatible record, a
-    step-size problem or a RuntimeWarning) on every route."""
+    """The record passes, the counting oracle and propagate_backward share one
+    check, so a bad terminal effect fails by name (never as an incompatible
+    record, a step-size problem, a RuntimeWarning or NaN weights) on every
+    route."""
     for mode in tr.MODES:
         model = decay_model(mode=mode)
         kind = "homodyne" if mode == "diffusive" else "counting"
         _, rec = getattr(tr, f"simulate_{kind}")(model, EXCITED, 0.01, 1e-3, seed=1)
         with pytest.raises(ValueError, match=message):
             getattr(tr, f"backward_{kind}")(model, rec, effect)
+    with pytest.raises(ValueError, match=message):
+        tr.enumerate_counting(decay_model(mode="counting"), np.diag([1.0, 0.0]), effect, steps=3, dt=0.05)
     with pytest.raises(ValueError, match=message):
         dyn.propagate_backward(decay_model().gen, effect, 0.01, 0.0, 1e-3)
 
@@ -438,7 +419,7 @@ def test_counting_smoothed_matches_enumeration_exactly():
                 continue
             assert w > 0.0
             feasible += 1
-            rec = tr.MeasurementRecord("counting", dt * np.arange(7), np.array(bits), 0, 1.0, eta)
+            rec = tr.MeasurementRecord("counting", dt * np.arange(7), np.array(bits))
             pair = tr.PqsPair(
                 tr.replay_counting(model, rho0, rec),
                 tr.backward_counting(model, rec, ef),
@@ -481,9 +462,7 @@ def test_record_frequencies_match_enumeration():
 
 def test_infeasible_record_raises():
     model = decay_model(kappa=1.0, mode="counting", omega=1.3)
-    rec = tr.MeasurementRecord(
-        "counting", 0.05 * np.arange(7), np.array([1, 1, 0, 0, 0, 0]), 0, 1.0, 1.0
-    )
+    rec = tr.MeasurementRecord("counting", 0.05 * np.arange(7), np.array([1, 1, 0, 0, 0, 0]))
     with pytest.raises(ValueError, match="zero weight"):
         tr.replay_counting(model, EXCITED, rec)
     with pytest.raises(ValueError, match="collapsed to zero"):
@@ -597,7 +576,7 @@ def test_counting_ensemble_fires_on_the_right_rows():
             rho = tr._counting_sandwich(ops, rho, fired)
             rho = rho / np.trace(rho).real
             assert np.max(np.abs(row[k + 1] - rho)) < 1e-12
-        rec = tr.MeasurementRecord("counting", times, counts, 0, model.kappa, model.eta)
+        rec = tr.MeasurementRecord("counting", times, counts)
         assert np.max(np.abs(row - tr.replay_counting(model, rho0, rec).mats)) < 1e-12
 
 
@@ -611,7 +590,7 @@ def test_homodyne_ensemble_rows_are_replays_of_their_currents():
     ens = tr.ensemble_homodyne(model, rho0, steps * dt, dt, n_traj=64, seed=37, sample_times=times)
     assert ens.states.shape == (64, steps + 1, 4, 4)
     for row, dys, xbars in zip(ens.states, ens.dys, ens.xbars):
-        rec = tr.MeasurementRecord("diffusive", times, dys, 0, model.kappa, model.eta)
+        rec = tr.MeasurementRecord("diffusive", times, dys)
         replay = tr.replay_homodyne(model, rho0, rec).mats
         assert np.max(np.abs(row - replay)) < 1e-12
         want = np.einsum("ij,kji->k", model.x_c, replay[:-1]).real
@@ -636,15 +615,13 @@ def test_zero_innovation_record_maximizes_likelihood():
     model = decay_model(kappa=1.0, eta=0.8, omega=0.5)
     states, rec = tr.simulate_homodyne(model, EXCITED, 0.1, 1e-3, seed=14)
     xb = np.einsum("ij,kji->k", model.x_c, states.mats[:-1]).real
-    flat = tr.MeasurementRecord(
-        "diffusive", rec.times, 1.0 * np.sqrt(0.8) * xb * rec.dt, 0, 1.0, 0.8
-    )
+    flat = tr.MeasurementRecord("diffusive", rec.times, 1.0 * np.sqrt(0.8) * xb * rec.dt)
     best = tr.record_log_likelihood(model, states, flat)
     assert best == 0.0
     g = rng(3)
     for _ in range(5):
         noisy = tr.MeasurementRecord(
-            "diffusive", rec.times, flat.increments + 1e-2 * g.normal(size=rec.steps), 0, 1.0, 0.8
+            "diffusive", rec.times, flat.increments + 1e-2 * g.normal(size=rec.steps)
         )
         assert tr.record_log_likelihood(model, states, noisy) < best
 
@@ -706,7 +683,7 @@ def test_pqs_pair_grid_checks():
     pair = tr.PqsPair(states, effects, rec)
     with pytest.raises(ValueError, match="state timeline and an effect"):
         tr.PqsPair(effects, states, rec)
-    shifted = tr.MeasurementRecord("diffusive", rec.times + 1.0, rec.increments, 0, 1.0, 0.5)
+    shifted = tr.MeasurementRecord("diffusive", rec.times + 1.0, rec.increments)
     with pytest.raises(ValueError, match="record grid"):
         tr.PqsPair(states, effects, shifted)
     with pytest.raises(ValueError, match="not on the stored grid"):
