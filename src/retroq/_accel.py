@@ -17,13 +17,27 @@ over every jump K, and J_j runs over the unmonitored jumps. Both families
 are completely positive, so the filter needs no eigenvalue clamp. States
 are real coordinates in an orthonormal Hermitian basis, where every branch
 is a real matrix. One kernel, ``_paths``, applies every record step. It
-advances a step-major (d², n_traj) block, a trajectory per column, with
-one GEMM per step into a buffer allocated once, and applies the counting
-fire branch only to the columns that fired. The backward passes of
+advances a step-major (|R|, n_traj) block over the reachable coordinates R
+(below), a trajectory per column, with one GEMM per step into a buffer
+allocated once, and applies the counting fire branch only to the columns
+that fired. The backward passes of
 ``trajectories`` run the same kernel on the transposed real branches,
 which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
 forward and backward are exact adjoints by construction. The caller draws
 the noise; reductions across trajectories happen outside the kernels.
+
+The kernel steps only the reachable sector of its start, ρ0 forward or E_f
+backward: the coordinates that some product of the branch matrices carries
+the start into, found from their nonzero patterns (``_reachable``). Every
+other coordinate is exactly 0.0 at every step, so slicing the branches, the
+readout row and the basis rows to the sector changes nothing but the
+summation order inside the GEMM. Symmetric models gain most: a count record
+from a Fock state stays number-diagonal (d of d² coordinates), and a model
+with real H, jumps and start stays real-symmetric (d(d+1)/2); a model with
+no such symmetry steps all d². The sector lists its diagonal coordinates
+first, so the trace is one contiguous sum. The per-trajectory columns of the
+noise, outcomes and readouts are staged through contiguous (_BLOCK, n_traj)
+buffers, one strided copy per block of steps instead of one per step.
 """
 
 from __future__ import annotations
@@ -136,11 +150,40 @@ def _sample_positions(steps: int, sample_indices) -> np.ndarray:
     return pos
 
 
+_BLOCK = 32  # steps per staged block of record columns
+
 _COLLAPSE = {
     "diffusive": "a trajectory collapsed to zero trace; reduce dt",
     "counting": "a record branch has zero weight; the record is infeasible",
     "adjoint": "effect collapsed to zero; record incompatible with the effect",
 }
+
+
+def _reachable(real: np.ndarray, start: np.ndarray):
+    """The coordinate sector a record can reach from start, diagonal coordinates first.
+
+    real stacks the branch matrices as the kernel applies them, new = G_b @ h.
+    The sector R is the closure of start's support under the union of their
+    nonzero patterns, tested with != 0 and no tolerance: outside R every
+    product that feeds a coordinate has a 0.0 factor, so the coordinate is
+    exactly 0.0 at every step. Returns (R, number of diagonal coordinates in
+    R); the diagonal coordinates a = i*d + i lead, so they sum to the trace
+    as one contiguous slice.
+    """
+    pattern = (real != 0).any(axis=0)
+    reach = start != 0
+    size = np.count_nonzero(reach)
+    while True:  # the sector only grows, so an unchanged size means closure
+        reach = reach | (pattern @ reach)
+        grown = np.count_nonzero(reach)
+        if grown == size:
+            break
+        size = grown
+    d = int(round(np.sqrt(start.size)))
+    diagonal = np.zeros(start.size, dtype=bool)
+    diagonal[:: d + 1] = True
+    head = np.flatnonzero(reach & diagonal)
+    return np.concatenate([head, np.flatnonzero(reach & ~diagonal)]), head.size
 
 
 def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=False):
@@ -150,12 +193,14 @@ def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=Fa
     draw is below the pre-step jump probability, a current is
     dY = √(ηκ) <c + c†> dt + dW), or are incr itself when from_record is
     true; counts are int64. Readouts, the pre-step <c + c†>, exist only for
-    drawn currents and are None otherwise. The batch is one (d², n_traj)
-    coordinate block, a trajectory per column, stepped by one GEMM into a
-    buffer allocated once: [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²),
-    or [G_quiet | g]ᵀ with G_fireᵀ applied only to the columns that fired.
-    The diagonal coordinate rows sum to each trace, which divides each new
-    state.
+    drawn currents and are None otherwise. The batch is one (|R|, n_traj)
+    coordinate block over the reachable sector R of the start (``_reachable``),
+    a trajectory per column, stepped by one GEMM into a buffer allocated
+    once: [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²), or [G_quiet | g]ᵀ
+    with G_fireᵀ applied only to the columns that fired, each sliced to R.
+    The leading diagonal coordinate rows sum to each trace, which divides
+    each new state. Columns of incr, outcomes and readouts pass through
+    contiguous (_BLOCK, n_traj) buffers, copied once per block of steps.
 
     With adjoint set, the block holds effects and every branch matrix is
     replaced by its transpose, which in an orthonormal basis is its
@@ -166,46 +211,66 @@ def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=Fa
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
     pos = _sample_positions(steps, sample_indices).tolist()
-    d, d2 = step.dim, step.readout.size
+    d = step.dim
     basis, real, g = step.real_form()
     if not adjoint:
         real = real.transpose(0, 2, 1)
+    start = _coordinates(basis, rho0)
+    sector, nd = _reachable(real, start)
+    r = sector.size
+    real, basis = real[:, sector[:, None], sector], basis[sector]
     counting = step.mode == "counting"
-    gemm = np.vstack([*real[:1 if counting else 3], g])
-    fire = real[-1].copy()
+    gemm = np.vstack([*real[:1 if counting else 3], g[sector]])
+    fire = real[-1]
     cur, nxt = np.empty((2, len(gemm), n))
-    cur[:d2] = _coordinates(basis, rho0)[:, None]
-    states = np.zeros((n, len(sample_indices), d2), dtype=complex)
+    cur[:r] = start[sector, None]
+    states = np.zeros((n, len(sample_indices), d * d), dtype=complex)
     dtype = np.int64 if counting else float
-    outcomes = incr.astype(dtype) if from_record else np.zeros((n, steps), dtype=dtype)
-    readouts = None if counting or from_record else np.zeros((n, steps))
+    outcomes = incr.astype(dtype) if from_record else np.empty((n, steps), dtype=dtype)
+    readouts = None if counting or from_record else np.empty((n, steps))
+    block = min(_BLOCK, steps)
+    staged_in = np.empty((block, n))
+    staged_out = None if from_record else np.empty((block, n), dtype=dtype)
+    staged_read = None if readouts is None else np.empty((block, n))
     if pos[0] >= 0:
-        states[:, pos[0]] = cur[:d2].T @ basis
-    for k in range(steps):
-        h = cur[:d2]
-        np.matmul(gemm, h, out=nxt)
-        x = outcomes[:, k]  # drawn in place unless the record is given
-        if counting and not from_record:
-            if nxt[-1].max() > 1.0:
-                raise ValueError("jump probability exceeded 1; reduce dt")
-            np.less(incr[:, k], nxt[-1], out=x)
-        elif not from_record:
-            np.add(step.gain * nxt[-1] * step.dt, incr[:, k], out=x)
-            readouts[:, k] = nxt[-1]
-        if counting:
-            fired = np.flatnonzero(x)
-            if fired.size:
-                nxt[:d2, fired] = fire @ h[:, fired]
-            cur, nxt = nxt, cur  # the quiet block already holds the new state
-            h = cur[:d2]
-        else:
-            np.add(nxt[:d2], x * (nxt[d2:2 * d2] + x * nxt[2 * d2:-1]), out=h)
-        scale = np.hypot.reduce(h) if adjoint else np.add.reduce(h[:: d + 1])
-        if not scale.min() > 0.0:
-            raise ValueError(_COLLAPSE["adjoint" if adjoint else step.mode])
-        h /= scale
-        if pos[k + 1] >= 0:
-            np.matmul(h.T, basis, out=states[:, pos[k + 1]])
+        states[:, pos[0]] = cur[:r].T @ basis
+    for k0 in range(0, steps, _BLOCK):
+        b = min(_BLOCK, steps - k0)
+        np.copyto(staged_in[:b], incr[:, k0:k0 + b].T)
+        for j in range(b):
+            h = cur[:r]
+            np.matmul(gemm, h, out=nxt)
+            u = staged_in[j]
+            x = u if from_record else staged_out[j]  # drawn in place unless the record is given
+            if counting and not from_record:
+                if nxt[-1].max() > 1.0:
+                    raise ValueError("jump probability exceeded 1; reduce dt")
+                np.less(u, nxt[-1], out=x)
+            elif not from_record:
+                np.add(step.gain * nxt[-1] * step.dt, u, out=x)
+                staged_read[j] = nxt[-1]
+            if counting:
+                fired = np.flatnonzero(x)
+                if fired.size:
+                    nxt[:r, fired] = fire @ h[:, fired]
+                cur, nxt = nxt, cur  # the quiet block already holds the new state
+                h = cur[:r]
+            else:  # h = G_0 h + x (G_1 h + x G_2 h), in the GEMM's buffer
+                w = nxt[2 * r:-1]
+                w *= x
+                w += nxt[r:2 * r]
+                w *= x
+                np.add(nxt[:r], w, out=h)
+            scale = np.hypot.reduce(h) if adjoint else np.add.reduce(h[:nd])
+            if not scale.min() > 0.0:
+                raise ValueError(_COLLAPSE["adjoint" if adjoint else step.mode])
+            h /= scale
+            if pos[k0 + j + 1] >= 0:
+                np.matmul(h.T, basis, out=states[:, pos[k0 + j + 1]])
+        if not from_record:
+            outcomes[:, k0:k0 + b] = staged_out[:b].T
+        if readouts is not None:
+            readouts[:, k0:k0 + b] = staged_read[:b].T
     return states.reshape(n, -1, d, d), outcomes, readouts
 
 

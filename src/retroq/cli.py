@@ -58,8 +58,12 @@ def _load_config(path: str) -> dict:
     return params
 
 
+def _parameters(name: str) -> set:
+    return set(inspect.signature(SCENARIOS[name].func).parameters)
+
+
 def _check_params(name: str, params: dict) -> None:
-    allowed = set(inspect.signature(SCENARIOS[name].func).parameters)
+    allowed = _parameters(name)
     unknown = sorted(set(params) - allowed)
     if unknown:
         fields = ", ".join(unknown)
@@ -100,12 +104,12 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def _run_and_write(name: str, params: dict, seed, out_dir: str):
-    """Run one scenario, --seed over params, and write its report.json and tables.
+    """Run one scenario, --seed over params if it takes a seed, and write its report.json and tables.
 
     Returns the report, or None once the scenario's rejection of its
     parameters is printed; nothing is written for a rejected run.
     """
-    if seed is not None:
+    if seed is not None and "seed" in _parameters(name):
         params = {**params, "seed": seed}
     try:
         report = run_scenario(name, **params)
@@ -154,10 +158,13 @@ def cmd_run(name: str, config_path, seed, out_flag) -> int:
     report = _run_and_write(name, params, seed, out_dir)
     if report is None:
         return 2
+    recorded = None  # a scenario without a seed records null
+    if "seed" in _parameters(name):
+        recorded = seed if seed is not None else params.get("seed", 0)
     manifest = {
         "tool_version": __version__,
         "config_sha256": config_hash,
-        "seed": seed if seed is not None else params.get("seed", 0),
+        "seed": recorded,
         "started": started,
         "finished": _utc_now(),
         "results": {name: report.passed},
@@ -214,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario")
     run.add_argument("scenario")
     run.add_argument("--config", help="JSON parameter file with a schema_version field")
-    run.add_argument("--seed", type=int, help="override the scenario seed")
+    run.add_argument("--seed", type=int, help="override the seed of a scenario that takes one")
     run.add_argument("--out", help="output directory (else $RETROQ_OUT, else ./runs/<scenario>)")
     ver = sub.add_parser("verify-all", help="run every scenario with default parameters")
-    ver.add_argument("--seed", type=int, help="override every scenario seed")
+    ver.add_argument("--seed", type=int, help="override the seed of every scenario that takes one")
     ver.add_argument("--out", help="root output directory")
     return parser
 
@@ -226,6 +233,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return cmd_list()
+    if args.seed is not None and args.seed < 0:
+        print(f"seed {args.seed} is negative; seeds are non-negative integers", file=sys.stderr)
+        return 2
     if args.command == "run":
         return cmd_run(args.scenario, args.config, args.seed, args.out)
     return cmd_verify_all(args.seed, args.out)

@@ -11,8 +11,9 @@ combinatorial, qualitative) and the CSV tables of its sweep, each a header
 and rows under a file name. Scenarios write no files; the CLI writes every
 report and table.
 
-Every scenario is deterministic given its parameters and seed; stochastic
-parts draw from named Philox substreams so reruns are bit-identical.
+Every scenario is deterministic given its parameters. The stochastic ones
+take a seed and draw from named Philox substreams of it, so reruns are
+bit-identical; the exact ones take no seed.
 """
 
 from dataclasses import dataclass
@@ -138,7 +139,7 @@ GROUND = projector(ket(2, 0))
 EXCITED = projector(ket(2, 1))
 
 
-def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0), seed=0) -> ScenarioReport:
+def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0)) -> ScenarioReport:
     """Unsharp Z readout between pre-selection |+> and post-selection |0>.
 
     Post-selected outcome probability is (1 + eta)/2 while the nonselective
@@ -203,7 +204,6 @@ def scenario_weak_measurement(
     sigma_q=1.0,
     post_selections=((0.0, 0.0), (np.pi / 4.0, 0.0), (0.72 * np.pi, 0.3)),
     n_trunc=40,
-    seed=0,
 ) -> ScenarioReport:
     """Exact pointer shifts against first-order weak values.
 
@@ -300,9 +300,7 @@ def _spin_projector(theta: float, sign: int) -> np.ndarray:
     return (np.eye(2) + sign * axis) / 2.0
 
 
-def scenario_epr(
-    alice=(0.0, np.pi / 2.0), bob=(np.pi / 4.0, -np.pi / 4.0), seed=0
-) -> ScenarioReport:
+def scenario_epr(alice=(0.0, np.pi / 2.0), bob=(np.pi / 4.0, -np.pi / 4.0)) -> ScenarioReport:
     """Bell-pair statistics: joint tables, the CHSH combination, and the
     no-signalling structure of Bob's marginals.
 

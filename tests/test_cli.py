@@ -189,18 +189,37 @@ def test_verify_all_propagates_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_all_reports_a_rejected_seed(tmp_path, capsys):
-    """verify-all shares run's path, so a seed the first stochastic scenario
-    refuses exits 2 with the same message instead of a traceback; it writes
-    nothing for that scenario and no root manifest."""
+    """A negative seed exits 2 before any scenario runs: nothing is written,
+    not even the exact scenarios that take no seed."""
     assert run_cli("verify-all", "--seed", "-1", "--out", str(tmp_path)) == 2
-    assert "configuration rejected by homodyne-cavity: " in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["epr", "unsharp-qubit", "weak-measurement"]
+    assert "seed -1 is negative" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_seed_flag_recorded_in_manifest(tmp_path):
-    assert run_cli("run", "epr", "--seed", "42", "--out", str(tmp_path / "o")) == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["seed"] == 42
+    """--seed reaches a scenario that takes one and is recorded in its manifest."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "n_hmm": 2, "n_lg": 1}))
+    reports = []
+    for seed in (42, 43):
+        out = tmp_path / str(seed)
+        assert run_cli("run", "classical-limit", "--config", str(cfg), "--seed", str(seed), "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] != reports[1]
+
+
+@pytest.mark.parametrize("name", ["unsharp-qubit", "weak-measurement", "epr"])
+def test_exact_scenarios_take_no_seed(name, tmp_path, capsys):
+    """--seed passes over a scenario that draws nothing, its run manifest
+    records a null seed, and a config seed is an unknown field."""
+    out = tmp_path / "o"
+    assert run_cli("run", name, "--seed", "42", "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] is None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "seed": 3}))
+    assert run_cli("run", name, "--config", str(cfg), "--out", str(tmp_path / "p")) == 2
+    assert "unknown field(s) for " + name + ": seed" in capsys.readouterr().err
 
 
 def test_csv_floats_round_trip(tmp_path):

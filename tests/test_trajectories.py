@@ -597,6 +597,95 @@ def test_homodyne_ensemble_rows_are_replays_of_their_currents():
         assert np.max(np.abs(xbars - want)) < 1e-12
 
 
+def real_cavity_model(d=6, eta=0.7, mode="diffusive", hamiltonian=None):
+    """Cavity monitored through a, with real number dephasing and H = 0 by
+    default: its real jumps keep a real-symmetric state real-symmetric, and
+    its counting steps keep a number-diagonal state number-diagonal."""
+    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1).astype(complex)
+    number = np.diag(np.arange(d)).astype(complex)
+    dephase = (dyn.Bath("dephase", (np.sqrt(0.3) * number,)),)
+    h = np.zeros((d, d)) if hamiltonian is None else hamiltonian
+    return tr.monitoring_model(h, a, 1.0, eta=eta, mode=mode, extra_baths=dephase)
+
+
+def fock(d, n):
+    return np.diag(np.eye(d)[n]).astype(complex)
+
+
+def reachable(model, start, adjoint=False):
+    """The record kernel's sector from start: (coordinates, diagonal count)."""
+    basis, real, _ = _accel.record_step(model, 1e-3).real_form()
+    oriented = real if adjoint else real.transpose(0, 2, 1)
+    return _accel._reachable(oriented, _accel._coordinates(basis, start))
+
+
+def test_reachable_sector_sizes():
+    """The sector is d(d+1)/2 real-symmetric coordinates for a real diffusive
+    model, the d diagonal ones when it counts photons, and all d² once H and
+    rho0 are complex; diagonal coordinates lead."""
+    d = 6
+    hom, cnt = real_cavity_model(d), real_cavity_model(d, mode="counting")
+    for model, size in ((hom, d * (d + 1) // 2), (cnt, d)):
+        for start, adjoint in ((fock(d, 5), False), (np.eye(d), True)):
+            sector, nd = reachable(model, start, adjoint)
+            assert sector.size == size and nd == d
+            assert np.all(sector[:nd] % (d + 1) == 0) and np.all(sector[nd:] % (d + 1) != 0)
+    a = hom.c
+    complex_h = 0.8 * (a + a.conj().T) + 0.3j * (a.conj().T - a)
+    sector, _ = reachable(real_cavity_model(d, hamiltonian=complex_h), cavity_state(d))
+    assert sector.size == d * d
+    dark = decay_model(mode="counting")
+    assert reachable(dark, GROUND)[0].tolist() == [0]
+    assert reachable(dark, np.eye(2), adjoint=True)[0].tolist() == [0, 3]
+
+
+def test_real_cavity_record_is_the_kraus_recursion():
+    """On its 21-coordinate sector, a d = 6 homodyne record still replays as
+    the full-matrix Kraus recursion M(dY) rho M(dY)† plus the undetected leak
+    and the unmonitored sandwiches, renormalized each step; its backward pass
+    is the adjoint recursion."""
+    d = 6
+    model = real_cavity_model(d)
+    _, rec = tr.simulate_homodyne(model, fock(d, 5), 0.3, 1e-3, seed=19)
+    dt, c = rec.dt, model.c
+    jumps = [j for b in model.gen.baths for j in b.jumps]
+    base = np.eye(d) - (1j * model.gen.hamiltonian + 0.5 * sum(j.conj().T @ j for j in jumps)) * dt
+    sq = np.sqrt(model.eta * model.kappa)
+    leak = (1.0 - model.eta) * model.kappa * dt
+    others = [np.sqrt(dt) * j for j in model.unmonitored_jumps()]
+    rho = fock(d, 5)
+    want = [rho]
+    for dy in rec.increments:
+        m = base + sq * c * dy
+        nxt = m @ rho @ m.conj().T + leak * (c @ rho @ c.conj().T)
+        for j in others:
+            nxt = nxt + j @ rho @ j.conj().T
+        rho = nxt / np.trace(nxt).real
+        want.append(rho)
+    replay = tr.replay_homodyne(model, fock(d, 5), rec).mats
+    assert np.max(np.abs(replay - np.array(want))) < 1e-12
+    effect = np.diag(np.linspace(0.0, 1.0, d))
+    effects = tr.backward_homodyne(model, rec, effect)
+    assert np.max(np.abs(effects.mats - hand_effects(model, rec, effect))) < 1e-12
+
+
+def test_symmetric_models_keep_their_zeros_exactly():
+    """Coordinates outside the sector are never stepped, so a count ensemble
+    started number-diagonal has off-diagonals exactly 0.0, and the real
+    model's states and effects have imaginary parts exactly 0.0."""
+    d = 6
+    off = ~np.eye(d, dtype=bool)
+    cnt = tr.ensemble_counting(real_cavity_model(d, mode="counting"), fock(d, 5), 1.0, 1e-2, n_traj=64, seed=8)
+    assert cnt.total_counts().sum() > 0
+    assert np.all(cnt.states[..., off] == 0.0)
+    model = real_cavity_model(d)
+    hom = tr.ensemble_homodyne(model, fock(d, 5), 0.2, 1e-3, n_traj=32, seed=9)
+    assert np.all(hom.states.imag == 0.0)
+    assert np.abs(hom.states[:, -1][:, off]).max() > 1e-3  # coherences do build up
+    _, rec = tr.simulate_homodyne(model, fock(d, 5), 0.2, 1e-3, seed=10)
+    assert np.all(tr.backward_homodyne(model, rec, np.eye(d)).mats.imag == 0.0)
+
+
 def test_fixed_seed_reproduces_ensembles_bitwise():
     rho0 = cavity_state(3)
     hom = cavity_model(d=3, eta=0.6)
