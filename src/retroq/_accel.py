@@ -2,7 +2,7 @@
 
 A record step maps a state to its unnormalized post-record state. With the
 row-major convention vec(X rho Y) = (X ⊗ Yᵀ) vec(rho), ``record_step``
-builds each step once per (model, dt) as a few d²×d² matrices:
+builds the step of a (model, dt) as a few d²×d² matrices:
 
 - both modes share S0 = A⊗Ā + (1-η) κ dt c⊗c̄ + Σ_j dt J_j⊗J̄_j, the
   no-detection map plus the undetected leak at efficiency η;
@@ -36,8 +36,8 @@ from a Fock state stays number-diagonal (d of d² coordinates), and a model
 with real H, jumps and start stays real-symmetric (d(d+1)/2); a model with
 no such symmetry steps all d². The sector lists its diagonal coordinates
 first, so the trace is one contiguous sum. The per-trajectory columns of the
-noise, outcomes and readouts are staged through contiguous (_BLOCK, n_traj)
-buffers, one strided copy per block of steps instead of one per step.
+noise and outcomes are staged through contiguous (_BLOCK, n_traj) buffers,
+one strided copy per block of steps instead of one per step.
 """
 
 from __future__ import annotations
@@ -187,20 +187,19 @@ def _reachable(real: np.ndarray, start: np.ndarray):
 
 
 def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=False):
-    """Filter a batch of trajectories; returns (sampled states, outcomes, readouts).
+    """Filter a batch of trajectories; returns (sampled states, outcomes).
 
-    Outcomes are drawn in place from incr (a count fires when its uniform
-    draw is below the pre-step jump probability, a current is
+    Outcomes are drawn from incr, which is left as it is (a count fires when
+    its uniform draw is below the pre-step jump probability, a current is
     dY = √(ηκ) <c + c†> dt + dW), or are incr itself when from_record is
-    true; counts are int64. Readouts, the pre-step <c + c†>, exist only for
-    drawn currents and are None otherwise. The batch is one (|R|, n_traj)
+    true; counts are int64. The batch is one (|R|, n_traj)
     coordinate block over the reachable sector R of the start (``_reachable``),
     a trajectory per column, stepped by one GEMM into a buffer allocated
     once: [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²), or [G_quiet | g]ᵀ
     with G_fireᵀ applied only to the columns that fired, each sliced to R.
     The leading diagonal coordinate rows sum to each trace, which divides
-    each new state. Columns of incr, outcomes and readouts pass through
-    contiguous (_BLOCK, n_traj) buffers, copied once per block of steps.
+    each new state. Columns of incr and outcomes pass through contiguous
+    (_BLOCK, n_traj) buffers, copied once per block of steps.
 
     With adjoint set, the block holds effects and every branch matrix is
     replaced by its transpose, which in an orthonormal basis is its
@@ -227,11 +226,9 @@ def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=Fa
     states = np.zeros((n, len(sample_indices), d * d), dtype=complex)
     dtype = np.int64 if counting else float
     outcomes = incr.astype(dtype) if from_record else np.empty((n, steps), dtype=dtype)
-    readouts = None if counting or from_record else np.empty((n, steps))
     block = min(_BLOCK, steps)
     staged_in = np.empty((block, n))
     staged_out = None if from_record else np.empty((block, n), dtype=dtype)
-    staged_read = None if readouts is None else np.empty((block, n))
     if pos[0] >= 0:
         states[:, pos[0]] = cur[:r].T @ basis
     for k0 in range(0, steps, _BLOCK):
@@ -248,7 +245,6 @@ def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=Fa
                 np.less(u, nxt[-1], out=x)
             elif not from_record:
                 np.add(step.gain * nxt[-1] * step.dt, u, out=x)
-                staged_read[j] = nxt[-1]
             if counting:
                 fired = np.flatnonzero(x)
                 if fired.size:
@@ -269,16 +265,14 @@ def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=Fa
                 np.matmul(h.T, basis, out=states[:, pos[k0 + j + 1]])
         if not from_record:
             outcomes[:, k0:k0 + b] = staged_out[:b].T
-        if readouts is not None:
-            readouts[:, k0:k0 + b] = staged_read[:b].T
-    return states.reshape(n, -1, d, d), outcomes, readouts
+    return states.reshape(n, -1, d, d), outcomes
 
 
 def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
-    """Filter diffusive trajectories; returns (sampled states, dY, <c + c†>).
+    """Filter diffusive trajectories; returns (sampled states, dY).
 
     incr (n_traj, steps) holds per-step dW draws, or recorded dY when
-    from_record is true; a known record returns no readouts (None).
+    from_record is true.
     """
     return _paths(step, rho0, incr, from_record, sample_indices)
 
@@ -289,5 +283,4 @@ def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     incr (n_traj, steps) holds per-step uniform draws, or a recorded 0/1
     count sequence when from_record is true.
     """
-    states, counts, _ = _paths(step, rho0, incr, from_record, sample_indices)
-    return states, counts
+    return _paths(step, rho0, incr, from_record, sample_indices)

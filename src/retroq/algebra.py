@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -17,8 +15,8 @@ SP = SM.conj().T
 
 
 def asoperator(x) -> np.ndarray:
-    """Coerce a DensityMatrix or an array-like to a complex square matrix."""
-    mat = np.asarray(getattr(x, "mat", x), dtype=complex)
+    """Coerce an array-like to a complex square matrix."""
+    mat = np.asarray(x, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat
@@ -26,7 +24,7 @@ def asoperator(x) -> np.ndarray:
 
 def asstack(x) -> np.ndarray:
     """Like asoperator, but also accepts a stack (..., d, d) of square matrices."""
-    mats = np.asarray(getattr(x, "mat", x), dtype=complex)
+    mats = np.asarray(x, dtype=complex)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {mats.shape}")
     return mats
@@ -113,24 +111,6 @@ def spectral_norm_hermitian(op) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(asoperator(op))))))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Unit-trace PSD operator. Construction re-checks the invariants through state_spectrum;
-    use validate_state to adopt a raw matrix (symmetrize, clamp tiny negatives, renormalize)."""
-
-    mat: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        mat = asoperator(self.mat)
-        state_spectrum(mat, self.tol)
-        object.__setattr__(self, "mat", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
 def state_spectrum(op, tol: float = DEFAULT_TOL):
     """Check and clean one state (d, d) or a stack (..., d, d); returns (w, V).
 
@@ -152,7 +132,7 @@ def state_spectrum(op, tol: float = DEFAULT_TOL):
     return w / tr, v
 
 
-def validate_state(op, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Adopt a raw matrix as a DensityMatrix through state_spectrum."""
+def validate_state(op, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A raw matrix cleaned through state_spectrum: symmetrized, tiny negatives clamped, trace 1."""
     w, v = state_spectrum(asoperator(op), tol)
-    return DensityMatrix((v * w) @ dagger(v), tol=tol)
+    return (v * w) @ dagger(v)

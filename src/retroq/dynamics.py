@@ -96,10 +96,6 @@ class LindbladGenerator:
         """Heisenberg-picture L†(X) of one operator or a stack; annihilates the identity."""
         return apply_superop(self.superop.conj().T, x)
 
-    def superoperator(self) -> np.ndarray:
-        """The read-only matrix of L acting on row-major vec(rho)."""
-        return self.superop
-
 
 @dataclass(frozen=True)
 class Timeline:
@@ -202,8 +198,8 @@ def propagate_forward(gen: LindbladGenerator, rho0, t0: float, t1: float, dt: fl
     """RK4-integrate a state from t0 to t1 with no per-step projection; the
     run aborts if any point of the timeline leaves the states by more than 1e-10."""
     n, h = _grid(t0, t1, dt)
-    step = rk4_step(gen.superoperator(), h)
-    mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), validate_state(rho0).mat, "state")
+    step = rk4_step(gen.superop, h)
+    mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), validate_state(rho0), "state")
     return Timeline(t0 + h * np.arange(n + 1), mats, "state")
 
 
@@ -230,7 +226,7 @@ def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: floa
     """
     n, h = _grid(t0, t1, dt)
     e = _terminal_effect(effect_final, gen.dim)
-    step = rk4_step(gen.superoperator(), h).conj().T
+    step = rk4_step(gen.superop, h).conj().T
     mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), e, "effect")
     return Timeline(t0 + h * np.arange(n + 1), mats[::-1], "effect")
 
@@ -244,7 +240,7 @@ def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3)
     if duration == 0.0:
         return asoperator(rho).copy()
     n, h = _grid(0.0, duration, dt)
-    step = rk4_step(gen.superoperator(), h)
+    step = rk4_step(gen.superop, h)
     return flow(np.broadcast_to(step, (n, *step.shape)), rho)[-1]
 
 
@@ -253,13 +249,13 @@ def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float = 1
     if duration == 0.0:
         return asoperator(effect).copy()
     n, h = _grid(0.0, duration, dt)
-    step = rk4_step(gen.superoperator(), h).conj().T
+    step = rk4_step(gen.superop, h).conj().T
     return flow(np.broadcast_to(step, (n, *step.shape)), effect)[-1]
 
 
-def stationary_state(gen: LindbladGenerator):
+def stationary_state(gen: LindbladGenerator) -> np.ndarray:
     """Null space of the vectorized generator; errors if the kernel is degenerate."""
-    mat = gen.superoperator()
+    mat = gen.superop
     _, s, vh = np.linalg.svd(mat)
     smax = float(s.max()) if s.size else 1.0
     null = [vh[i].conj() for i in range(len(s)) if s[i] < 1e-10 * max(smax, 1.0)]
@@ -276,7 +272,7 @@ def stationary_state(gen: LindbladGenerator):
     if abs(tr) < 1e-12:
         raise ValueError("stationary null vector is traceless, cannot normalize")
     state = validate_state(hermitian_part(cand / tr), tol=1e-8)
-    resid = float(np.max(np.abs(gen.apply(state.mat))))
+    resid = float(np.max(np.abs(gen.apply(state))))
     if resid > 1e-8:
         raise ValueError(f"stationary candidate has residual {resid:.3e}")
     return state
@@ -291,8 +287,8 @@ def pairing_drift(gen: LindbladGenerator, rho0, effect_final, t0: float, t1: flo
     """
     fwd = propagate_forward(gen, rho0, t0, t1, dt)
     bwd = propagate_backward(gen, effect_final, t1, t0, dt)
-    prop = scipy.linalg.expm((t1 - t0) * gen.superoperator())
-    rho_exact = (prop @ validate_state(rho0).mat.ravel()).reshape(gen.dim, gen.dim)
+    prop = scipy.linalg.expm((t1 - t0) * gen.superop)
+    rho_exact = (prop @ validate_state(rho0).ravel()).reshape(gen.dim, gen.dim)
     ref = float(np.trace(asoperator(effect_final) @ rho_exact).real)
     vals = np.einsum("kij,kji->k", bwd.mats, fwd.mats).real
     return float(np.max(np.abs(vals - ref)))

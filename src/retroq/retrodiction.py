@@ -24,31 +24,22 @@ class BoundaryPair:
     """Forward-propagated state at t- together with the backward effect at t+.
 
     Either side may be one operator or a stack (..., d, d); stacks broadcast.
-    eps is an opt-in regularizer: when the conditioning denominator
-    vanishes, the effect is replaced by E + eps*I before dividing. The
-    default 0 keeps null post-selections loud instead of silently smoothed.
     """
 
     rho_pre: np.ndarray
     E_post: np.ndarray
-    eps: float = 0.0
 
     def __post_init__(self):
         r = asstack(self.rho_pre)
         e = asstack(self.E_post)
         if r.shape[-1] != e.shape[-1]:
             raise ValueError(f"dimension mismatch: state {r.shape[-1]} vs effect {e.shape[-1]}")
-        if self.eps < 0.0:
-            raise ValueError("regularizer eps must be nonnegative")
         object.__setattr__(self, "rho_pre", r)
         object.__setattr__(self, "E_post", e)
 
     @property
     def dim(self) -> int:
         return self.rho_pre.shape[-1]
-
-    def pairing(self) -> float | np.ndarray:
-        return pairing(self.E_post, self.rho_pre)
 
 
 def abl_distribution(b: BoundaryPair, ins: Instrument) -> dict:
@@ -57,16 +48,13 @@ def abl_distribution(b: BoundaryPair, ins: Instrument) -> dict:
     p(m) = Tr[E(t+) I_m(rho(t-))] / sum_k Tr[E(t+) I_k(rho(t-))]. The
     probabilities are returned as the exact ratio of the two evaluations,
     never renormalized afterwards: floats for one boundary pair, arrays over
-    the points of a stacked one, where eps regularizes only the null points.
+    the points of a stacked one. A null post-selection, a denominator that
+    is not positive, raises.
     """
     if ins.dim != b.dim:
         raise ValueError(f"dimension mismatch: instrument {ins.dim} vs boundary {b.dim}")
     branches = [ins.apply(m, b.rho_pre) for m in ins.outcomes]
     num = np.array([pairing(b.E_post, br) for br in branches])
-    null = num.sum(axis=0) <= NULL_TOL
-    if np.any(null) and b.eps > 0.0:
-        reg = b.E_post + b.eps * np.eye(b.dim)
-        num = np.where(null, [pairing(reg, br) for br in branches], num)
     denom = num.sum(axis=0)
     if np.any(denom <= NULL_TOL):
         raise ValueError(
@@ -194,7 +182,7 @@ def backward_effect_chain(spec: ChainSpec) -> list:
     return rev[::-1]
 
 
-def conditional_at_stage(spec: ChainSpec, j: int, eps: float = 0.0) -> dict:
+def conditional_at_stage(spec: ChainSpec, j: int) -> dict:
     """Outcome distribution of stage j with every other stage summed out.
 
     Stages before j act on the forward state through their nonselective
@@ -210,4 +198,4 @@ def conditional_at_stage(spec: ChainSpec, j: int, eps: float = 0.0) -> dict:
     st = spec.stages[j]
     rho = evolve_state(st.generator, rho, st.duration, spec.dt)
     e = backward_effect_chain(spec)[j]
-    return abl_distribution(BoundaryPair(rho, e, eps=eps), st.instrument)
+    return abl_distribution(BoundaryPair(rho, e), st.instrument)

@@ -393,7 +393,7 @@ def scenario_homodyne_cavity(
     se_pop = pops.std(axis=0, ddof=1) / np.sqrt(n_traj)
     exact = np.exp(-kappa * ens.sample_times)
     zs = np.abs(mean_pop - exact) / se_pop
-    dws = ens.innovations()
+    dws = ens.innovations
     dw_mean = float(dws.mean())
     dw_se = float(dws.std(ddof=1) / np.sqrt(dws.size))
     dw_var = float(dws.var(ddof=1))
@@ -603,7 +603,7 @@ def scenario_thermal_qubit(
     drive_times = dt * np.arange(n_steps + 1)
     # L_k = L0 + a sin(w t_mid,k) L_X with L_X = -i[SX, .]: H frozen at each step's midpoint
     drive = drive_amp * np.sin(drive_freq * ((np.arange(n_steps) + 0.5) * dt))[:, None, None]
-    steps = rk4_step(gen.superoperator() + drive * LindbladGenerator(SX).superoperator(), dt)
+    steps = rk4_step(gen.superop + drive * LindbladGenerator(SX).superop, dt)
     driven = flow(steps, rho0)
     phase = drive_freq * drive_times[:, None, None]
     h_t = ham + drive_amp * np.sin(phase) * SX

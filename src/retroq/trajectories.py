@@ -9,9 +9,10 @@ model wherever that retrodiction is enumerable.
 
 Every pass reads one record-step object (``_accel.record_step``) and runs
 one loop, the record kernel ``_accel._paths``: the forward filter, replay
-and the ensembles step its real branch matrices (so a replay reproduces
-its simulation bit for bit), and the backward passes step their
-transposes, the exact adjoints, over the reversed record.
+and the ensembles, which share one body (``_filter``), step its real branch
+matrices (so a replay reproduces its simulation bit for bit), and the
+backward passes step their transposes, the exact adjoints, over the
+reversed record.
 """
 
 from __future__ import annotations
@@ -170,10 +171,6 @@ def _require_mode(model: MonitoringModel, mode: str, record=None) -> None:
         raise ValueError(f"record mode is {record.mode!r}, operation needs {mode!r}")
 
 
-def _noise(seed: int):
-    return np.random.Generator(np.random.Philox(int(seed)))
-
-
 def _initial_state(model: MonitoringModel, rho0) -> np.ndarray:
     """rho0 as given, once it is checked to be a state of the model's dimension."""
     rho = asoperator(rho0)
@@ -192,8 +189,54 @@ def _warn_coarse(model: MonitoringModel, dt: float) -> None:
         warnings.warn(f"dt resolves the monitored rate poorly (kappa-scale*dt = {rough:.3f})")
 
 
-def _sq(model: MonitoringModel) -> float:
-    return float(np.sqrt(model.eta * model.kappa))
+def _resolve_samples(times: np.ndarray, sample_times) -> np.ndarray:
+    """Grid indices of sample_times, or of 11 evenly spaced grid points when it is None."""
+    if sample_times is None:
+        return np.unique(np.linspace(0, times.size - 1, 11).round().astype(int))
+    idx = []
+    for t in sample_times:
+        k = int(np.argmin(np.abs(times - t)))
+        if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"sample time {t} is not on the integration grid")
+        idx.append(k)
+    return np.asarray(idx, dtype=int)
+
+
+def _trajectory_count(n_traj) -> int:
+    """n_traj as an int, once it is checked to be a whole number of at least 1 (1e4 passes)."""
+    count = float(n_traj)
+    if not (count >= 1.0 and count.is_integer()):
+        raise ValueError(f"n_traj={n_traj!r} must be a whole number of at least 1")
+    return int(count)
+
+
+def _filter(model, rho0, horizon=None, dt=None, seed=None, n_traj=None, sample_times=None, record=None):
+    """Run the mode's record kernel; returns (times, dt, states, draws, outcomes).
+
+    A record gives the grid and the outcomes. Otherwise the grid runs from 0
+    to horizon in steps of dt and the outcomes are drawn from the mode's
+    noise, which a counter-based generator draws from seed, so a seed pins
+    every trajectory: dW ~ Normal(0, dt) per step for diffusive records, a
+    uniform per step for counting ones. A single path (n_traj None) keeps
+    the state at every grid point, an ensemble of n_traj paths keeps it at
+    sample_times (``_resolve_samples``); times are those of the kept states.
+    """
+    if record is None:
+        _warn_coarse(model, dt)
+        n, h = _grid(0.0, horizon, dt)
+        times = h * np.arange(n + 1)
+        shape = (1 if n_traj is None else _trajectory_count(n_traj), n)
+        noise = np.random.Generator(np.random.Philox(int(seed)))
+        draws = (noise.normal(0.0, np.sqrt(h), size=shape) if model.mode == "diffusive"
+                 else noise.random(size=shape))
+    else:
+        times, h, draws = record.times, record.dt, record.increments[None, :]
+    idx = np.arange(times.size) if n_traj is None else _resolve_samples(times, sample_times)
+    kernel = _accel.homodyne_paths if model.mode == "diffusive" else _accel.counting_paths
+    states, outcomes = kernel(
+        _accel.record_step(model, h), _initial_state(model, rho0), draws, record is not None, idx
+    )
+    return times[idx], h, states, draws, outcomes
 
 
 def simulate_homodyne(model, rho0, horizon, dt, seed):
@@ -204,32 +247,22 @@ def simulate_homodyne(model, rho0, horizon, dt, seed):
     a counter-based generator, so a seed pins the whole trajectory.
     """
     _require_mode(model, "diffusive")
-    _warn_coarse(model, dt)
-    n, h = _grid(0.0, horizon, dt)
-    dws = _noise(seed).normal(0.0, np.sqrt(h), size=(1, n))
-    states, dys, _ = _accel.homodyne_paths(
-        _accel.record_step(model, h), _initial_state(model, rho0), dws, False, range(n + 1)
-    )
-    times = h * np.arange(n + 1)
-    record = MeasurementRecord("diffusive", times, dys[0])
-    return Timeline(times, states[0], "state"), record
+    times, _, states, _, dys = _filter(model, rho0, horizon, dt, seed)
+    return Timeline(times, states[0], "state"), MeasurementRecord("diffusive", times, dys[0])
 
 
 def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
     """Deterministically re-filter a stored record from a fresh initial state."""
     _require_mode(model, "diffusive", record)
-    states, _, _ = _accel.homodyne_paths(
-        _accel.record_step(model, record.dt), _initial_state(model, rho0),
-        record.increments[None, :], True, range(record.steps + 1),
-    )
-    return Timeline(record.times, states[0], "state")
+    times, _, states, _, _ = _filter(model, rho0, record=record)
+    return Timeline(times, states[0], "state")
 
 
 def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
     """Effects E_k = S_k†(E_{k+1}): the record kernel run adjoint over the reversed record."""
     ef = _terminal_effect(effect_final, model.dim)
     step = _accel.record_step(model, record.dt)
-    mats, _, _ = _accel._paths(
+    mats, _ = _accel._paths(
         step, ef, record.increments[None, ::-1], True, range(1, record.steps + 1), adjoint=True
     )
     body = mats[0, ::-1]
@@ -278,25 +311,15 @@ def simulate_counting(model, rho0, horizon, dt, seed):
     Undetected emissions, at rate (1 - eta) kappa, enter the quiet branch.
     """
     _require_mode(model, "counting")
-    _warn_coarse(model, dt)
-    n, h = _grid(0.0, horizon, dt)
-    us = _noise(seed).random(size=(1, n))
-    states, counts = _accel.counting_paths(
-        _accel.record_step(model, h), _initial_state(model, rho0), us, False, range(n + 1)
-    )
-    times = h * np.arange(n + 1)
-    record = MeasurementRecord("counting", times, counts[0])
-    return Timeline(times, states[0], "state"), record
+    times, _, states, _, counts = _filter(model, rho0, horizon, dt, seed)
+    return Timeline(times, states[0], "state"), MeasurementRecord("counting", times, counts[0])
 
 
 def replay_counting(model, rho0, record: MeasurementRecord) -> Timeline:
     """Re-filter a stored count record (the forward half of a PQS pair)."""
     _require_mode(model, "counting", record)
-    states, _ = _accel.counting_paths(
-        _accel.record_step(model, record.dt), _initial_state(model, rho0),
-        record.increments[None, :], True, range(record.steps + 1),
-    )
-    return Timeline(record.times, states[0], "state")
+    times, _, states, _, _ = _filter(model, rho0, record=record)
+    return Timeline(times, states[0], "state")
 
 
 def backward_counting(model, record: MeasurementRecord, effect_final) -> Timeline:
@@ -311,12 +334,10 @@ def backward_counting(model, record: MeasurementRecord, effect_final) -> Timelin
     return _backward(model, record, effect_final)
 
 
-def smoothed_probability(pair: PqsPair, t, ins: Instrument, eps: float = 0.0) -> dict:
+def smoothed_probability(pair: PqsPair, t, ins: Instrument) -> dict:
     """Conditional distribution of an instrument inserted at grid time t."""
     k = pair.states.index(t)
-    return abl_distribution(
-        BoundaryPair(pair.states.mats[k], pair.effects.mats[k], eps=eps), ins
-    )
+    return abl_distribution(BoundaryPair(pair.states.mats[k], pair.effects.mats[k]), ins)
 
 
 def record_log_likelihood(model, states: Timeline, record: MeasurementRecord) -> float:
@@ -337,7 +358,7 @@ def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarra
         raise ValueError("state timeline does not match the record grid")
     xc = model.x_c
     xbars = np.einsum("ij,kji->k", xc, states.mats[:-1]).real
-    return record.increments - _sq(model) * xbars * record.dt
+    return record.increments - np.sqrt(model.eta * model.kappa) * xbars * record.dt
 
 
 @dataclass(frozen=True)
@@ -400,76 +421,42 @@ def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumerat
 
 @dataclass(frozen=True)
 class HomodyneEnsemble:
-    """Sampled states, currents, and filtered means for many trajectories."""
+    """Sampled states, currents, and the drawn innovations dW of many trajectories.
 
-    model: MonitoringModel
+    Each current is dY = sqrt(eta kappa) <X_c> dt + dW at the pre-step
+    state the filter reports, so the draw it filtered is its innovation.
+    """
+
     sample_times: np.ndarray
     states: np.ndarray  # (n_traj, n_samples, d, d)
     dys: np.ndarray  # (n_traj, steps)
-    xbars: np.ndarray  # (n_traj, steps)
+    innovations: np.ndarray  # (n_traj, steps)
     dt: float
-    seed: int
-
-    def innovations(self) -> np.ndarray:
-        return self.dys - _sq(self.model) * self.xbars * self.dt
 
 
 @dataclass(frozen=True)
 class CountingEnsemble:
-    model: MonitoringModel
     sample_times: np.ndarray
     states: np.ndarray
     counts: np.ndarray  # (n_traj, steps)
     dt: float
-    seed: int
 
     def total_counts(self) -> np.ndarray:
         return self.counts.sum(axis=1)
 
 
-def _sample_indices(n_steps: int, n_samples: int) -> np.ndarray:
-    return np.unique(np.linspace(0, n_steps, n_samples).round().astype(int))
-
-
-def _resolve_samples(times: np.ndarray, sample_times) -> np.ndarray:
-    n = times.size - 1
-    if sample_times is None:
-        return _sample_indices(n, 11)
-    idx = []
-    for t in sample_times:
-        k = int(np.argmin(np.abs(times - t)))
-        if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"sample time {t} is not on the integration grid")
-        idx.append(k)
-    return np.asarray(idx, dtype=int)
-
-
 def ensemble_homodyne(model, rho0, horizon, dt, n_traj, seed, sample_times=None):
     """Many diffusive trajectories filtered as one batch."""
     _require_mode(model, "diffusive")
-    _warn_coarse(model, dt)
-    n, h = _grid(0.0, horizon, dt)
-    times = h * np.arange(n + 1)
-    idx = _resolve_samples(times, sample_times)
-    dws = _noise(seed).normal(0.0, np.sqrt(h), size=(int(n_traj), n))
-    states, dys, xbars = _accel.homodyne_paths(
-        _accel.record_step(model, h), _initial_state(model, rho0), dws, False, idx
-    )
-    return HomodyneEnsemble(model, times[idx], states, dys, xbars, h, int(seed))
+    times, h, states, dws, dys = _filter(model, rho0, horizon, dt, seed, n_traj, sample_times)
+    return HomodyneEnsemble(times, states, dys, dws, h)
 
 
 def ensemble_counting(model, rho0, horizon, dt, n_traj, seed, sample_times=None):
     """Many jump trajectories filtered as one batch."""
     _require_mode(model, "counting")
-    _warn_coarse(model, dt)
-    n, h = _grid(0.0, horizon, dt)
-    times = h * np.arange(n + 1)
-    idx = _resolve_samples(times, sample_times)
-    us = _noise(seed).random(size=(int(n_traj), n))
-    states, counts = _accel.counting_paths(
-        _accel.record_step(model, h), _initial_state(model, rho0), us, False, idx
-    )
-    return CountingEnsemble(model, times[idx], states, counts, h, int(seed))
+    times, h, states, _, counts = _filter(model, rho0, horizon, dt, seed, n_traj, sample_times)
+    return CountingEnsemble(times, states, counts, h)
 
 
 def pqs_summary_csv(pair: PqsPair, ins: Instrument, path) -> None:

@@ -67,7 +67,7 @@ def test_superoperator_agrees_with_apply():
     g = rng(22)
     gen = random_generator(g, 3)
     rho = random_state(g, 3)
-    vec = gen.superoperator() @ rho.ravel()
+    vec = gen.superop @ rho.ravel()
     assert np.allclose(vec.reshape(3, 3), gen.apply(rho), atol=1e-12)
     # independent expansion on row-major vec: vec(A rho B) = (A ⊗ Bᵀ) vec(rho)
     eye, h = np.eye(3), gen.hamiltonian
@@ -75,7 +75,7 @@ def test_superoperator_agrees_with_apply():
     for j in gen.baths[0].jumps:
         jj = j.conj().T @ j
         want += np.kron(j, j.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
-    assert np.max(np.abs(gen.superoperator() - want)) < 1e-12
+    assert np.max(np.abs(gen.superop - want)) < 1e-12
 
 
 def test_apply_and_adjoint_take_stacks_and_the_superoperator_is_read_only():
@@ -88,7 +88,7 @@ def test_apply_and_adjoint_take_stacks_and_the_superoperator_is_read_only():
         for idx in np.ndindex(2, 4):
             assert np.max(np.abs(out[idx] - fn(stack[idx]))) < 1e-13
     with pytest.raises(ValueError, match="read-only"):
-        gen.superoperator()[0, 0] = 1.0
+        gen.superop[0, 0] = 1.0
 
 
 def test_amplitude_damping_closed_form():
@@ -177,7 +177,7 @@ def test_stationary_state_thermal_qubit_detailed_balance():
         (dyn.Bath("thermal", (np.sqrt(gdn) * al.SM, np.sqrt(gup) * al.SP), beta=np.log(2.0)),),
     )
     ss = dyn.stationary_state(gen)
-    assert np.allclose(ss.mat, np.diag([2.0 / 3.0, 1.0 / 3.0]), atol=1e-10)
+    assert np.allclose(ss, np.diag([2.0 / 3.0, 1.0 / 3.0]), atol=1e-10)
 
 
 def test_stationary_state_degenerate_kernel_rejected():
@@ -244,7 +244,7 @@ def test_rk4_step_is_classic_rk4_and_its_adjoint():
     g = rng(29)
     gen = two_bath_qutrit(g)
     h = 0.05
-    step = dyn.rk4_step(gen.superoperator(), h)
+    step = dyn.rk4_step(gen.superop, h)
     for _ in range(3):
         x = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
         fwd = (step @ x.ravel()).reshape(3, 3)
@@ -255,7 +255,7 @@ def test_rk4_step_is_classic_rk4_and_its_adjoint():
 
 def test_rk4_step_on_a_stack_equals_per_matrix_calls():
     g = rng(30)
-    supers = np.array([two_bath_qutrit(g).superoperator() for _ in range(4)])
+    supers = np.array([two_bath_qutrit(g).superop for _ in range(4)])
     stacked = dyn.rk4_step(supers, 0.02)
     assert stacked.shape == supers.shape
     for s, one in zip(supers, stacked):
@@ -274,6 +274,6 @@ def test_stacked_driven_timeline_equals_per_step_generators():
         gk = dyn.LindbladGenerator(ham0 + amp * np.sin(freq * (k + 0.5) * dt) * al.SX, (bath,))
         want.append(dyn.evolve_state(gk, want[-1], dt, dt))
     drive = amp * np.sin(freq * ((np.arange(n) + 0.5) * dt))[:, None, None]
-    l_x = dyn.LindbladGenerator(al.SX).superoperator()
-    steps = dyn.rk4_step(dyn.LindbladGenerator(ham0, (bath,)).superoperator() + drive * l_x, dt)
+    l_x = dyn.LindbladGenerator(al.SX).superop
+    steps = dyn.rk4_step(dyn.LindbladGenerator(ham0, (bath,)).superop + drive * l_x, dt)
     assert np.max(np.abs(dyn.flow(steps, rho0) - np.array(want))) < 1e-12

@@ -114,3 +114,21 @@ def test_only_the_cli_and_pqs_summary_csv_write_files():
     writers = [p.name for p in sorted(SRC.glob("*.py"))
                if names_read(ast.parse(p.read_text())) & {"open", "makedirs"}]
     assert writers == ["cli.py", "trajectories.py"]
+
+
+def kernel_callers(source: str) -> list:
+    """Module-level functions that name _accel.homodyne_paths or _accel.counting_paths."""
+    entries = {"homodyne_paths", "counting_paths"}
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Attribute) and n.attr in entries
+                    and isinstance(n.value, ast.Name) and n.value.id == "_accel"
+                    for n in ast.walk(node))]
+
+
+def test_one_forward_body_calls_the_record_kernels():
+    """simulate_*, replay_* and ensemble_* of both modes share one body; a mode
+    twin that calls its kernel entry itself has grown its own copy of it."""
+    twins = "def a():\n    return _accel.homodyne_paths(s)\n\n\ndef b():\n    k = _accel.counting_paths\n"
+    assert kernel_callers(twins + "\n\ndef c():\n    return homodyne_paths\n") == ["a", "b"]
+    assert kernel_callers((SRC / "trajectories.py").read_text()) == ["_filter"]

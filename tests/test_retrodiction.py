@@ -140,16 +140,11 @@ def test_projective_closed_system_amplitude_ratio():
         assert abs(p[str(k)] - want[k]) < 1e-12
 
 
-def test_null_postselection_raises_unless_regularized():
+def test_null_postselection_raises():
     zero = al.projector(al.ket(2, 0))
     one = al.projector(al.ket(2, 1))
     with pytest.raises(ValueError, match="null post-selection"):
         rd.abl_distribution(rd.BoundaryPair(zero, one), projective_z())
-    p = rd.abl_distribution(rd.BoundaryPair(zero, one, eps=1e-9), projective_z())
-    assert abs(p["0"] - 1.0) < 1e-12
-    assert abs(sum(p.values()) - 1.0) < 1e-12
-    with pytest.raises(ValueError, match="nonnegative"):
-        rd.BoundaryPair(zero, one, eps=-1.0)
 
 
 def _error(fn):
@@ -168,15 +163,6 @@ def test_stack_with_one_null_point_raises_that_points_message():
     single = _error(lambda: rd.abl_distribution(rd.BoundaryPair(zero, one), ins))
     assert "null post-selection" in single
     assert _error(lambda: rd.abl_distribution(rd.BoundaryPair(states, effects), ins)) == single
-    # eps regularizes the null point only; the others keep their exact ratios
-    eps = 1e-3
-    got = rd.abl_distribution(rd.BoundaryPair(states, effects, eps=eps), ins)
-    for k, (r, e) in enumerate(zip(states, effects)):
-        want = rd.abl_distribution(rd.BoundaryPair(r, e, eps=eps if k == 1 else 0.0), ins)
-        for m in ins.outcomes:
-            assert abs(got[m][k] - want[m]) < 1e-12
-    assert abs(got["0"][1] - 1.0) < 1e-12
-    assert abs(got["0"][0] - 1.0) < 1e-12  # plus post-selected on |0>, no eps shift
 
 
 def test_stack_with_one_complex_pairing_raises_the_pairing_message():

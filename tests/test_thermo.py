@@ -238,7 +238,7 @@ def _stack_inputs():
     gen3 = dyn.LindbladGenerator(h + h.conj().T, (dyn.Bath("b", (0.5 * jump,)),))
     stack = np.array([random_state(g, 3) for _ in range(20)])
     herm = np.array([a + a.conj().T for a in g.normal(size=(20, 3, 3)) + 1j * g.normal(size=(20, 3, 3))])
-    yield gen3, "b", stack, dyn.stationary_state(gen3).mat, herm
+    yield gen3, "b", stack, dyn.stationary_state(gen3), herm
 
 
 def test_stack_calls_equal_per_state_calls():

@@ -507,7 +507,7 @@ def test_ensemble_mean_reproduces_lindblad_decay():
 def test_innovation_increments_are_white():
     model = decay_model(kappa=1.0, eta=0.7, omega=0.6)
     ens = tr.ensemble_homodyne(model, EXCITED, 0.5, 2e-3, n_traj=2000, seed=23)
-    dws = ens.innovations().ravel()
+    dws = ens.innovations.ravel()
     assert abs(dws.mean()) < 3.0 * np.sqrt(ens.dt / dws.size)
     assert abs(dws.var() - ens.dt) < 0.05 * ens.dt
 
@@ -520,6 +520,24 @@ def test_ensemble_row_matches_single_simulation():
     )
     assert np.array_equal(ens.dys[0], rec.increments)
     assert np.array_equal(ens.states[0, 2], states.at(0.1))
+
+
+def test_homodyne_ensemble_innovations_are_its_draws():
+    model = decay_model(kappa=1.0, eta=0.7, omega=0.9)
+    dt, n_traj, steps = 1e-3, 5, 100
+    ens = tr.ensemble_homodyne(model, EXCITED, steps * dt, dt, n_traj=n_traj, seed=61)
+    want = np.random.Generator(np.random.Philox(61)).normal(0.0, np.sqrt(dt), (n_traj, steps))
+    assert np.array_equal(ens.innovations, want)
+
+
+@pytest.mark.parametrize("mode", ["diffusive", "counting"])
+def test_ensembles_take_only_whole_positive_trajectory_counts(mode):
+    model = decay_model(mode=mode)
+    ensemble = tr.ensemble_homodyne if mode == "diffusive" else tr.ensemble_counting
+    for bad in (0, -3, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n_traj"):
+            ensemble(model, EXCITED, 0.01, 1e-3, n_traj=bad, seed=1)
+    assert ensemble(model, EXCITED, 0.01, 1e-3, n_traj=2.0, seed=1).states.shape[0] == 2
 
 
 def test_ensemble_sample_times_selection():
@@ -582,19 +600,18 @@ def test_counting_ensemble_fires_on_the_right_rows():
 
 def test_homodyne_ensemble_rows_are_replays_of_their_currents():
     """Each row of a d = 4 homodyne ensemble is the replay of its own dY, and
-    its xbars are <c + c†> in the replayed pre-step states."""
+    its innovations are dY less the drift of the replayed pre-step states."""
     dt, steps = 2e-3, 40
     model = cavity_model(eta=0.7)
     rho0 = cavity_state()
     times = dt * np.arange(steps + 1)
     ens = tr.ensemble_homodyne(model, rho0, steps * dt, dt, n_traj=64, seed=37, sample_times=times)
     assert ens.states.shape == (64, steps + 1, 4, 4)
-    for row, dys, xbars in zip(ens.states, ens.dys, ens.xbars):
+    for row, dys, dws in zip(ens.states, ens.dys, ens.innovations):
         rec = tr.MeasurementRecord("diffusive", times, dys)
-        replay = tr.replay_homodyne(model, rho0, rec).mats
-        assert np.max(np.abs(row - replay)) < 1e-12
-        want = np.einsum("ij,kji->k", model.x_c, replay[:-1]).real
-        assert np.max(np.abs(xbars - want)) < 1e-12
+        replay = tr.replay_homodyne(model, rho0, rec)
+        assert np.max(np.abs(row - replay.mats)) < 1e-12
+        assert np.max(np.abs(dws - tr.innovations(model, replay, rec))) < 1e-12
 
 
 def real_cavity_model(d=6, eta=0.7, mode="diffusive", hamiltonian=None):
@@ -692,7 +709,7 @@ def test_fixed_seed_reproduces_ensembles_bitwise():
     a = tr.ensemble_homodyne(hom, rho0, 0.05, 1e-3, n_traj=40, seed=4)
     b = tr.ensemble_homodyne(hom, rho0, 0.05, 1e-3, n_traj=40, seed=4)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.dys, b.dys) and np.array_equal(a.xbars, b.xbars)
+    assert np.array_equal(a.dys, b.dys) and np.array_equal(a.innovations, b.innovations)
     cnt = cavity_model(d=3, eta=0.6, mode="counting")
     a = tr.ensemble_counting(cnt, rho0, 0.5, 1e-2, n_traj=40, seed=4)
     b = tr.ensemble_counting(cnt, rho0, 0.5, 1e-2, n_traj=40, seed=4)
@@ -753,16 +770,13 @@ def test_trivial_instrument_gives_probability_one():
     assert abs(p["pass"] - 1.0) < 1e-12
 
 
-def test_null_post_selection_surfaces_and_eps_rescues():
+def test_null_post_selection_surfaces():
     model = decay_model(kappa=1.0, mode="counting")
     states, rec = tr.simulate_counting(model, GROUND, 0.05, 1e-3, seed=3)
     effects = tr.backward_counting(model, rec, EXCITED)
     pair = tr.PqsPair(states, effects, rec)
     with pytest.raises(ValueError, match="null post-selection"):
         tr.smoothed_probability(pair, 0.02, proj_z())
-    out = tr.smoothed_probability(pair, 0.02, proj_z(), eps=1e-9)
-    assert abs(sum(out.values()) - 1.0) < 1e-12
-    assert out["g"] > 0.99
 
 
 def test_pqs_pair_grid_checks():
