@@ -21,10 +21,16 @@ advances a step-major (|R|, n_traj) block over the reachable coordinates R
 (below), a trajectory per column, with one GEMM per step into a buffer
 allocated once, and applies the counting fire branch only to the columns
 that fired. The backward passes of
-``trajectories`` run the same kernel on the transposed real branches,
-which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
-forward and backward are exact adjoints by construction. The caller draws
-the noise; reductions across trajectories happen outside the kernels.
+``trajectories`` step the transposed real branches, which in an
+orthonormal basis are the Hilbert-Schmidt adjoints S†, so forward and
+backward are exact adjoints by construction. A backward pass knows its
+whole record, so on a sector of at most _BLOCKED_SECTOR coordinates it
+runs blocked (``_blocked``): the running products of a block of _BLOCK
+step matrices, formed by log-depth doubling, meet the effect once per
+block instead of once per step. Doubling costs |R|³ per step against the
+loop's |R|², so larger sectors run the loop of ``_paths``. The caller
+draws the noise; reductions across trajectories happen outside the
+kernels.
 
 The kernel steps only the reachable sector of its start, ρ0 forward or E_f
 backward: the coordinates that some product of the branch matrices carries
@@ -37,13 +43,16 @@ with real H, jumps and start stays real-symmetric (d(d+1)/2); a model with
 no such symmetry steps all d². The sector lists its diagonal coordinates
 first, so the trace is one contiguous sum. The per-trajectory columns of the
 noise and outcomes are staged through contiguous (_BLOCK, n_traj) buffers,
-one strided copy per block of steps instead of one per step.
+one strided copy per block of steps instead of one per step. Sampled
+coordinates stay real until the kernel returns, and become complex
+matrices in one product.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,51 +195,79 @@ def _reachable(real: np.ndarray, start: np.ndarray):
     return np.concatenate([head, np.flatnonzero(reach & ~diagonal)]), head.size
 
 
-def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=False):
+class _Sector(NamedTuple):
+    """A kernel's operands on the reachable sector R of its start (``_reachable``)."""
+
+    basis: np.ndarray  # rows vec(B_a) for a in R
+    real: np.ndarray  # branch matrices on R, oriented as applied: new = real[b] @ h
+    readout: np.ndarray  # the readout row g on R
+    start: np.ndarray  # the start's coordinates on R
+    diagonal: int  # number of leading diagonal coordinates
+    adjoint: bool  # effects stepped by S_b†, or states by S_b
+
+
+def _on_sector(step: RecordStep, start, adjoint=False) -> _Sector:
+    """Slice the real form of step to the sector start reaches: ρ0 forward, E_f with adjoint set."""
+    basis, real, g = step.real_form()
+    if not adjoint:
+        real = real.transpose(0, 2, 1)
+    h = _coordinates(basis, start)
+    sector, nd = _reachable(real, h)
+    return _Sector(basis[sector], real[:, sector[:, None], sector], g[sector], h[sector], nd, adjoint)
+
+
+def _to_matrices(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Complex matrices of real sector coordinates (..., |R|), in one real product.
+
+    Each basis column has at most two nonzeros, one real and one imaginary,
+    so each part of each entry is a single product: the same numbers a
+    complex product would give, without a complex copy of coords.
+    """
+    out = np.empty(coords.shape[:-1] + basis.shape[1:], dtype=complex)
+    np.matmul(coords, basis.view(float), out=out.view(float))
+    d = int(round(np.sqrt(basis.shape[1])))
+    return out.reshape(coords.shape[:-1] + (d, d))
+
+
+def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
     """Filter a batch of trajectories; returns (sampled states, outcomes).
 
     Outcomes are drawn from incr, which is left as it is (a count fires when
     its uniform draw is below the pre-step jump probability, a current is
     dY = √(ηκ) <c + c†> dt + dW), or are incr itself when from_record is
     true; counts are int64. The batch is one (|R|, n_traj)
-    coordinate block over the reachable sector R of the start (``_reachable``),
+    coordinate block over the reachable sector R of the start (``_on_sector``),
     a trajectory per column, stepped by one GEMM into a buffer allocated
     once: [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²), or [G_quiet | g]ᵀ
     with G_fireᵀ applied only to the columns that fired, each sliced to R.
     The leading diagonal coordinate rows sum to each trace, which divides
     each new state. Columns of incr and outcomes pass through contiguous
-    (_BLOCK, n_traj) buffers, copied once per block of steps.
+    (_BLOCK, n_traj) buffers, copied once per block of steps. Sampled
+    coordinates are kept real and become matrices once, after the loop.
 
-    With adjoint set, the block holds effects and every branch matrix is
-    replaced by its transpose, which in an orthonormal basis is its
-    Hilbert-Schmidt adjoint: a step is E -> S_b†(E). Each effect is divided
-    by its Euclidean norm, its Frobenius norm, as the trace would vanish for
-    a valid traceless effect such as σz.
+    On an adjoint sector, the block holds effects and every branch matrix is
+    its transpose, which in an orthonormal basis is its Hilbert-Schmidt
+    adjoint: a step is E -> S_b†(E). Each effect is divided by its Euclidean
+    norm, its Frobenius norm, as the trace would vanish for a valid
+    traceless effect such as σz.
     """
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
     pos = _sample_positions(steps, sample_indices).tolist()
-    d = step.dim
-    basis, real, g = step.real_form()
-    if not adjoint:
-        real = real.transpose(0, 2, 1)
-    start = _coordinates(basis, rho0)
-    sector, nd = _reachable(real, start)
-    r = sector.size
-    real, basis = real[:, sector[:, None], sector], basis[sector]
+    r, nd = sec.start.size, sec.diagonal
     counting = step.mode == "counting"
-    gemm = np.vstack([*real[:1 if counting else 3], g[sector]])
-    fire = real[-1]
+    gemm = np.vstack([*sec.real[:1 if counting else 3], sec.readout])
+    fire = sec.real[-1]
     cur, nxt = np.empty((2, len(gemm), n))
-    cur[:r] = start[sector, None]
-    states = np.zeros((n, len(sample_indices), d * d), dtype=complex)
+    cur[:r] = sec.start[:, None]
+    coords = np.empty((n, len(sample_indices), r))
     dtype = np.int64 if counting else float
     outcomes = incr.astype(dtype) if from_record else np.empty((n, steps), dtype=dtype)
     block = min(_BLOCK, steps)
     staged_in = np.empty((block, n))
     staged_out = None if from_record else np.empty((block, n), dtype=dtype)
     if pos[0] >= 0:
-        states[:, pos[0]] = cur[:r].T @ basis
+        coords[:, pos[0]] = cur[:r].T
     for k0 in range(0, steps, _BLOCK):
         b = min(_BLOCK, steps - k0)
         np.copyto(staged_in[:b], incr[:, k0:k0 + b].T)
@@ -257,15 +294,82 @@ def _paths(step: RecordStep, rho0, incr, from_record, sample_indices, adjoint=Fa
                 w += nxt[r:2 * r]
                 w *= x
                 np.add(nxt[:r], w, out=h)
-            scale = np.hypot.reduce(h) if adjoint else np.add.reduce(h[:nd])
+            scale = np.hypot.reduce(h) if sec.adjoint else np.add.reduce(h[:nd])
             if not scale.min() > 0.0:
-                raise ValueError(_COLLAPSE["adjoint" if adjoint else step.mode])
+                raise ValueError(_COLLAPSE["adjoint" if sec.adjoint else step.mode])
             h /= scale
             if pos[k0 + j + 1] >= 0:
-                np.matmul(h.T, basis, out=states[:, pos[k0 + j + 1]])
+                coords[:, pos[k0 + j + 1]] = h.T
         if not from_record:
             outcomes[:, k0:k0 + b] = staged_out[:b].T
-    return states.reshape(n, -1, d, d), outcomes
+    return _to_matrices(coords, sec.basis), outcomes
+
+
+_BLOCKED_SECTOR = 16  # largest sector whose backward pass runs blocked (crossover near 21)
+_STAGE = 8 * _BLOCK  # steps whose matrices are built and doubled together, 0.5 MB at |R| = 16
+
+
+def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
+    """The adjoint pass of ``_paths`` over one record, a block of _BLOCK steps per iteration.
+
+    Returns the effects after each step of incr, which the caller reverses.
+    The step matrices M_k (G_0 + x (G_1 + x G_2) at a current x, or the
+    branch a count selects) of a stage of blocks are built in one
+    expression, each scaled by an exact power of two to a largest entry in
+    [1/2, 1), and padded with identities to whole blocks. Within each block
+    log-depth doubling (P[s:] = P[s:] @ P[:-s], s = 1, 2, 4, ...) turns them
+    into running products M_k ⋯ M_0. A block then costs one product with
+    its starting effect, one Frobenius normalization of every column, and
+    the hand-off of the last one. Normalization is scale-free, so the
+    effects are the loop's up to rounding. A product of _BLOCK scaled
+    matrices has entries below |R|^_BLOCK, far inside the double range; a
+    step matrix that itself overflows raises, and a product that
+    underflows to zero raises as a collapsed effect.
+    """
+    r, steps = sec.start.size, incr.size
+    padded = -(-steps // _BLOCK) * _BLOCK
+    coords = np.empty((padded // _BLOCK, _BLOCK, r))
+    h = sec.start
+    for s0 in range(0, padded, _STAGE):
+        x = incr[s0:s0 + _STAGE]
+        m = np.empty((min(_STAGE, padded - s0), r, r))
+        if step.mode == "counting":
+            m[:x.size] = sec.real[x]
+        else:
+            xs = x[:, None, None]
+            m[:x.size] = sec.real[0] + xs * (sec.real[1] + xs * sec.real[2])
+        m[x.size:] = np.eye(r)
+        if not np.isfinite(m).all():
+            raise ValueError("a record step overflowed; the record's increments are too large")
+        _, e = np.frexp(np.abs(m).max(axis=(1, 2)))
+        np.ldexp(m, -e[:, None, None], out=m)
+        p = m.reshape(-1, _BLOCK, r, r)
+        s = 1
+        while s < _BLOCK:
+            p[:, s:] = p[:, s:] @ p[:, :-s]
+            s *= 2
+        for prod, u in zip(p, coords[s0 // _BLOCK:]):
+            np.matmul(prod, h, out=u)
+            scale = np.hypot.reduce(u, axis=1)
+            if not scale.min() > 0.0:
+                raise ValueError(_COLLAPSE["adjoint"])
+            u /= scale[:, None]
+            h = u[-1]
+    return _to_matrices(coords.reshape(padded, r)[:steps], sec.basis)
+
+
+def _backward_effects(step: RecordStep, ef, incr) -> np.ndarray:
+    """Effects after each adjoint step over incr, a reversed record, from E_f; (steps, d, d).
+
+    Sectors of at most _BLOCKED_SECTOR coordinates run ``_blocked``, larger
+    ones the loop of ``_paths``: doubling costs |R|³ per step where the
+    loop's matrix-vector product costs |R|², and the loop's Python overhead
+    per step stops mattering once |R|² is large.
+    """
+    sec = _on_sector(step, ef, adjoint=True)
+    if sec.start.size <= _BLOCKED_SECTOR:
+        return _blocked(step, sec, incr)
+    return _paths(step, sec, incr[None], True, range(1, incr.size + 1))[0][0]
 
 
 def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
@@ -274,7 +378,7 @@ def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     incr (n_traj, steps) holds per-step dW draws, or recorded dY when
     from_record is true.
     """
-    return _paths(step, rho0, incr, from_record, sample_indices)
+    return _paths(step, _on_sector(step, rho0), incr, from_record, sample_indices)
 
 
 def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
@@ -283,4 +387,4 @@ def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     incr (n_traj, steps) holds per-step uniform draws, or a recorded 0/1
     count sequence when from_record is true.
     """
-    return _paths(step, rho0, incr, from_record, sample_indices)
+    return _paths(step, _on_sector(step, rho0), incr, from_record, sample_indices)

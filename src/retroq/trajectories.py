@@ -7,12 +7,14 @@ out of every conditional probability, so the smoothed distributions from a
 simulated pair equal the exact Bayesian retrodiction of the discretized
 model wherever that retrodiction is enumerable.
 
-Every pass reads one record-step object (``_accel.record_step``) and runs
-one loop, the record kernel ``_accel._paths``: the forward filter, replay
-and the ensembles, which share one body (``_filter``), step its real branch
-matrices (so a replay reproduces its simulation bit for bit), and the
-backward passes step their transposes, the exact adjoints, over the
-reversed record.
+Every pass reads one record-step object (``_accel.record_step``). The
+forward filter, replay and the ensembles share one body (``_filter``) and
+one loop, the record kernel ``_accel._paths``, which steps the real branch
+matrices, so a replay reproduces its simulation bit for bit. The backward
+passes step their transposes, the exact adjoints, over the reversed
+record: on a small coordinate sector a block of steps at a time
+(``_accel._blocked``), where one step's work is too small to pay for a
+Python iteration, and on a large one through the same loop.
 """
 
 from __future__ import annotations
@@ -193,13 +195,12 @@ def _resolve_samples(times: np.ndarray, sample_times) -> np.ndarray:
     """Grid indices of sample_times, or of 11 evenly spaced grid points when it is None."""
     if sample_times is None:
         return np.unique(np.linspace(0, times.size - 1, 11).round().astype(int))
-    idx = []
-    for t in sample_times:
-        k = int(np.argmin(np.abs(times - t)))
-        if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"sample time {t} is not on the integration grid")
-        idx.append(k)
-    return np.asarray(idx, dtype=int)
+    t = np.asarray(sample_times, dtype=float)
+    idx = np.clip(np.rint((t - times[0]) / (times[1] - times[0])), 0, times.size - 1).astype(int)
+    off = np.abs(times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+    if off.any():
+        raise ValueError(f"sample time {t[off][0]} is not on the integration grid")
+    return idx
 
 
 def _trajectory_count(n_traj) -> int:
@@ -259,13 +260,18 @@ def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
 
 
 def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
-    """Effects E_k = S_k†(E_{k+1}): the record kernel run adjoint over the reversed record."""
+    """Effects E_k = S_k†(E_{k+1}): the record kernel run adjoint over the reversed record.
+
+    A sector of at most ``_accel._BLOCKED_SECTOR`` coordinates (any model
+    at d <= 4, or a count record from a number-diagonal effect at any d)
+    runs blocked, a block of steps per iteration, because one step's work
+    there is too small to pay for a Python iteration. A larger one runs the
+    per-step loop, as doubling's |R|³ per step would cost more than the
+    loop's |R|² (``_accel._backward_effects``).
+    """
     ef = _terminal_effect(effect_final, model.dim)
     step = _accel.record_step(model, record.dt)
-    mats, _ = _accel._paths(
-        step, ef, record.increments[None, ::-1], True, range(1, record.steps + 1), adjoint=True
-    )
-    body = mats[0, ::-1]
+    body = _accel._backward_effects(step, ef, record.increments[::-1])[::-1]
     body /= np.abs(np.linalg.eigvalsh(body)).max(axis=1)[:, None, None]
     return Timeline(record.times, np.concatenate([body, ef[None]]), "effect")
 
@@ -371,6 +377,7 @@ class CountingEnumeration:
     dt: float
     steps: int
     weights: dict
+    ops: tuple  # the step's Kraus operators in sandwich form (``_counting_ops``)
 
     def record_weight(self, increments) -> float:
         return self.weights[tuple(int(x) for x in increments)]
@@ -382,15 +389,14 @@ class CountingEnumeration:
             raise ValueError(f"record length {len(incr)} does not match {self.steps} steps")
         if not 0 <= step_index <= self.steps:
             raise IndexError(f"step index {step_index} outside 0..{self.steps}")
-        ops = _counting_ops(self.model, self.dt)
         rho = self.rho0
         for k in range(step_index):
-            rho = _counting_sandwich(ops, rho, incr[k])
+            rho = _counting_sandwich(self.ops, rho, incr[k])
         nums = {}
         for m in ins.outcomes:
             br = ins.apply(m, rho)
             for k in range(step_index, self.steps):
-                br = _counting_sandwich(ops, br, incr[k])
+                br = _counting_sandwich(self.ops, br, incr[k])
             nums[m] = pairing(self.effect_final, br)
         total = sum(nums.values())
         if total <= 0.0:
@@ -416,7 +422,7 @@ def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumerat
             walk(_counting_sandwich(ops, rho, fired), prefix + (fired,))
 
     walk(rho0, ())
-    return CountingEnumeration(model, rho0, ef, float(dt), int(steps), weights)
+    return CountingEnumeration(model, rho0, ef, float(dt), int(steps), weights, ops)
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,79 @@ def test_backward_pass_is_the_hand_recursion_at_d8(mode):
     assert np.max(np.abs(effects.mats - hand_effects(model, rec, effect))) < 1e-10
 
 
+def adjoint_routes(model, effect, increments):
+    """A backward pass over increments (in record order) by the loop and by the blocked route."""
+    step = _accel.record_step(model, 1e-3)
+    sec = _accel._on_sector(step, effect, adjoint=True)
+    incr = np.asarray(increments)[::-1]
+    loop = _accel._paths(step, sec, incr[None], True, range(1, incr.size + 1))[0][0]
+    return sec, loop, _accel._blocked(step, sec, incr)
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_blocked_backward_pass_is_the_loop(d, mode):
+    """Running products doubled within blocks of _BLOCK steps give the
+    per-step loop's effects on the full d² sector, for records that end
+    inside, at and just past a block edge, and for a long one. The count
+    record fires every 29 steps, so jumps fall at every offset in a block."""
+    model = cavity_model(d, mode=mode)
+    if mode == "diffusive":
+        increments = tr.simulate_homodyne(model, fock(d, d - 1), 2.0, 1e-3, seed=23)[1].increments
+    else:
+        increments = np.zeros(2000, dtype=np.int64)
+        increments[2::29] = 1
+    block = _accel._BLOCK
+    for n in (1, block - 1, block, block + 1, 2000):
+        sec, loop, blocked = adjoint_routes(model, cavity_state(d), increments[:n])
+        assert sec.start.size == d * d <= _accel._BLOCKED_SECTOR
+        assert blocked.shape == loop.shape == (n, d, d)
+        assert np.max(np.abs(blocked - loop)) < 1e-12
+
+
+def test_backward_route_follows_the_sector_size():
+    """Sectors up to _BLOCKED_SECTOR coordinates run blocked, larger ones
+    the loop; the d = 8 hand-recursion test covers the loop's effects."""
+    for d in (4, 5):
+        model = cavity_model(d)
+        _, rec = tr.simulate_homodyne(model, fock(d, d - 1), 0.1, 1e-3, seed=24)
+        sec, loop, blocked = adjoint_routes(model, cavity_state(d), rec.increments)
+        step = _accel.record_step(model, 1e-3)
+        got = _accel._backward_effects(step, cavity_state(d), rec.increments[::-1])
+        small = sec.start.size <= _accel._BLOCKED_SECTOR
+        assert small == (d == 4)
+        assert np.array_equal(got, blocked if small else loop)
+
+
+def test_both_backward_routes_reject_an_infeasible_count_record():
+    """Two adjacent jumps of a qubit's σ- have zero weight: both routes
+    collapse to the zero effect and raise."""
+    model = decay_model(kappa=1.0, mode="counting", omega=1.3)
+    step = _accel.record_step(model, 1e-3)
+    sec = _accel._on_sector(step, np.eye(2), adjoint=True)
+    assert sec.start.size <= _accel._BLOCKED_SECTOR
+    for n in (6, 100):
+        incr = np.zeros(n, dtype=np.int64)
+        incr[n // 2:n // 2 + 2] = 1
+        with pytest.raises(ValueError, match="effect collapsed to zero"):
+            _accel._paths(step, sec, incr[None], True, range(1, n + 1))
+        with pytest.raises(ValueError, match="effect collapsed to zero"):
+            _accel._blocked(step, sec, incr)
+
+
+def test_blocked_backward_pass_survives_large_currents():
+    """Currents of ±1e3 make step matrices with entries near 1e6; scaled
+    by powers of two, their running products stay finite and the blocked
+    effects stay the loop's."""
+    model = cavity_model(3)
+    _, rec = tr.simulate_homodyne(model, fock(3, 2), 0.2, 1e-3, seed=25)
+    incr = rec.increments.copy()
+    incr[[3, 40, 41, 150]] = (1e3, -1e3, 1e3, 1e3)
+    _, loop, blocked = adjoint_routes(model, cavity_state(3), incr)
+    assert np.isfinite(blocked).all()
+    assert np.max(np.abs(blocked - loop)) < 1e-12
+
+
 @pytest.mark.parametrize("mode", tr.MODES)
 def test_forward_passes_reject_invalid_initial_states(mode):
     """simulate, replay and ensemble check rho0 as propagate_forward does and
@@ -570,6 +643,22 @@ def cavity_state(d=4):
     v = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
     rho = v @ v.conj().T
     return rho / np.trace(rho).real
+
+
+def test_every_grid_point_can_be_a_sample_time():
+    """Sample times resolve to grid indices in one vectorized pass: all 8001
+    points of an 8000-step grid map to arange, in any order, and a time off
+    the grid or past its end still raises."""
+    times = 1e-3 * np.arange(8001)
+    assert np.array_equal(tr._resolve_samples(times, times), np.arange(8001))
+    assert np.array_equal(tr._resolve_samples(times, times[::-1]), np.arange(8000, -1, -1))
+    with pytest.raises(ValueError, match="sample time 0.0335 is not on the integration grid"):
+        tr._resolve_samples(times, [0.0, 0.0335, 0.1])
+    with pytest.raises(ValueError, match="sample time 8.5 is not on the integration grid"):
+        tr._resolve_samples(times, [8.5])
+    ens = tr.ensemble_homodyne(decay_model(eta=0.3), EXCITED, 8.0, 1e-3, n_traj=1, seed=3, sample_times=times)
+    assert np.array_equal(ens.sample_times, times)
+    assert ens.states.shape == (1, 8001, 2, 2)
 
 
 def test_counting_ensemble_fires_on_the_right_rows():
