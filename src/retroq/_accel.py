@@ -16,25 +16,31 @@ here A = 1 + G dt with the generator's no-jump matrix G = -iH - ½ Σ_K K†K
 over every jump K, and J_j runs over the unmonitored jumps. Both families
 are completely positive, so the filter needs no eigenvalue clamp. States
 are real coordinates in an orthonormal Hermitian basis, where every branch
-is a real matrix. One kernel, ``_paths``, applies every record step. It
-advances a step-major (|R|, n_traj) block over the reachable coordinates R
-(below), a trajectory per column, with one GEMM per step into a buffer
-allocated once, and applies the counting fire branch only to the columns
-that fired. The backward passes of
+is a real matrix; a RecordStep builds this real form once, and
+``MonitoringModel.record_step`` keeps one RecordStep per dt, so every pass
+on a (model, dt) after the first reuses it. One kernel, ``_paths``, applies
+every record step. It advances a step-major (|R|, n_traj) block over the
+reachable coordinates R (below), a trajectory per column, with one GEMM
+per step into a buffer allocated once, and applies the counting fire
+branch only to the columns that fired. A column is a drawn trajectory or
+one record of a batch, and every column starts from a shared start or its
+own, an (n, d, d) stack. The backward passes of
 ``trajectories`` step the transposed real branches, which in an
 orthonormal basis are the Hilbert-Schmidt adjoints S†, so forward and
 backward are exact adjoints by construction. A backward pass knows its
-whole record, so on a sector of at most _BLOCKED_SECTOR coordinates it
-runs blocked (``_blocked``): the running products of a block of _BLOCK
-step matrices, formed by log-depth doubling, meet the effect once per
-block instead of once per step. Doubling costs |R|³ per step against the
-loop's |R|², so larger sectors run the loop of ``_paths``. The caller
-draws the noise; reductions across trajectories happen outside the
-kernels.
+whole record, so for one record on a sector of at most _BLOCKED_SECTOR
+coordinates it runs blocked (``_blocked``): the running products of a
+block of _BLOCK step matrices, formed by log-depth doubling, meet the
+effect once per block instead of once per step. Doubling costs |R|³ per
+step against the loop's |R|², so larger sectors run the loop of
+``_paths``, and so does a batch of records, a record per column, which
+shares each step's Python overhead. The caller draws the noise;
+reductions across trajectories happen outside the kernels.
 
 The kernel steps only the reachable sector of its start, ρ0 forward or E_f
-backward: the coordinates that some product of the branch matrices carries
-the start into, found from their nonzero patterns (``_reachable``). Every
+backward, or of the union of its starts' supports: the coordinates that
+some product of the branch matrices carries a start into, found from their
+nonzero patterns (``_reachable``). Every
 other coordinate is exactly 0.0 at every step, so slicing the branches, the
 readout row and the basis rows to the sector changes nothing but the
 summation order inside the GEMM. Symmetric models gain most: a count record
@@ -51,7 +57,7 @@ matrices in one product.
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -91,19 +97,24 @@ def _hermitian_basis(d: int) -> np.ndarray:
 
 
 def _coordinates(basis: np.ndarray, op) -> np.ndarray:
-    """Real coordinates Tr[B_a op] of (the Hermitian part of) op."""
-    return (np.asarray(op, dtype=complex).reshape(-1) @ basis.conj().T).real
+    """Real coordinates Tr[B_a op] of (the Hermitian part of) op, or of each op in a stack (..., d, d)."""
+    op = np.asarray(op, dtype=complex)
+    return (op.reshape(op.shape[:-2] + (-1,)) @ basis.conj().T).real
 
 
 @dataclass(frozen=True)
 class RecordStep:
-    """Per-outcome superoperators of one record step on row-major vec(rho).
+    """Per-outcome superoperators of one record step on row-major vec(rho), and their real form.
 
     branches stacks (S_quiet, S_fire) for counting and (S0, S1, S2) for
     diffusive records; an outcome x (a 0/1 count or a current dY) selects a
     branch or weighs them by (1, dY, dY²). readout is the column r with
     vec(rho) @ r = Tr[R rho]: the jump probability, R = η κ dt c†c, or the
     homodyne mean, R = c + c†. gain is √(ηκ) (zero for counting).
+
+    The real form is built once, at construction. It acts on a state's
+    coordinates h in the orthonormal Hermitian basis whose rows vec(B_a)
+    basis holds: h @ real[b] is S_b(rho) and h @ real_readout is Tr[R rho].
     """
 
     mode: str
@@ -111,20 +122,22 @@ class RecordStep:
     gain: float
     branches: np.ndarray
     readout: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False)
+    real: np.ndarray = field(init=False, repr=False)
+    real_readout: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.readout.size)))
-
-    def real_form(self):
-        """(basis, G, g): for rho's basis coordinates h, h @ G[b] is S_b(rho) and h @ g is Tr[R rho]."""
-        basis = _hermitian_basis(self.dim)
-        real = basis @ self.branches.transpose(0, 2, 1) @ basis.conj().T
-        return basis, real.real, (basis @ self.readout).real
+    def __post_init__(self):
+        basis = _hermitian_basis(int(round(np.sqrt(self.readout.size))))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "real", (basis @ self.branches.transpose(0, 2, 1) @ basis.conj().T).real)
+        object.__setattr__(self, "real_readout", (basis @ self.readout).real)
 
 
 def record_step(model, dt: float) -> RecordStep:
-    """Build the record step of a MonitoringModel on a grid of spacing dt."""
+    """Build the record step of a MonitoringModel on a grid of spacing dt.
+
+    ``MonitoringModel.record_step`` keeps what this builds, once per dt.
+    """
     d = model.dim
     c = np.asarray(model.c, dtype=complex)
     kappa, eta = model.kappa, model.eta
@@ -144,18 +157,21 @@ def record_step(model, dt: float) -> RecordStep:
             eta * kappa * cc,
         ])
         readout = _vec_readout(c + c.conj().T)
-    return RecordStep(model.mode, float(dt), gain, branches.astype(complex), readout.astype(complex))
+    return RecordStep(model.mode, float(dt), gain, branches, readout)
 
 
 def _sample_positions(steps: int, sample_indices) -> np.ndarray:
+    """pos[s] = the output slot of grid index s, or -1 where s is not sampled."""
+    idx = np.asarray(sample_indices, dtype=np.int64).reshape(-1)
+    outside = (idx < 0) | (idx > steps)
+    if outside.any():
+        raise ValueError(f"sample index {idx[outside][0]} outside the 0..{steps} grid")
     pos = np.full(steps + 1, -1, dtype=np.int64)
-    for out_i, s in enumerate(sample_indices):
-        s = int(s)
-        if not 0 <= s <= steps:
-            raise ValueError(f"sample index {s} outside the 0..{steps} grid")
-        if pos[s] >= 0:
-            raise ValueError(f"duplicate sample index {s}")
-        pos[s] = out_i
+    slots = np.arange(idx.size)
+    pos[idx] = slots
+    if not np.array_equal(pos[idx], slots):
+        values, counts = np.unique(idx, return_counts=True)
+        raise ValueError(f"duplicate sample index {values[counts > 1][0]}")
     return pos
 
 
@@ -171,7 +187,8 @@ _COLLAPSE = {
 def _reachable(real: np.ndarray, start: np.ndarray):
     """The coordinate sector a record can reach from start, diagonal coordinates first.
 
-    real stacks the branch matrices as the kernel applies them, new = G_b @ h.
+    real stacks the branch matrices as the kernel applies them, new = G_b @ h;
+    start is a start's coordinates, or the union of several starts' supports.
     The sector R is the closure of start's support under the union of their
     nonzero patterns, tested with != 0 and no tolerance: outside R every
     product that feeds a coordinate has a 0.0 factor, so the coordinate is
@@ -201,19 +218,22 @@ class _Sector(NamedTuple):
     basis: np.ndarray  # rows vec(B_a) for a in R
     real: np.ndarray  # branch matrices on R, oriented as applied: new = real[b] @ h
     readout: np.ndarray  # the readout row g on R
-    start: np.ndarray  # the start's coordinates on R
+    start: np.ndarray  # the start's coordinates on R, (|R|,), or (n, |R|) for a start per column
     diagonal: int  # number of leading diagonal coordinates
     adjoint: bool  # effects stepped by S_b†, or states by S_b
 
 
 def _on_sector(step: RecordStep, start, adjoint=False) -> _Sector:
-    """Slice the real form of step to the sector start reaches: ρ0 forward, E_f with adjoint set."""
-    basis, real, g = step.real_form()
-    if not adjoint:
-        real = real.transpose(0, 2, 1)
-    h = _coordinates(basis, start)
-    sector, nd = _reachable(real, h)
-    return _Sector(basis[sector], real[:, sector[:, None], sector], g[sector], h[sector], nd, adjoint)
+    """Slice the real form of step to the sector start reaches: ρ0 forward, E_f with adjoint set.
+
+    start is one operator (d, d) or a stack (n, d, d), one per column; a
+    stack's sector is the closure of the union of its supports.
+    """
+    real = step.real if adjoint else step.real.transpose(0, 2, 1)
+    h = _coordinates(step.basis, start)
+    sector, nd = _reachable(real, (h != 0).reshape(-1, h.shape[-1]).any(axis=0))
+    return _Sector(step.basis[sector], real[:, sector[:, None], sector], step.real_readout[sector],
+                   h[..., sector], nd, adjoint)
 
 
 def _to_matrices(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -237,7 +257,8 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
     dY = √(ηκ) <c + c†> dt + dW), or are incr itself when from_record is
     true; counts are int64. The batch is one (|R|, n_traj)
     coordinate block over the reachable sector R of the start (``_on_sector``),
-    a trajectory per column, stepped by one GEMM into a buffer allocated
+    a trajectory per column from a shared start or its own, stepped by one
+    GEMM into a buffer allocated
     once: [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²), or [G_quiet | g]ᵀ
     with G_fireᵀ applied only to the columns that fired, each sliced to R.
     The leading diagonal coordinate rows sum to each trace, which divides
@@ -254,12 +275,12 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
     pos = _sample_positions(steps, sample_indices).tolist()
-    r, nd = sec.start.size, sec.diagonal
+    r, nd = len(sec.basis), sec.diagonal
     counting = step.mode == "counting"
     gemm = np.vstack([*sec.real[:1 if counting else 3], sec.readout])
     fire = sec.real[-1]
     cur, nxt = np.empty((2, len(gemm), n))
-    cur[:r] = sec.start[:, None]
+    cur[:r] = np.atleast_2d(sec.start).T
     coords = np.empty((n, len(sample_indices), r))
     dtype = np.int64 if counting else float
     outcomes = incr.astype(dtype) if from_record else np.empty((n, steps), dtype=dtype)
@@ -283,7 +304,7 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
             elif not from_record:
                 np.add(step.gain * nxt[-1] * step.dt, u, out=x)
             if counting:
-                fired = np.flatnonzero(x)
+                fired = x.nonzero()[0]
                 if fired.size:
                     nxt[:r, fired] = fire @ h[:, fired]
                 cur, nxt = nxt, cur  # the quiet block already holds the new state
@@ -326,7 +347,7 @@ def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
     step matrix that itself overflows raises, and a product that
     underflows to zero raises as a collapsed effect.
     """
-    r, steps = sec.start.size, incr.size
+    r, steps = len(sec.basis), incr.size
     padded = -(-steps // _BLOCK) * _BLOCK
     coords = np.empty((padded // _BLOCK, _BLOCK, r))
     h = sec.start
@@ -359,22 +380,25 @@ def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
 
 
 def _backward_effects(step: RecordStep, ef, incr) -> np.ndarray:
-    """Effects after each adjoint step over incr, a reversed record, from E_f; (steps, d, d).
+    """Effects after each adjoint step over incr, (n, steps) reversed records, from E_f; (n, steps, d, d).
 
-    Sectors of at most _BLOCKED_SECTOR coordinates run ``_blocked``, larger
-    ones the loop of ``_paths``: doubling costs |R|³ per step where the
-    loop's matrix-vector product costs |R|², and the loop's Python overhead
-    per step stops mattering once |R|² is large.
+    One record on a sector of at most _BLOCKED_SECTOR coordinates runs
+    ``_blocked``; larger sectors and batches run the loop of ``_paths``, a
+    record per column. Doubling costs |R|³ per step where the loop's
+    matrix-vector product costs |R|², and the loop's Python overhead per
+    step stops mattering once |R|² is large or is shared by a batch.
     """
     sec = _on_sector(step, ef, adjoint=True)
-    if sec.start.size <= _BLOCKED_SECTOR:
-        return _blocked(step, sec, incr)
-    return _paths(step, sec, incr[None], True, range(1, incr.size + 1))[0][0]
+    n, steps = incr.shape
+    if n == 1 and len(sec.basis) <= _BLOCKED_SECTOR:
+        return _blocked(step, sec, incr[0])[None]
+    return _paths(step, sec, incr, True, range(1, steps + 1))[0]
 
 
 def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     """Filter diffusive trajectories; returns (sampled states, dY).
 
+    rho0 is one state or a stack (n_traj, d, d), a start per trajectory.
     incr (n_traj, steps) holds per-step dW draws, or recorded dY when
     from_record is true.
     """
@@ -384,7 +408,8 @@ def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
 def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     """Filter jump trajectories; returns (sampled states, counts).
 
-    incr (n_traj, steps) holds per-step uniform draws, or a recorded 0/1
-    count sequence when from_record is true.
+    rho0 is one state or a stack (n_traj, d, d), a start per trajectory.
+    incr (n_traj, steps) holds per-step uniform draws, or recorded 0/1
+    count sequences when from_record is true.
     """
     return _paths(step, _on_sector(step, rho0), incr, from_record, sample_indices)

@@ -99,7 +99,11 @@ class LindbladGenerator:
 
 @dataclass(frozen=True)
 class Timeline:
-    """Operators sampled on a uniform grid; kind is 'state' or 'effect'."""
+    """Operators sampled on a uniform grid; kind is 'state' or 'effect'.
+
+    mats is (n, d, d) for n grid times, or (m, n, d, d) for one timeline
+    per record of a batch of m; ``index`` and ``at`` read the time axis.
+    """
 
     times: np.ndarray
     mats: np.ndarray
@@ -110,8 +114,8 @@ class Timeline:
         m = np.asarray(self.mats, dtype=complex)
         if self.kind not in ("state", "effect"):
             raise ValueError(f"timeline kind must be 'state' or 'effect', got {self.kind!r}")
-        if t.ndim != 1 or m.ndim != 3 or m.shape[0] != t.shape[0] or m.shape[1] != m.shape[2]:
-            raise ValueError("timeline needs times (n,) and matching operators (n, d, d)")
+        if t.ndim != 1 or m.ndim not in (3, 4) or m.shape[-3] != t.shape[0] or m.shape[-1] != m.shape[-2]:
+            raise ValueError("timeline needs times (n,) and matching operators (n, d, d) or (m, n, d, d)")
         if t.size > 1:
             steps = np.diff(t)
             if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * max(1.0, steps.max()):
@@ -121,7 +125,7 @@ class Timeline:
 
     @property
     def dim(self) -> int:
-        return self.mats.shape[1]
+        return self.mats.shape[-1]
 
     def index(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.times - t)))
@@ -130,7 +134,7 @@ class Timeline:
         return k
 
     def at(self, t: float) -> np.ndarray:
-        return self.mats[self.index(t)]
+        return self.mats[..., self.index(t), :, :]
 
 
 def _grid(t0: float, t1: float, dt: float) -> tuple[int, float]:

@@ -7,26 +7,36 @@ out of every conditional probability, so the smoothed distributions from a
 simulated pair equal the exact Bayesian retrodiction of the discretized
 model wherever that retrodiction is enumerable.
 
-Every pass reads one record-step object (``_accel.record_step``). The
-forward filter, replay and the ensembles share one body (``_filter``) and
-one loop, the record kernel ``_accel._paths``, which steps the real branch
-matrices, so a replay reproduces its simulation bit for bit. The backward
-passes step their transposes, the exact adjoints, over the reversed
-record: on a small coordinate sector a block of steps at a time
-(``_accel._blocked``), where one step's work is too small to pay for a
-Python iteration, and on a large one through the same loop.
+Every pass reads one record-step object (``_accel.record_step``), which
+the model builds once per dt and keeps (``MonitoringModel.record_step``).
+The forward filter, replay and the ensembles share one body (``_filter``)
+and one loop, the record kernel ``_accel._paths``, which steps the real
+branch matrices, so a replay reproduces its simulation bit for bit. The
+backward passes step their transposes, the exact adjoints, over the
+reversed record: for one record on a small coordinate sector a block of
+steps at a time (``_accel._blocked``), where one step's work is too small
+to pay for a Python iteration, and otherwise through the same loop.
+
+Replay and the backward passes take one record or a batch of same-grid
+records, a ``MeasurementRecord`` with (n, steps) increments, and run the
+batch in one kernel call, a record per column; the timelines they return
+then have a leading record axis, (n, steps+1, d, d), which ``Timeline.at``,
+``PqsPair.pairing_at`` and ``smoothed_probability`` carry through. Replay
+takes one start or one per record. A batch row agrees with the single call
+to rounding: only the summation order inside the products differs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _accel
 from .algebra import (
     asoperator,
+    asstack,
     dagger,
     pairing,
     spectral_norm_hermitian,
@@ -45,7 +55,9 @@ class MonitoringModel:
 
     The generator carries the monitored jump operator with weight
     sqrt(kappa) alongside any unmonitored baths; eta is the detection
-    efficiency of the monitored channel.
+    efficiency of the monitored channel. Record steps are kept per dt
+    (``record_step``), outside comparison and repr, and a model made by
+    ``dataclasses.replace`` starts with none.
     """
 
     gen: LindbladGenerator
@@ -53,6 +65,7 @@ class MonitoringModel:
     kappa: float
     eta: float
     mode: str
+    _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         c = asoperator(self.c)
@@ -77,6 +90,13 @@ class MonitoringModel:
     @property
     def x_c(self) -> np.ndarray:
         return self.c + dagger(self.c)
+
+    def record_step(self, dt: float) -> _accel.RecordStep:
+        """The record step on a grid of spacing dt (``_accel.record_step``), built once per dt."""
+        step = self._steps.get(dt)
+        if step is None:
+            step = self._steps[dt] = _accel.record_step(self, dt)
+        return step
 
     def unmonitored_jumps(self) -> list:
         """Every generator jump except one copy of the monitored channel."""
@@ -103,7 +123,12 @@ def monitoring_model(hamiltonian, c, kappa, eta=1.0, mode="diffusive", extra_bat
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Uniform-grid record: real dY per step (diffusive) or 0/1 counts."""
+    """Uniform-grid record: real dY per step (diffusive) or 0/1 counts.
+
+    increments (steps,) hold one record; (n, steps) hold a batch of n
+    records on the same grid, one per row, which the replay and backward
+    passes take in one call.
+    """
 
     mode: str
     times: np.ndarray
@@ -127,9 +152,9 @@ class MeasurementRecord:
             incr = np.asarray(self.increments, dtype=float)
             if not np.isfinite(incr).all():
                 raise ValueError("record increments must be finite")
-        if incr.shape != (times.size - 1,):
+        if incr.ndim not in (1, 2) or incr.shape[-1] != times.size - 1:
             raise ValueError(
-                f"need one increment per step: {incr.shape[0]} given, "
+                f"need one increment per step, a row per record: shape {incr.shape} given, "
                 f"{times.size - 1} steps"
             )
         object.__setattr__(self, "times", times)
@@ -144,10 +169,14 @@ class MeasurementRecord:
         return self.times.size - 1
 
 
+def _one_record(record: MeasurementRecord, operation: str) -> None:
+    if record.increments.ndim != 1:
+        raise ValueError(f"{operation} takes one record, not a batch of {record.increments.shape[0]}")
+
 
 @dataclass(frozen=True)
 class PqsPair:
-    """Forward state timeline and backward effect timeline on one record."""
+    """Forward state timeline and backward effect timeline on one record, or on each of a batch."""
 
     states: Timeline
     effects: Timeline
@@ -160,10 +189,13 @@ class PqsPair:
             raise ValueError("state and effect timelines live on different grids")
         if not np.allclose(self.states.times, self.record.times, atol=1e-12):
             raise ValueError("timelines do not match the record grid")
+        batch = self.record.increments.shape[:-1]
+        if self.states.mats.shape[:-3] != batch or self.effects.mats.shape[:-3] != batch:
+            raise ValueError("timelines do not hold one row per record of the batch")
 
-    def pairing_at(self, t) -> float:
-        k = self.states.index(t)
-        return pairing(self.effects.mats[k], self.states.mats[k])
+    def pairing_at(self, t):
+        """Tr[E rho] at grid time t: a float, or an array over a batch of records."""
+        return pairing(self.effects.at(t), self.states.at(t))
 
 
 def _require_mode(model: MonitoringModel, mode: str, record=None) -> None:
@@ -173,11 +205,14 @@ def _require_mode(model: MonitoringModel, mode: str, record=None) -> None:
         raise ValueError(f"record mode is {record.mode!r}, operation needs {mode!r}")
 
 
-def _initial_state(model: MonitoringModel, rho0) -> np.ndarray:
-    """rho0 as given, once it is checked to be a state of the model's dimension."""
-    rho = asoperator(rho0)
-    if rho.shape[0] != model.dim:
-        raise ValueError(f"state dimension {rho.shape[0]} does not match model {model.dim}")
+def _initial_state(model: MonitoringModel, rho0, n: int) -> np.ndarray:
+    """rho0 as given, once it is checked to be a state, or a stack of n states, of the model's dimension."""
+    rho = asstack(rho0)
+    if rho.shape[-1] != model.dim:
+        raise ValueError(f"state dimension {rho.shape[-1]} does not match model {model.dim}")
+    if rho.ndim > 2 and rho.shape[:-2] != (n,):
+        raise ValueError(f"initial states of shape {rho.shape} for {n} trajectories; "
+                         "give one state or one per trajectory")
     state_spectrum(rho)
     return rho
 
@@ -221,6 +256,9 @@ def _filter(model, rho0, horizon=None, dt=None, seed=None, n_traj=None, sample_t
     uniform per step for counting ones. A single path (n_traj None) keeps
     the state at every grid point, an ensemble of n_traj paths keeps it at
     sample_times (``_resolve_samples``); times are those of the kept states.
+    A batch record filters a trajectory per row; rho0 is one state, or a
+    stack with one state per trajectory. Every call reads the model's
+    record step for its dt, built on the first.
     """
     if record is None:
         _warn_coarse(model, dt)
@@ -231,11 +269,11 @@ def _filter(model, rho0, horizon=None, dt=None, seed=None, n_traj=None, sample_t
         draws = (noise.normal(0.0, np.sqrt(h), size=shape) if model.mode == "diffusive"
                  else noise.random(size=shape))
     else:
-        times, h, draws = record.times, record.dt, record.increments[None, :]
+        times, h, draws = record.times, record.dt, np.atleast_2d(record.increments)
     idx = np.arange(times.size) if n_traj is None else _resolve_samples(times, sample_times)
     kernel = _accel.homodyne_paths if model.mode == "diffusive" else _accel.counting_paths
     states, outcomes = kernel(
-        _accel.record_step(model, h), _initial_state(model, rho0), draws, record is not None, idx
+        model.record_step(h), _initial_state(model, rho0, len(draws)), draws, record is not None, idx
     )
     return times[idx], h, states, draws, outcomes
 
@@ -252,28 +290,39 @@ def simulate_homodyne(model, rho0, horizon, dt, seed):
     return Timeline(times, states[0], "state"), MeasurementRecord("diffusive", times, dys[0])
 
 
-def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
-    """Deterministically re-filter a stored record from a fresh initial state."""
-    _require_mode(model, "diffusive", record)
+def _replay(model, rho0, record: MeasurementRecord) -> Timeline:
+    """States on the record's grid: (steps+1, d, d), or (n, steps+1, d, d) for a batch of n records."""
     times, _, states, _, _ = _filter(model, rho0, record=record)
-    return Timeline(times, states[0], "state")
+    return Timeline(times, states if record.increments.ndim == 2 else states[0], "state")
+
+
+def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
+    """Deterministically re-filter a stored record, or a batch of them, from a fresh initial state.
+
+    rho0 is one state, or one per record of a batch.
+    """
+    _require_mode(model, "diffusive", record)
+    return _replay(model, rho0, record)
 
 
 def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
     """Effects E_k = S_k†(E_{k+1}): the record kernel run adjoint over the reversed record.
 
-    A sector of at most ``_accel._BLOCKED_SECTOR`` coordinates (any model
-    at d <= 4, or a count record from a number-diagonal effect at any d)
-    runs blocked, a block of steps per iteration, because one step's work
-    there is too small to pay for a Python iteration. A larger one runs the
-    per-step loop, as doubling's |R|³ per step would cost more than the
-    loop's |R|² (``_accel._backward_effects``).
+    A batch of n records returns (n, steps+1, d, d) effects, one row per
+    record, from one call of the adjoint loop. One record on a sector of at
+    most ``_accel._BLOCKED_SECTOR`` coordinates (any model at d <= 4, or a
+    count record from a number-diagonal effect at any d) runs blocked, a
+    block of steps per iteration, because one step's work there is too
+    small to pay for a Python iteration. A larger one runs the per-step
+    loop, as doubling's |R|³ per step would cost more than the loop's |R|²
+    (``_accel._backward_effects``).
     """
     ef = _terminal_effect(effect_final, model.dim)
-    step = _accel.record_step(model, record.dt)
-    body = _accel._backward_effects(step, ef, record.increments[::-1])[::-1]
-    body /= np.abs(np.linalg.eigvalsh(body)).max(axis=1)[:, None, None]
-    return Timeline(record.times, np.concatenate([body, ef[None]]), "effect")
+    incr = np.atleast_2d(record.increments)[:, ::-1]
+    body = _accel._backward_effects(model.record_step(record.dt), ef, incr)[:, ::-1]
+    body /= np.abs(np.linalg.eigvalsh(body)).max(axis=-1)[..., None, None]
+    mats = np.concatenate([body, np.broadcast_to(ef, (len(body), 1) + ef.shape)], axis=1)
+    return Timeline(record.times, mats if record.increments.ndim == 2 else mats[0], "effect")
 
 
 def backward_homodyne(model, record: MeasurementRecord, effect_final) -> Timeline:
@@ -283,6 +332,7 @@ def backward_homodyne(model, record: MeasurementRecord, effect_final) -> Timelin
     recorded current: E <- M(dY)† E M(dY) + (1-eta) kappa dt c†Ec plus the
     unmonitored sandwiches, all acting on the incoming effect. Entries are
     scaled to spectral norm 1; the terminal entry is the final effect itself.
+    A batch of records gives one effect timeline per record.
     """
     _require_mode(model, "diffusive", record)
     return _backward(model, record, effect_final)
@@ -322,10 +372,12 @@ def simulate_counting(model, rho0, horizon, dt, seed):
 
 
 def replay_counting(model, rho0, record: MeasurementRecord) -> Timeline:
-    """Re-filter a stored count record (the forward half of a PQS pair)."""
+    """Re-filter a stored count record, or a batch of them (the forward half of a PQS pair).
+
+    rho0 is one state, or one per record of a batch.
+    """
     _require_mode(model, "counting", record)
-    times, _, states, _, _ = _filter(model, rho0, record=record)
-    return Timeline(times, states[0], "state")
+    return _replay(model, rho0, record)
 
 
 def backward_counting(model, record: MeasurementRecord, effect_final) -> Timeline:
@@ -334,16 +386,16 @@ def backward_counting(model, record: MeasurementRecord, effect_final) -> Timelin
     Jump steps apply eta kappa dt c†Ec, quiet steps the adjoint no-jump
     sandwich plus the undetected leak; entries are scaled to spectral norm
     1, which cancels in every smoothed probability. The terminal entry is
-    the final effect itself.
+    the final effect itself. A batch of records gives one effect timeline
+    per record.
     """
     _require_mode(model, "counting", record)
     return _backward(model, record, effect_final)
 
 
 def smoothed_probability(pair: PqsPair, t, ins: Instrument) -> dict:
-    """Conditional distribution of an instrument inserted at grid time t."""
-    k = pair.states.index(t)
-    return abl_distribution(BoundaryPair(pair.states.mats[k], pair.effects.mats[k]), ins)
+    """Conditional distribution of an instrument inserted at grid time t: floats, or arrays over a batch."""
+    return abl_distribution(BoundaryPair(pair.states.at(t), pair.effects.at(t)), ins)
 
 
 def record_log_likelihood(model, states: Timeline, record: MeasurementRecord) -> float:
@@ -353,6 +405,7 @@ def record_log_likelihood(model, states: Timeline, record: MeasurementRecord) ->
     a record-independent constant; only differences between models on the
     same grid are meaningful.
     """
+    _one_record(record, "record_log_likelihood")
     dws = innovations(model, states, record)
     return float(-0.5 * np.sum(dws**2) / record.dt)
 
@@ -360,6 +413,7 @@ def record_log_likelihood(model, states: Timeline, record: MeasurementRecord) ->
 def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarray:
     """Per-step innovation dW = dY - sqrt(eta kappa) <X_c> dt."""
     _require_mode(model, "diffusive", record)
+    _one_record(record, "innovations")
     if not np.allclose(states.times, record.times, atol=1e-12):
         raise ValueError("state timeline does not match the record grid")
     xc = model.x_c
@@ -467,6 +521,7 @@ def ensemble_counting(model, rho0, horizon, dt, n_traj, seed, sample_times=None)
 
 def pqs_summary_csv(pair: PqsPair, ins: Instrument, path) -> None:
     """Per-time pairing values and smoothed distributions, one row per grid point."""
+    _one_record(pair.record, "pqs_summary_csv")
     labels = list(ins.outcomes)
     p = abl_distribution(BoundaryPair(pair.states.mats, pair.effects.mats), ins)
     pairs = pairing(pair.effects.mats, pair.states.mats)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from retroq import _accel
 from retroq import scenarios as sc
 
 
@@ -133,6 +134,29 @@ def test_counting_small_grid():
     assert rep.values["feasible_records"] == 8.0
     assert rep.values["oracle_max_deviation"] < 1e-10
     assert rep.values["dark_total_counts"] == 0.0
+
+
+def test_counting_oracle_makes_one_replay_and_one_backward_call(monkeypatch):
+    """The 21 feasible records of the default grid go through the record
+    kernel in one forward call and one adjoint call; the two ensembles make
+    the other kernel calls, from drawn noise."""
+    calls = []
+    paths, blocked = _accel._paths, _accel._blocked
+
+    def spy_paths(step, sec, incr, from_record, sample_indices):
+        calls.append(("adjoint" if sec.adjoint else "forward", from_record, len(incr)))
+        return paths(step, sec, incr, from_record, sample_indices)
+
+    def spy_blocked(step, sec, incr):
+        calls.append(("blocked", True, 1))
+        return blocked(step, sec, incr)
+
+    monkeypatch.setattr(_accel, "_paths", spy_paths)
+    monkeypatch.setattr(_accel, "_blocked", spy_blocked)
+    rep = sc.run_scenario("counting", n_traj=500)
+    assert rep.passed and rep.values["feasible_records"] == 21.0
+    assert [c for c in calls if c[1]] == [("forward", True, 21), ("adjoint", True, 21)]
+    assert [c for c in calls if not c[1]] == [("forward", False, 500), ("forward", False, 200)]
 
 
 def test_counting_rejects_long_grid():

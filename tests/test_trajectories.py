@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -387,7 +388,7 @@ def test_backward_route_follows_the_sector_size():
         _, rec = tr.simulate_homodyne(model, fock(d, d - 1), 0.1, 1e-3, seed=24)
         sec, loop, blocked = adjoint_routes(model, cavity_state(d), rec.increments)
         step = _accel.record_step(model, 1e-3)
-        got = _accel._backward_effects(step, cavity_state(d), rec.increments[::-1])
+        got = _accel._backward_effects(step, cavity_state(d), rec.increments[None, ::-1])[0]
         small = sec.start.size <= _accel._BLOCKED_SECTOR
         assert small == (d == 4)
         assert np.array_equal(got, blocked if small else loop)
@@ -720,9 +721,9 @@ def fock(d, n):
 
 def reachable(model, start, adjoint=False):
     """The record kernel's sector from start: (coordinates, diagonal count)."""
-    basis, real, _ = _accel.record_step(model, 1e-3).real_form()
-    oriented = real if adjoint else real.transpose(0, 2, 1)
-    return _accel._reachable(oriented, _accel._coordinates(basis, start))
+    step = _accel.record_step(model, 1e-3)
+    oriented = step.real if adjoint else step.real.transpose(0, 2, 1)
+    return _accel._reachable(oriented, _accel._coordinates(step.basis, start))
 
 
 def test_reachable_sector_sizes():
@@ -938,3 +939,161 @@ def test_stack_calls_equal_per_point_calls_on_a_record():
         assert isinstance(want["+"], float)
         for m in ins.outcomes:
             assert abs(got[m][k] - want[m]) < 1e-12
+
+
+def test_sample_positions_reject_bad_indices():
+    """The kernel's sample slots name the first index off the grid, and a
+    repeated one."""
+    assert _accel._sample_positions(4, [4, 0, 2]).tolist() == [1, -1, 2, -1, 0]
+    with pytest.raises(ValueError, match="sample index 5 outside the 0..4 grid"):
+        _accel._sample_positions(4, [0, 5, 7])
+    with pytest.raises(ValueError, match="sample index -1 outside the 0..4 grid"):
+        _accel._sample_positions(4, [-1, 2])
+    with pytest.raises(ValueError, match="duplicate sample index 2"):
+        _accel._sample_positions(4, [2, 0, 2])
+
+
+def test_record_step_is_built_once_per_model_and_dt(monkeypatch):
+    """Replay and backward passes on one (model, dt) share one record step;
+    a new dt, or a model made by dataclasses.replace, builds its own."""
+    built = []
+    build = _accel.record_step
+    monkeypatch.setattr(_accel, "record_step", lambda model, dt: built.append(dt) or build(model, dt))
+    model = decay_model(eta=0.6, omega=1.1)
+    rec = tr.MeasurementRecord("diffusive", 1e-3 * np.arange(21), rng(1).normal(0.0, 0.03, 20))
+    for _ in range(2):
+        tr.replay_homodyne(model, EXCITED, rec)
+        tr.backward_homodyne(model, rec, np.eye(2))
+    assert built == [rec.dt]
+    coarse = tr.MeasurementRecord("diffusive", 2e-3 * np.arange(11), rec.increments[:10])
+    tr.replay_homodyne(model, EXCITED, coarse)
+    assert built == [rec.dt, coarse.dt]
+    assert model.record_step(rec.dt) is model.record_step(rec.dt)
+    twin = dataclasses.replace(model)
+    assert twin.record_step(rec.dt) is not model.record_step(rec.dt)
+    assert len(built) == 3
+
+
+def test_step_cache_leaves_equality_repr_and_replace_alone():
+    model = decay_model(eta=0.6, omega=1.1)
+    before = repr(model)
+    model.record_step(1e-3)
+    assert repr(model) == before and "_steps" not in before
+    same = dataclasses.replace(model)
+    assert same == model  # one with a full cache, one with an empty one
+    other = dataclasses.replace(model, eta=0.5)
+    assert other != model
+    assert not np.array_equal(other.record_step(1e-3).branches, model.record_step(1e-3).branches)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(model, _steps={})
+
+
+def batch_of(records):
+    """One batch record holding the rows of same-grid records."""
+    return tr.MeasurementRecord(records[0].mode, records[0].times, np.stack([r.increments for r in records]))
+
+
+def simulated_records(model, rho0, n, horizon=0.2, dt=1e-3):
+    simulate = tr.simulate_homodyne if model.mode == "diffusive" else tr.simulate_counting
+    return [simulate(model, rho0, horizon, dt, seed=100 + k)[1] for k in range(n)]
+
+
+def passes(mode):
+    kind = "homodyne" if mode == "diffusive" else "counting"
+    return getattr(tr, f"replay_{kind}"), getattr(tr, f"backward_{kind}")
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+@pytest.mark.parametrize("d", (2, 4))
+def test_batched_passes_equal_single_calls(d, mode):
+    """Row k of a batched replay is the replay of record k from a shared
+    start, and a batched backward pass, which runs the adjoint loop, is the
+    single pass, which runs blocked. Only the summation order differs:
+    numpy hands a one-column product to gemv and a wider one to gemm, so
+    rows agree to rounding (about 1e-15 forward), not bit for bit."""
+    model = cavity_model(d, mode=mode)
+    rho0 = cavity_state(d)
+    records = simulated_records(model, rho0, 5, horizon=2.0)
+    if mode == "counting":
+        assert len({int(r.increments.sum()) for r in records}) > 1
+    batch = batch_of(records)
+    replay, backward = passes(mode)
+    states, effects = replay(model, rho0, batch), backward(model, batch, np.eye(d))
+    assert states.mats.shape == effects.mats.shape == (5, batch.steps + 1, d, d)
+    assert _accel._on_sector(model.record_step(batch.dt), np.eye(d), adjoint=True).start.size <= _accel._BLOCKED_SECTOR
+    for k, rec in enumerate(records):
+        assert np.max(np.abs(states.mats[k] - replay(model, rho0, rec).mats)) < 1e-14
+        assert np.max(np.abs(effects.mats[k] - backward(model, rec, np.eye(d)).mats)) < 1e-13
+    one = batch_of(records[:1])
+    assert np.array_equal(backward(model, one, np.eye(d)).mats[0], backward(model, records[0], np.eye(d)).mats)
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_batched_replay_takes_a_start_per_record(mode):
+    """Starts with different supports step on the union of their sectors and
+    agree with single calls; the batched pair smooths every record at once,
+    and an ensemble takes a start per trajectory the same way."""
+    d = 6
+    model = real_cavity_model(d, mode=mode)
+    starts = np.stack([fock(d, 5), fock(d, 3), 0.5 * (fock(d, 4) + fock(d, 2))])
+    records = [simulated_records(model, s, 1, horizon=0.3)[0] for s in starts]
+    batch = batch_of(records)
+    replay, backward = passes(mode)
+    states = replay(model, starts, batch)
+    effects = backward(model, batch, np.eye(d))
+    pair = tr.PqsPair(states, effects, batch)
+    got = tr.smoothed_probability(pair, 0.1, proj_number(d))
+    for k, (rec, start) in enumerate(zip(records, starts)):
+        single = tr.PqsPair(replay(model, start, rec), backward(model, rec, np.eye(d)), rec)
+        assert np.max(np.abs(states.mats[k] - single.states.mats)) < 1e-13
+        assert abs(pair.pairing_at(0.1)[k] - single.pairing_at(0.1)) < 1e-13
+        want = tr.smoothed_probability(single, 0.1, proj_number(d))
+        assert max(abs(got[m][k] - want[m]) for m in want) < 1e-13
+    if mode == "counting":  # number-diagonal starts keep a number-diagonal sector
+        assert _accel._on_sector(model.record_step(batch.dt), starts).start.shape == (3, d)
+    ensemble = tr.ensemble_homodyne if mode == "diffusive" else tr.ensemble_counting
+    ens = ensemble(model, starts, 0.05, 1e-3, n_traj=3, seed=6)
+    assert np.max(np.abs(ens.states[:, 0] - starts)) < 1e-15
+
+
+def proj_number(d):
+    return projective({str(n): fock(d, n) for n in range(d)})
+
+
+def test_batched_and_single_calls_raise_alike():
+    """A mode mismatch and an infeasible count record raise the same errors
+    in a batch as alone, and so does a start stack of the wrong length."""
+    hom, cnt = decay_model(eta=0.6), decay_model(kappa=1.0, mode="counting", omega=1.3)
+    times = 0.05 * np.arange(7)
+    bad = tr.MeasurementRecord("counting", times, np.array([1, 1, 0, 0, 0, 0]))
+    good = tr.MeasurementRecord("counting", times, np.array([0, 1, 0, 0, 1, 0]))
+    for rec in (bad, batch_of([good, bad])):
+        with pytest.raises(ValueError, match="record mode is 'counting', operation needs 'diffusive'"):
+            tr.replay_homodyne(hom, EXCITED, rec)
+        with pytest.raises(ValueError, match="model mode is 'counting', operation needs 'diffusive'"):
+            tr.backward_homodyne(cnt, rec, np.eye(2))
+        with pytest.raises(ValueError, match="zero weight"):
+            tr.replay_counting(cnt, EXCITED, rec)
+        with pytest.raises(ValueError, match="collapsed to zero"):
+            tr.backward_counting(cnt, rec, np.eye(2))
+    with pytest.raises(ValueError, match="initial states of shape"):
+        tr.replay_counting(cnt, np.stack([EXCITED] * 3), batch_of([good, good]))
+
+
+def test_single_record_functions_reject_a_batch(tmp_path):
+    model = decay_model(eta=0.6, omega=0.8)
+    records = simulated_records(model, EXCITED, 2, horizon=0.02)
+    batch = batch_of(records)
+    states = tr.replay_homodyne(model, EXCITED, batch)
+    effects = tr.backward_homodyne(model, batch, np.eye(2))
+    with pytest.raises(ValueError, match="innovations takes one record, not a batch of 2"):
+        tr.innovations(model, states, batch)
+    with pytest.raises(ValueError, match="record_log_likelihood takes one record, not a batch of 2"):
+        tr.record_log_likelihood(model, states, batch)
+    with pytest.raises(ValueError, match="pqs_summary_csv takes one record, not a batch of 2"):
+        tr.pqs_summary_csv(tr.PqsPair(states, effects, batch), proj_z(), tmp_path / "s.csv")
+    single = tr.replay_homodyne(model, EXCITED, records[0])
+    with pytest.raises(ValueError, match="one row per record"):
+        tr.PqsPair(single, effects, batch)
+    with pytest.raises(ValueError, match="one increment per step"):
+        tr.MeasurementRecord("diffusive", batch.times, np.zeros((2, 2, batch.steps)))
