@@ -475,16 +475,12 @@ def scenario_counting(
     weights = [enum.record_weight(bits) for bits in records]
     partition_ok = all(w == 0.0 if adj else w > 0.0 for w, adj in zip(weights, adjacent))
     feasible = [bits for bits, adj in zip(records, adjacent) if not adj]
-    # every feasible record in one replay, one backward pass and one ABL call
+    # every feasible record in one replay, one backward pass, one ABL call and one oracle call
     rec = MeasurementRecord("counting", times, np.array(feasible, dtype=np.int64))
     pair = PqsPair(replay_counting(model, rho0, rec), backward_counting(model, rec, effect), rec)
     got = abl_distribution(BoundaryPair(pair.states.mats, pair.effects.mats), number)
-    max_dev = 0.0
-    for i, bits in enumerate(feasible):
-        for k in range(oracle_steps + 1):
-            want = enum.conditional(bits, k, number)
-            for m in ("g", "e"):
-                max_dev = max(max_dev, float(abs(got[m][i, k] - want[m])))
+    want = enum.conditional(rec.increments, number)
+    max_dev = max(float(np.max(np.abs(got[m] - want[m]))) for m in number.outcomes)
     fib = [1, 2]
     while len(fib) < oracle_steps + 1:
         fib.append(fib[-1] + fib[-2])

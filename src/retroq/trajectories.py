@@ -28,6 +28,7 @@ to rounding: only the summation order inside the products differs.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -351,14 +352,12 @@ def _counting_ops(model: MonitoringModel, dt: float):
 
 
 def _counting_sandwich(ops, rho, fired) -> np.ndarray:
-    """One oracle step: the fire sandwich, or the quiet one plus the undetected and unmonitored jumps."""
+    """One oracle step per state of a stack (..., d, d): fire where its flag is 1, else quiet plus the other jumps."""
     a0, a1, sjumps = ops
-    if fired:
-        return a1 @ rho @ dagger(a1)
-    out = a0 @ rho @ dagger(a0)
+    quiet = a0 @ rho @ dagger(a0)
     for j in sjumps:
-        out = out + j @ rho @ dagger(j)
-    return out
+        quiet = quiet + j @ rho @ dagger(j)
+    return np.where(np.asarray(fired, dtype=bool)[..., None, None], a1 @ rho @ dagger(a1), quiet)
 
 
 def simulate_counting(model, rho0, horizon, dt, seed):
@@ -436,47 +435,51 @@ class CountingEnumeration:
     def record_weight(self, increments) -> float:
         return self.weights[tuple(int(x) for x in increments)]
 
-    def conditional(self, increments, step_index, ins: Instrument) -> dict:
-        """Exact Bayesian retrodiction of an instrument inserted at a grid point."""
-        incr = tuple(int(x) for x in increments)
-        if len(incr) != self.steps:
-            raise ValueError(f"record length {len(incr)} does not match {self.steps} steps")
-        if not 0 <= step_index <= self.steps:
-            raise IndexError(f"step index {step_index} outside 0..{self.steps}")
-        rho = self.rho0
-        for k in range(step_index):
-            rho = _counting_sandwich(self.ops, rho, incr[k])
-        nums = {}
-        for m in ins.outcomes:
-            br = ins.apply(m, rho)
-            for k in range(step_index, self.steps):
-                br = _counting_sandwich(self.ops, br, incr[k])
-            nums[m] = pairing(self.effect_final, br)
+    def conditional(self, increments, ins: Instrument) -> dict:
+        """Exact retrodiction of ins inserted at every grid point of a record (steps,) or a batch (n, steps).
+
+        Each outcome maps to (steps+1,) or (n, steps+1) probabilities: I_m of
+        each prefix state, carried forward by sandwiches to E_f (forward only).
+        """
+        batch = np.atleast_2d(increments)
+        if batch.ndim != 2 or batch.shape[1] != self.steps:
+            raise ValueError(f"record length {batch.shape[-1]} does not match {self.steps} steps")
+        if not np.isin(batch, (0, 1)).all():
+            raise ValueError("counting increments must be 0 or 1")
+        prefix = [np.broadcast_to(self.rho0, (len(batch),) + self.rho0.shape)]
+        for k in range(self.steps):
+            prefix.append(_counting_sandwich(self.ops, prefix[-1], batch[:, k]))
+        states = np.stack(prefix, axis=1)
+        branches = np.stack([ins.apply(m, states) for m in ins.outcomes])
+        for k in range(self.steps):  # branches inserted at grid points 0..k take step k
+            branches[:, :, :k + 1] = _counting_sandwich(self.ops, branches[:, :, :k + 1], batch[:, k, None])
+        nums = dict(zip(ins.outcomes, pairing(self.effect_final, branches)))
         total = sum(nums.values())
-        if total <= 0.0:
+        if np.any(total <= 0.0):
             raise ValueError("record has zero weight; retrodiction undefined")
-        return {m: nums[m] / total for m in ins.outcomes}
+        shape = np.shape(increments)[:-1] + (self.steps + 1,)
+        return {m: (nums[m] / total).reshape(shape) for m in ins.outcomes}
 
 
 def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumeration:
-    """Brute-force the 2^steps record weights Tr[E_f K_record(rho0)]."""
+    """Brute-force the 2^steps record weights Tr[E_f K_record(rho0)], 1 <= steps <= 10.
+
+    Level k is one (2^k, d, d) stack of states in ``itertools.product`` order.
+    """
     _require_mode(model, "counting")
-    if steps > 10:
-        raise ValueError(f"{steps} steps means {2**steps} records; 10 is the cap")
+    count, h = float(steps), float(dt)
+    if not (count.is_integer() and 1 <= count <= 10):
+        raise ValueError(f"steps={steps!r} must be a whole number from 1 to 10, the cap of 2^10 records")
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"dt={dt!r} must be finite and above 0")
     rho0 = asoperator(rho0)
     ef = _terminal_effect(effect_final, model.dim)
-    ops = _counting_ops(model, dt)
-    weights = {}
-
-    def walk(rho, prefix):
-        if len(prefix) == steps:
-            weights[prefix] = pairing(ef, rho)
-            return
-        for fired in (0, 1):
-            walk(_counting_sandwich(ops, rho, fired), prefix + (fired,))
-
-    walk(rho0, ())
-    return CountingEnumeration(model, rho0, ef, float(dt), int(steps), weights, ops)
+    ops = _counting_ops(model, h)
+    states = rho0[None]
+    for _ in range(int(count)):
+        states = _counting_sandwich(ops, states[:, None], [0, 1]).reshape((-1,) + rho0.shape)
+    weights = dict(zip(itertools.product((0, 1), repeat=int(count)), pairing(ef, states).tolist()))
+    return CountingEnumeration(model, rho0, ef, h, int(count), weights, ops)
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,8 @@ def test_unknown_field_exits_2_naming_it(tmp_path, capsys):
     pytest.param("homodyne-cavity", {"kappa": -1}, id="homodyne-kappa-negative"),
     pytest.param("counting", {"n_traj": 1}, id="counting-n-traj-1"),
     pytest.param("counting", {"kappa": -1}, id="counting-kappa-negative"),
+    pytest.param("counting", {"oracle_steps": -1}, id="counting-oracle-steps-negative"),
+    pytest.param("counting", {"oracle_dt": -0.05}, id="counting-oracle-dt-negative"),
     pytest.param("thermal-qubit", {"n_traj": 1}, id="thermal-n-traj-1"),
     pytest.param("classical-limit", {"n_hmm": 0}, id="classical-n-hmm-0"),
     pytest.param("classical-limit", {"n_lg": 0}, id="classical-n-lg-0"),
@@ -115,7 +117,8 @@ def test_out_of_range_parameter_exits_2(name, params, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, **params}))
     assert run_cli("run", name, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-    assert "rejected" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rejected" in err and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_out_dir_in_a_config_is_an_unknown_field(tmp_path, capsys):

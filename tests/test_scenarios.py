@@ -5,6 +5,7 @@ import pytest
 
 from retroq import _accel
 from retroq import scenarios as sc
+from retroq import trajectories as tr
 
 
 def test_registry_names_and_summaries():
@@ -138,10 +139,16 @@ def test_counting_small_grid():
 
 def test_counting_oracle_makes_one_replay_and_one_backward_call(monkeypatch):
     """The 21 feasible records of the default grid go through the record
-    kernel in one forward call and one adjoint call; the two ensembles make
-    the other kernel calls, from drawn noise."""
+    kernel in one forward call and one adjoint call, and through the
+    enumeration oracle in one conditional call; the two ensembles make the
+    other kernel calls, from drawn noise."""
     calls = []
     paths, blocked = _accel._paths, _accel._blocked
+    conditional = tr.CountingEnumeration.conditional
+
+    def spy_conditional(enum, increments, ins):
+        calls.append(("oracle", True, len(increments)))
+        return conditional(enum, increments, ins)
 
     def spy_paths(step, sec, incr, from_record, sample_indices):
         calls.append(("adjoint" if sec.adjoint else "forward", from_record, len(incr)))
@@ -153,9 +160,10 @@ def test_counting_oracle_makes_one_replay_and_one_backward_call(monkeypatch):
 
     monkeypatch.setattr(_accel, "_paths", spy_paths)
     monkeypatch.setattr(_accel, "_blocked", spy_blocked)
+    monkeypatch.setattr(tr.CountingEnumeration, "conditional", spy_conditional)
     rep = sc.run_scenario("counting", n_traj=500)
     assert rep.passed and rep.values["feasible_records"] == 21.0
-    assert [c for c in calls if c[1]] == [("forward", True, 21), ("adjoint", True, 21)]
+    assert [c for c in calls if c[1]] == [("forward", True, 21), ("adjoint", True, 21), ("oracle", True, 21)]
     assert [c for c in calls if not c[1]] == [("forward", False, 500), ("forward", False, 200)]
 
 

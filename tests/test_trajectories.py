@@ -499,11 +499,11 @@ def test_counting_smoothed_matches_enumeration_exactly():
                 tr.backward_counting(model, rec, ef),
                 rec,
             )
+            ex = oracle.conditional(bits, ins)
             for j in range(7):
                 sm = tr.smoothed_probability(pair, j * dt, ins)
-                ex = oracle.conditional(bits, j, ins)
-                assert abs(sm["g"] - ex["g"]) < 1e-10
-                assert abs(sm["e"] - ex["e"]) < 1e-10
+                assert abs(sm["g"] - ex["g"][j]) < 1e-10
+                assert abs(sm["e"] - ex["e"][j]) < 1e-10
         assert feasible == 21
 
 
@@ -543,18 +543,69 @@ def test_infeasible_record_raises():
         tr.backward_counting(model, rec, np.eye(2))
     oracle = tr.enumerate_counting(model, EXCITED, np.eye(2), steps=6, dt=0.05)
     with pytest.raises(ValueError, match="zero weight"):
-        oracle.conditional([1, 1, 0, 0, 0, 0], 3, proj_z())
+        oracle.conditional([1, 1, 0, 0, 0, 0], proj_z())
+    with pytest.raises(ValueError, match="zero weight"):
+        oracle.conditional([[0, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0]], proj_z())
 
 
-def test_enumeration_guards():
+def test_enumeration_guards(monkeypatch):
+    """A record of the wrong length or with an entry other than 0 or 1 fails
+    by name, and so does a step count outside 1..10 or a dt that is not
+    finite and positive, before any operator is built: not by recursion, a
+    sqrt warning or a degenerate grid."""
     model = decay_model(mode="counting")
-    with pytest.raises(ValueError, match="cap"):
-        tr.enumerate_counting(model, EXCITED, np.eye(2), steps=11, dt=0.01)
     oracle = tr.enumerate_counting(model, EXCITED, np.eye(2), steps=3, dt=0.01)
     with pytest.raises(ValueError, match="record length"):
-        oracle.conditional([0, 1], 1, proj_z())
-    with pytest.raises(IndexError, match="step index"):
-        oracle.conditional([0, 0, 0], 4, proj_z())
+        oracle.conditional([0, 1], proj_z())
+    for bad in ([0, 2, 0], [0, 0.7, 0], [[0, 0, 0], [0, -1, 0]]):
+        with pytest.raises(ValueError, match="counting increments must be 0 or 1"):
+            oracle.conditional(bad, proj_z())
+    monkeypatch.setattr(tr, "_counting_ops", None)  # never reached
+    for steps, dt, message in ((11, 0.01, "cap"), (-1, 0.05, "whole number from 1 to 10"),
+                               (0, 0.05, "whole number from 1 to 10"), (2.5, 0.05, "whole number from 1 to 10"),
+                               (3, -0.05, "finite and above 0"), (3, 0.0, "finite and above 0"),
+                               (3, np.nan, "finite and above 0"), (3, np.inf, "finite and above 0")):
+        with pytest.raises(ValueError, match=message):
+            tr.enumerate_counting(model, EXCITED, np.eye(2), steps=steps, dt=dt)
+
+
+def test_batch_conditional_equals_its_single_calls_bitwise():
+    """One call on the 21 feasible 6-step records gives, row by row, exactly
+    the single-record calls, for a projective and an unsharp readout."""
+    rho0 = np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]])
+    ef = np.array([[0.8, 0.15], [0.15, 0.45]])
+    for eta in (1.0, 0.6):
+        model = decay_model(kappa=1.0, eta=eta, mode="counting", omega=1.3)
+        oracle = tr.enumerate_counting(model, rho0, ef, steps=6, dt=0.05)
+        feasible = np.array([bits for bits, w in oracle.weights.items() if w > 0.0])
+        assert feasible.shape == (21, 6)
+        for ins in (proj_z(), unsharp_z(0.7)):
+            batch = oracle.conditional(feasible, ins)
+            assert {m: p.shape for m, p in batch.items()} == dict.fromkeys(ins.outcomes, (21, 7))
+            for row, bits in enumerate(feasible):
+                single = oracle.conditional(bits, ins)
+                for m in ins.outcomes:
+                    assert single[m].shape == (7,)
+                    assert np.array_equal(single[m], batch[m][row])
+
+
+def test_enumeration_weights_are_sequential_sandwich_products():
+    """Every weight of the level-by-level enumeration is its record's
+    sandwich product taken one step at a time and paired with E_f, bit for
+    bit, with records in itertools.product order."""
+    rho0 = np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]])
+    ef = np.array([[0.8, 0.15], [0.15, 0.45]])
+    for eta in (1.0, 0.6):
+        model = decay_model(kappa=1.0, eta=eta, mode="counting", omega=1.3)
+        for steps in range(1, 7):
+            oracle = tr.enumerate_counting(model, rho0, ef, steps=steps, dt=0.05)
+            records = list(itertools.product((0, 1), repeat=steps))
+            assert list(oracle.weights) == records
+            for bits in records:
+                rho = rho0.astype(complex)
+                for fired in bits:
+                    rho = tr._counting_sandwich(oracle.ops, rho, fired)
+                assert oracle.weights[bits] == al.pairing(ef, rho)
 
 
 def test_total_count_mean_matches_emission_probability():
