@@ -9,6 +9,9 @@ flow is the exact adjoint of the discrete forward flow. No step is projected
 or clamped: the propagate_* passes check the whole timeline once, in one
 batched eigvalsh, and raise if any point leaves the valid set by more than
 PROJECTION_FAIL_TOL.
+
+Every time grid of the package is built, checked, compared and looked up
+here, under one tolerance (_GRID_TOL).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, hermitian_p
 from .algebra import sandwich_superop, validate_state
 
 PROJECTION_FAIL_TOL = 1e-10
+_GRID_TOL = 1e-9  # a time t is on grid point g when |t - g| <= _GRID_TOL * max(1, |g|)
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,7 @@ class Timeline:
             raise ValueError(f"timeline kind must be 'state' or 'effect', got {self.kind!r}")
         if t.ndim != 1 or m.ndim not in (3, 4) or m.shape[-3] != t.shape[0] or m.shape[-1] != m.shape[-2]:
             raise ValueError("timeline needs times (n,) and matching operators (n, d, d) or (m, n, d, d)")
-        if t.size > 1:
-            steps = np.diff(t)
-            if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * max(1.0, steps.max()):
-                raise ValueError("timeline grid must be uniform and increasing")
+        _check_uniform(t, "timeline")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "mats", m)
 
@@ -128,23 +129,50 @@ class Timeline:
         return self.mats.shape[-1]
 
     def index(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the stored grid")
-        return k
+        return int(_grid_indices(self.times, t))
 
     def at(self, t: float) -> np.ndarray:
         return self.mats[..., self.index(t), :, :]
 
 
-def _grid(t0: float, t1: float, dt: float) -> tuple[int, float]:
+def _off_grid(t, grid) -> np.ndarray:
+    """Mask of the times t that are not on their grid points under _GRID_TOL; a NaN or inf never is."""
+    return ~(np.abs(t - grid) <= _GRID_TOL * np.maximum(1.0, np.abs(grid)))
+
+
+def _check_uniform(t: np.ndarray, kind: str) -> None:
+    """Raise unless a 1-D grid is finite and increasing, with each time on the uniform grid between its ends."""
+    uniform = t.size < 2 or (np.isfinite(t).all() and np.diff(t).min() > 0
+                             and not _off_grid(t, np.linspace(t[0], t[-1], t.size)).any())
+    if not uniform:
+        raise ValueError(f"{kind} grid must be uniform and increasing")
+
+
+def _grid_indices(times: np.ndarray, t) -> np.ndarray:
+    """Indices of a time or an array of times on an increasing grid; raises naming the first time off it."""
+    t = np.asarray(t, dtype=float)
+    idx = np.rint(np.nan_to_num(np.interp(t, times, np.arange(times.size)))).astype(int)
+    off = _off_grid(t, times[idx])
+    if off.any():
+        raise ValueError(f"time {t[off][0]} is not on the grid")
+    return idx
+
+
+def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two grids hold as many times and agree at each."""
+    return a.shape == b.shape and not _off_grid(a, b).any()
+
+
+def _grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, float]:
+    """The grid t0 + h * arange(n + 1) and its step h, once t1 - t0 is checked to be n >= 1 steps of dt."""
     span = t1 - t0
     if span <= 0 or dt <= 0:
         raise ValueError("need t1 > t0 and dt > 0")
     n = int(round(span / dt))
-    if n < 1 or abs(n * dt - span) > 1e-9 * max(1.0, span):
+    if n < 1 or _off_grid(n * dt, span):
         raise ValueError(f"span {span} is not an integer number of steps of dt={dt}")
-    return n, span / n
+    h = span / n
+    return t0 + h * np.arange(n + 1), h
 
 
 def rk4_step(superop, h: float) -> np.ndarray:
@@ -201,10 +229,10 @@ def _checked_flow(steps, x, kind: str) -> np.ndarray:
 def propagate_forward(gen: LindbladGenerator, rho0, t0: float, t1: float, dt: float) -> Timeline:
     """RK4-integrate a state from t0 to t1 with no per-step projection; the
     run aborts if any point of the timeline leaves the states by more than 1e-10."""
-    n, h = _grid(t0, t1, dt)
+    times, h = _grid(t0, t1, dt)
     step = rk4_step(gen.superop, h)
-    mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), validate_state(rho0), "state")
-    return Timeline(t0 + h * np.arange(n + 1), mats, "state")
+    mats = _checked_flow(np.broadcast_to(step, (times.size - 1, *step.shape)), validate_state(rho0), "state")
+    return Timeline(times, mats, "state")
 
 
 def _terminal_effect(effect, dim: int) -> np.ndarray:
@@ -228,11 +256,11 @@ def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: floa
     identity is a fixed point, and the run aborts if any point's spectrum
     leaves [0, 1] by more than 1e-10, counting steps down from t1.
     """
-    n, h = _grid(t0, t1, dt)
+    times, h = _grid(t0, t1, dt)
     e = _terminal_effect(effect_final, gen.dim)
     step = rk4_step(gen.superop, h).conj().T
-    mats = _checked_flow(np.broadcast_to(step, (n, *step.shape)), e, "effect")
-    return Timeline(t0 + h * np.arange(n + 1), mats[::-1], "effect")
+    mats = _checked_flow(np.broadcast_to(step, (times.size - 1, *step.shape)), e, "effect")
+    return Timeline(times, mats[::-1], "effect")
 
 
 def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3) -> np.ndarray:
@@ -243,18 +271,18 @@ def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3)
     """
     if duration == 0.0:
         return asoperator(rho).copy()
-    n, h = _grid(0.0, duration, dt)
+    times, h = _grid(0.0, duration, dt)
     step = rk4_step(gen.superop, h)
-    return flow(np.broadcast_to(step, (n, *step.shape)), rho)[-1]
+    return flow(np.broadcast_to(step, (times.size - 1, *step.shape)), rho)[-1]
 
 
 def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float = 1e-3) -> np.ndarray:
     """Adjoint companion of evolve_state: the conjugate transpose of its step matrix."""
     if duration == 0.0:
         return asoperator(effect).copy()
-    n, h = _grid(0.0, duration, dt)
+    times, h = _grid(0.0, duration, dt)
     step = rk4_step(gen.superop, h).conj().T
-    return flow(np.broadcast_to(step, (n, *step.shape)), effect)[-1]
+    return flow(np.broadcast_to(step, (times.size - 1, *step.shape)), effect)[-1]
 
 
 def stationary_state(gen: LindbladGenerator) -> np.ndarray:

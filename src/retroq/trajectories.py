@@ -44,7 +44,8 @@ from .algebra import (
     state_spectrum,
 )
 from .channels import Instrument
-from .dynamics import Bath, LindbladGenerator, Timeline, _grid, _terminal_effect
+from .dynamics import Bath, LindbladGenerator, Timeline, _check_uniform, _grid, _grid_indices, _same_grid
+from .dynamics import _terminal_effect
 from .retrodiction import BoundaryPair, abl_distribution
 
 MODES = ("diffusive", "counting")
@@ -141,9 +142,7 @@ class MeasurementRecord:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("record needs a grid of at least two times")
-        h = np.diff(times)
-        if not np.allclose(h, h[0], rtol=1e-9, atol=1e-12) or h[0] <= 0:
-            raise ValueError("record grid must be uniform and increasing")
+        _check_uniform(times, "record")
         if self.mode == "counting":
             incr = np.asarray(self.increments)
             if not np.isin(incr, (0, 1)).all():
@@ -186,9 +185,9 @@ class PqsPair:
     def __post_init__(self):
         if self.states.kind != "state" or self.effects.kind != "effect":
             raise ValueError("PqsPair wants a state timeline and an effect timeline")
-        if not np.allclose(self.states.times, self.effects.times, atol=1e-12):
+        if not _same_grid(self.states.times, self.effects.times):
             raise ValueError("state and effect timelines live on different grids")
-        if not np.allclose(self.states.times, self.record.times, atol=1e-12):
+        if not _same_grid(self.states.times, self.record.times):
             raise ValueError("timelines do not match the record grid")
         batch = self.record.increments.shape[:-1]
         if self.states.mats.shape[:-3] != batch or self.effects.mats.shape[:-3] != batch:
@@ -231,12 +230,7 @@ def _resolve_samples(times: np.ndarray, sample_times) -> np.ndarray:
     """Grid indices of sample_times, or of 11 evenly spaced grid points when it is None."""
     if sample_times is None:
         return np.unique(np.linspace(0, times.size - 1, 11).round().astype(int))
-    t = np.asarray(sample_times, dtype=float)
-    idx = np.clip(np.rint((t - times[0]) / (times[1] - times[0])), 0, times.size - 1).astype(int)
-    off = np.abs(times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
-    if off.any():
-        raise ValueError(f"sample time {t[off][0]} is not on the integration grid")
-    return idx
+    return _grid_indices(times, sample_times)
 
 
 def _trajectory_count(n_traj) -> int:
@@ -263,9 +257,8 @@ def _filter(model, rho0, horizon=None, dt=None, seed=None, n_traj=None, sample_t
     """
     if record is None:
         _warn_coarse(model, dt)
-        n, h = _grid(0.0, horizon, dt)
-        times = h * np.arange(n + 1)
-        shape = (1 if n_traj is None else _trajectory_count(n_traj), n)
+        times, h = _grid(0.0, horizon, dt)
+        shape = (1 if n_traj is None else _trajectory_count(n_traj), times.size - 1)
         noise = np.random.Generator(np.random.Philox(int(seed)))
         draws = (noise.normal(0.0, np.sqrt(h), size=shape) if model.mode == "diffusive"
                  else noise.random(size=shape))
@@ -413,7 +406,7 @@ def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarra
     """Per-step innovation dW = dY - sqrt(eta kappa) <X_c> dt."""
     _require_mode(model, "diffusive", record)
     _one_record(record, "innovations")
-    if not np.allclose(states.times, record.times, atol=1e-12):
+    if not _same_grid(states.times, record.times):
         raise ValueError("state timeline does not match the record grid")
     xc = model.x_c
     xbars = np.einsum("ij,kji->k", xc, states.mats[:-1]).real
@@ -432,8 +425,19 @@ class CountingEnumeration:
     weights: dict
     ops: tuple  # the step's Kraus operators in sandwich form (``_counting_ops``)
 
+    def _records(self, increments) -> np.ndarray:
+        """A record (steps,) or a batch (n, steps) as (n, steps), once its length and 0/1 entries are checked."""
+        batch = np.atleast_2d(increments)
+        if batch.ndim != 2 or batch.shape[1] != self.steps:
+            raise ValueError(f"record length {batch.shape[-1]} does not match {self.steps} steps")
+        if not np.isin(batch, (0, 1)).all():
+            raise ValueError("counting increments must be 0 or 1")
+        return batch
+
     def record_weight(self, increments) -> float:
-        return self.weights[tuple(int(x) for x in increments)]
+        """Joint weight Tr[E_f K_record(rho0)] of one record (steps,)."""
+        (bits,) = self._records(np.reshape(increments, (1, -1)))
+        return self.weights[tuple(bits.tolist())]
 
     def conditional(self, increments, ins: Instrument) -> dict:
         """Exact retrodiction of ins inserted at every grid point of a record (steps,) or a batch (n, steps).
@@ -441,11 +445,7 @@ class CountingEnumeration:
         Each outcome maps to (steps+1,) or (n, steps+1) probabilities: I_m of
         each prefix state, carried forward by sandwiches to E_f (forward only).
         """
-        batch = np.atleast_2d(increments)
-        if batch.ndim != 2 or batch.shape[1] != self.steps:
-            raise ValueError(f"record length {batch.shape[-1]} does not match {self.steps} steps")
-        if not np.isin(batch, (0, 1)).all():
-            raise ValueError("counting increments must be 0 or 1")
+        batch = self._records(increments)
         prefix = [np.broadcast_to(self.rho0, (len(batch),) + self.rho0.shape)]
         for k in range(self.steps):
             prefix.append(_counting_sandwich(self.ops, prefix[-1], batch[:, k]))
@@ -472,7 +472,7 @@ def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumerat
         raise ValueError(f"steps={steps!r} must be a whole number from 1 to 10, the cap of 2^10 records")
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"dt={dt!r} must be finite and above 0")
-    rho0 = asoperator(rho0)
+    rho0 = _initial_state(model, asoperator(rho0), 1)
     ef = _terminal_effect(effect_final, model.dim)
     ops = _counting_ops(model, h)
     states = rho0[None]

@@ -219,8 +219,11 @@ def test_grid_rejects_fractional_spans():
 def test_timeline_grid_lookup():
     tl = dyn.Timeline(np.array([0.0, 0.1, 0.2]), np.stack([np.eye(2)] * 3), "effect")
     assert tl.index(0.1) == 1
-    with pytest.raises(ValueError, match="not on the stored grid"):
+    with pytest.raises(ValueError, match="time 0.15 is not on the grid"):
         tl.at(0.15)
+    for bad in (np.nan, np.inf, -np.inf):  # no nearest point stands in for them
+        with pytest.raises(ValueError, match=f"time {bad} is not on the grid"):
+            tl.index(bad)
 
 
 def classic_rk4(flow, y, h):

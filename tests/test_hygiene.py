@@ -134,3 +134,28 @@ def test_one_forward_body_calls_the_record_kernels():
     twins = "def a():\n    return _accel.homodyne_paths(s)\n\n\ndef b():\n    k = _accel.counting_paths\n"
     assert kernel_callers(twins + "\n\ndef c():\n    return homodyne_paths\n") == ["a", "b"]
     assert kernel_callers((SRC / "trajectories.py").read_text()) == ["_filter"]
+
+
+GRID_CALLS = {"allclose", "diff", "rint", "argmin"}
+
+
+def grid_decisions(source: str) -> list:
+    """(line, name) of each np.allclose, np.diff, np.rint or np.argmin call with an argument that names `times`."""
+    return [(node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in GRID_CALLS
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and any("times" in names_read(arg) for arg in [*node.args, *(k.value for k in node.keywords)])]
+
+
+def test_the_scan_sees_a_grid_decision():
+    src = "d = np.diff(rec.times)\nk = np.argmin(abs(times - t))\nok = np.allclose(h, b=self.times)\n"
+    src += "same = np.allclose(h, h[0])\nr = np.rint(x)\nn = len(times)\n"
+    assert grid_decisions(src) == [(1, "diff"), (2, "argmin"), (3, "allclose")]
+
+
+def test_only_dynamics_decides_the_time_grid():
+    """Uniformity, lookup and same-grid checks on times go through the
+    helpers of dynamics, so records, pairs and sample times share its one
+    tolerance; a module that tests times itself has grown a second policy."""
+    found = {p.name: grid_decisions(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "dynamics.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}

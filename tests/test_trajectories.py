@@ -63,6 +63,29 @@ def test_record_validation():
         tr.MeasurementRecord("pointer", np.linspace(0, 1, 5), np.zeros(4))
 
 
+def test_records_and_timelines_share_one_grid_check():
+    """A record and a timeline on the same times get the same verdict, so a
+    record that constructs also replays and smooths: a time nudged within
+    1e-9 * max(1, |t|) of the uniform grid passes both; one nudged beyond it,
+    or a time that is not finite, fails both."""
+    model = decay_model(eta=0.5)
+    rejected = [np.array([0.0, np.nan, 0.2]), np.array([0.0, 0.1, np.inf])]
+    for base, k, inside, beyond in ((10.0 * np.arange(6), 2, 7e-9, 3e-8), (0.1 * np.arange(11), 5, 3e-10, 3e-9)):
+        times = base.copy()
+        times[k] += inside
+        rec = tr.MeasurementRecord("diffusive", times, np.zeros(times.size - 1))
+        states = tr.replay_homodyne(model, EXCITED, rec)
+        effects = tr.backward_homodyne(model, rec, np.eye(2))
+        assert np.array_equal(tr.PqsPair(states, effects, rec).states.times, times)
+        rejected.append(times.copy())
+        rejected[-1][k] += beyond
+    for times in rejected:
+        with pytest.raises(ValueError, match="record grid must be uniform and increasing"):
+            tr.MeasurementRecord("diffusive", times, np.zeros(times.size - 1))
+        with pytest.raises(ValueError, match="timeline grid must be uniform and increasing"):
+            dyn.Timeline(times, np.stack([np.eye(2)] * times.size), "state")
+
+
 def test_record_rejects_non_finite_increments():
     times = np.linspace(0, 1, 5)
     for bad in (np.nan, np.inf, -np.inf):
@@ -550,17 +573,27 @@ def test_infeasible_record_raises():
 
 def test_enumeration_guards(monkeypatch):
     """A record of the wrong length or with an entry other than 0 or 1 fails
-    by name, and so does a step count outside 1..10 or a dt that is not
-    finite and positive, before any operator is built: not by recursion, a
-    sqrt warning or a degenerate grid."""
+    by name in record_weight and conditional alike, and so does a start that
+    is not a state of the model, a step count outside 1..10 or a dt that is
+    not finite and positive, before any operator is built: not by recursion,
+    a sqrt warning, a degenerate grid or a weight sum other than 1."""
     model = decay_model(mode="counting")
     oracle = tr.enumerate_counting(model, EXCITED, np.eye(2), steps=3, dt=0.01)
-    with pytest.raises(ValueError, match="record length"):
-        oracle.conditional([0, 1], proj_z())
-    for bad in ([0, 2, 0], [0, 0.7, 0], [[0, 0, 0], [0, -1, 0]]):
-        with pytest.raises(ValueError, match="counting increments must be 0 or 1"):
-            oracle.conditional(bad, proj_z())
+    for query in (oracle.record_weight, lambda bits: oracle.conditional(bits, proj_z())):
+        with pytest.raises(ValueError, match="record length 2 does not match 3 steps"):
+            query([0, 1])
+        for bad in ([0, 2, 0], [0, 0.7, 0]):
+            with pytest.raises(ValueError, match="counting increments must be 0 or 1"):
+                query(bad)
+    with pytest.raises(ValueError, match="counting increments must be 0 or 1"):
+        oracle.conditional([[0, 0, 0], [0, -1, 0]], proj_z())
+    with pytest.raises(ValueError, match="record length 6 does not match 3 steps"):
+        oracle.record_weight([[0, 0, 0], [0, 1, 0]])  # a batch is not one record
     monkeypatch.setattr(tr, "_counting_ops", None)  # never reached
+    for rho0, message in ((2.0 * np.eye(2), "trace 4 differs from 1"), (np.diag([1.5, -0.5]), "negative eigenvalue"),
+                          (np.eye(3) / 3, "state dimension 3 does not match model 2")):
+        with pytest.raises(ValueError, match=message):
+            tr.enumerate_counting(model, rho0, np.eye(2), steps=3, dt=0.01)
     for steps, dt, message in ((11, 0.01, "cap"), (-1, 0.05, "whole number from 1 to 10"),
                                (0, 0.05, "whole number from 1 to 10"), (2.5, 0.05, "whole number from 1 to 10"),
                                (3, -0.05, "finite and above 0"), (3, 0.0, "finite and above 0"),
@@ -672,7 +705,7 @@ def test_ensemble_sample_times_selection():
     )
     assert np.allclose(ens.sample_times, (0.0, 0.05, 0.1), atol=1e-12)
     assert ens.states.shape == (3, 3, 2, 2)
-    with pytest.raises(ValueError, match="not on the integration grid"):
+    with pytest.raises(ValueError, match="time 0.0335 is not on the grid"):
         tr.ensemble_homodyne(model, EXCITED, 0.1, 1e-3, n_traj=3, seed=2, sample_times=(0.0335,))
 
 
@@ -704,9 +737,9 @@ def test_every_grid_point_can_be_a_sample_time():
     times = 1e-3 * np.arange(8001)
     assert np.array_equal(tr._resolve_samples(times, times), np.arange(8001))
     assert np.array_equal(tr._resolve_samples(times, times[::-1]), np.arange(8000, -1, -1))
-    with pytest.raises(ValueError, match="sample time 0.0335 is not on the integration grid"):
+    with pytest.raises(ValueError, match="time 0.0335 is not on the grid"):
         tr._resolve_samples(times, [0.0, 0.0335, 0.1])
-    with pytest.raises(ValueError, match="sample time 8.5 is not on the integration grid"):
+    with pytest.raises(ValueError, match="time 8.5 is not on the grid"):
         tr._resolve_samples(times, [8.5])
     ens = tr.ensemble_homodyne(decay_model(eta=0.3), EXCITED, 8.0, 1e-3, n_traj=1, seed=3, sample_times=times)
     assert np.array_equal(ens.sample_times, times)
@@ -930,8 +963,15 @@ def test_pqs_pair_grid_checks():
     shifted = tr.MeasurementRecord("diffusive", rec.times + 1.0, rec.increments)
     with pytest.raises(ValueError, match="record grid"):
         tr.PqsPair(states, effects, shifted)
-    with pytest.raises(ValueError, match="not on the stored grid"):
+    with pytest.raises(ValueError, match="time 0.0123 is not on the grid"):
         tr.smoothed_probability(pair, 0.0123, proj_z())
+    # a grid off by 5e-6 at t >= 1, where a relative 1e-5 would pass it
+    states, effects = tr.replay_homodyne(model, EXCITED, shifted), tr.backward_homodyne(model, shifted, np.eye(2))
+    tr.PqsPair(states, effects, shifted)
+    with pytest.raises(ValueError, match="different grids"):
+        tr.PqsPair(states, dyn.Timeline(effects.times + 5e-6, effects.mats, "effect"), shifted)
+    with pytest.raises(ValueError, match="record grid"):
+        tr.innovations(model, dyn.Timeline(states.times + 5e-6, states.mats, "state"), shifted)
 
 
 def test_mode_guards_and_coarse_dt_warning():
