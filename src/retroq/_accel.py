@@ -18,24 +18,30 @@ are completely positive, so the filter needs no eigenvalue clamp. States
 are real coordinates in an orthonormal Hermitian basis, where every branch
 is a real matrix; a RecordStep builds this real form once, and
 ``MonitoringModel.record_step`` keeps one RecordStep per dt, so every pass
-on a (model, dt) after the first reuses it. One kernel, ``_paths``, applies
-every record step. It advances a step-major (|R|, n_traj) block over the
-reachable coordinates R (below), a trajectory per column, with one GEMM
-per step into a buffer allocated once, and applies the counting fire
-branch only to the columns that fired. A column is a drawn trajectory or
-one record of a batch, and every column starts from a shared start or its
-own, an (n, d, d) stack. The backward passes of
-``trajectories`` step the transposed real branches, which in an
-orthonormal basis are the Hilbert-Schmidt adjoints S†, so forward and
-backward are exact adjoints by construction. A backward pass knows its
-whole record, so for one record on a sector of at most _BLOCKED_SECTOR
-coordinates it runs blocked (``_blocked``): the running products of a
-block of _BLOCK step matrices, formed by log-depth doubling, meet the
-effect once per block instead of once per step. Doubling costs |R|³ per
-step against the loop's |R|², so larger sectors run the loop of
-``_paths``, and so does a batch of records, a record per column, which
-shares each step's Python overhead. The caller draws the noise;
-reductions across trajectories happen outside the kernels.
+on a (model, dt) after the first reuses it. Every kernel holds a batch
+over the reachable coordinates R (below), a trajectory per column. A
+column is a drawn trajectory or one record of a batch, and every column
+starts from a shared start or its own, an (n, d, d) stack. The loop
+``_paths`` advances a step-major (|R|, n_traj) block with one GEMM per
+step into a buffer allocated once, and applies the counting fire branch
+only to the columns that fired; it runs diffusive passes forward and
+every adjoint batch. Forward counting passes run ``_quiet_runs``: between
+clicks the filter applies the one matrix S_quiet, so its powers over a
+block of _BLOCK steps are built once per call, and a block costs a few
+products per set of columns instead of a Python iteration per step. The
+backward passes of ``trajectories`` step the transposed real branches,
+which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
+forward and backward are exact adjoints by construction. A backward pass
+knows its whole record, so for one record on a sector of at most
+_BLOCKED_SECTOR coordinates it runs blocked (``_blocked``): the running
+products of a block of _BLOCK step matrices, formed by log-depth
+doubling, meet the effect once per block instead of once per step.
+Doubling costs |R|³ per step against the loop's |R|², so larger sectors
+run the loop of ``_paths``, and so does a batch of records, a record per
+column, which shares each step's Python overhead. Quiet runs run adjoint
+measured slower than both adjoint routes, so backward passes keep them.
+The caller draws the noise; reductions across trajectories happen
+outside the kernels.
 
 The kernel steps only the reachable sector of its start, ρ0 forward or E_f
 backward, or of the union of its starts' supports: the coordinates that
@@ -47,9 +53,10 @@ summation order inside the GEMM. Symmetric models gain most: a count record
 from a Fock state stays number-diagonal (d of d² coordinates), and a model
 with real H, jumps and start stays real-symmetric (d(d+1)/2); a model with
 no such symmetry steps all d². The sector lists its diagonal coordinates
-first, so the trace is one contiguous sum. The per-trajectory columns of the
-noise and outcomes are staged through contiguous (_BLOCK, n_traj) buffers,
-one strided copy per block of steps instead of one per step. Sampled
+first, so the trace is one contiguous sum. The loop stages the
+per-trajectory columns of the noise and outcomes through contiguous
+(_BLOCK, n_traj) buffers, one strided copy per block of steps instead of
+one per step. Sampled
 coordinates stay real until the kernel returns, and become complex
 matrices in one product.
 """
@@ -250,19 +257,19 @@ def _to_matrices(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
-    """Filter a batch of trajectories; returns (sampled states, outcomes).
+    """Filter a batch of trajectories step by step; returns (sampled states, outcomes).
 
-    Outcomes are drawn from incr, which is left as it is (a count fires when
-    its uniform draw is below the pre-step jump probability, a current is
-    dY = √(ηκ) <c + c†> dt + dW), or are incr itself when from_record is
-    true; counts are int64. The batch is one (|R|, n_traj)
-    coordinate block over the reachable sector R of the start (``_on_sector``),
-    a trajectory per column from a shared start or its own, stepped by one
-    GEMM into a buffer allocated
-    once: [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²), or [G_quiet | g]ᵀ
-    with G_fireᵀ applied only to the columns that fired, each sliced to R.
-    The leading diagonal coordinate rows sum to each trace, which divides
-    each new state. Columns of incr and outcomes pass through contiguous
+    Runs diffusive records forward, drawn or given, and every adjoint batch
+    (forward counts run ``_quiet_runs``). Outcomes are drawn from incr,
+    which is left as it is (a current is dY = √(ηκ) <c + c†> dt + dW), or
+    are incr itself when from_record is true; counts are int64. The batch
+    is one (|R|, n_traj) coordinate block over the reachable sector R of
+    the start (``_on_sector``), a trajectory per column from a shared start
+    or its own, stepped by one GEMM into a buffer allocated once:
+    [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²), or [G_quiet | g]ᵀ with
+    G_fireᵀ applied only to the columns that fired, each sliced to R. The
+    leading diagonal coordinate rows sum to each trace, which divides each
+    new state. Columns of incr and outcomes pass through contiguous
     (_BLOCK, n_traj) buffers, copied once per block of steps. Sampled
     coordinates are kept real and become matrices once, after the loop.
 
@@ -282,11 +289,10 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
     cur, nxt = np.empty((2, len(gemm), n))
     cur[:r] = np.atleast_2d(sec.start).T
     coords = np.empty((n, len(sample_indices), r))
-    dtype = np.int64 if counting else float
-    outcomes = incr.astype(dtype) if from_record else np.empty((n, steps), dtype=dtype)
+    outcomes = incr.astype(np.int64 if counting else float) if from_record else np.empty((n, steps))
     block = min(_BLOCK, steps)
     staged_in = np.empty((block, n))
-    staged_out = None if from_record else np.empty((block, n), dtype=dtype)
+    staged_out = None if from_record else np.empty((block, n))
     if pos[0] >= 0:
         coords[:, pos[0]] = cur[:r].T
     for k0 in range(0, steps, _BLOCK):
@@ -295,14 +301,9 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
         for j in range(b):
             h = cur[:r]
             np.matmul(gemm, h, out=nxt)
-            u = staged_in[j]
-            x = u if from_record else staged_out[j]  # drawn in place unless the record is given
-            if counting and not from_record:
-                if nxt[-1].max() > 1.0:
-                    raise ValueError("jump probability exceeded 1; reduce dt")
-                np.less(u, nxt[-1], out=x)
-            elif not from_record:
-                np.add(step.gain * nxt[-1] * step.dt, u, out=x)
+            x = staged_in[j]
+            if not from_record:  # drawn in place
+                x = np.add(step.gain * nxt[-1] * step.dt, x, out=staged_out[j])
             if counting:
                 fired = x.nonzero()[0]
                 if fired.size:
@@ -323,6 +324,127 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
                 coords[:, pos[k0 + j + 1]] = h.T
         if not from_record:
             outcomes[:, k0:k0 + b] = staged_out[:b].T
+    return _to_matrices(coords, sec.basis), outcomes
+
+
+def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
+    """Filter count trajectories a block of quiet steps per product; returns (sampled states, counts).
+
+    Between clicks every step applies the one matrix Q = S_quiet, so the
+    powers Q^0..Q^_BLOCK on the sector are built once, each scaled by an
+    exact power of two: the scale cancels in every ratio and trace
+    division, and no product can overflow. A block of _BLOCK steps runs in
+    three parts.
+
+    - Every column takes Q^m h from its start state h at the block's
+      sampled steps and its end only, in one product.
+    - A column can click only where its record holds a count, or where its
+      uniform lies below the top eigenvalue of R, which bounds every jump
+      probability Tr[R ρ]. Those columns meet the stacked rows g Q^m and
+      1_diag Q^m in one product, which gives a_m and τ_m, the jump
+      probability and the trace after m quiet steps, both unnormalized:
+      step m fires when u τ_m < a_m. A column that clicks takes F Q^c h at
+      its first click c and runs on from there, with the others that
+      clicked, each at its own step, until none clicks again.
+    - Each run that starts at a click takes its quiet states up to its
+      column's next click, in one product for the block, and they replace
+      the first part's states after the click.
+
+    Each state is divided by its trace, as in ``_paths``, so states are the
+    per-step loop's to rounding, and so are the outcomes unless a uniform
+    lies within rounding of its probability. A jump probability above 1
+    always fires, so it is tested at clicks. A quiet branch that overflows
+    and a taken branch of zero weight raise.
+    """
+    incr = np.ascontiguousarray(incr, dtype=float)
+    n, steps = incr.shape
+    pos = _sample_positions(steps, sample_indices)
+    r, nd = len(sec.basis), sec.diagonal
+    quiet, fire = sec.real
+    powers = np.empty((_BLOCK + 1, r, r))
+    powers[0] = np.eye(r)
+    for m in range(_BLOCK):
+        power = quiet @ powers[m]
+        np.ldexp(power, -np.frexp(np.abs(power).max())[1], out=powers[m + 1])
+    if not np.isfinite(powers).all():
+        raise ValueError("a power of the quiet branch overflowed; reduce dt")
+    rows = np.concatenate([sec.readout @ powers[:-1], powers[:-1, :nd].sum(axis=1)]).T  # a_m, then τ_m
+    wide = powers.transpose(2, 0, 1).copy()  # h @ wide[:, m] = Q^m h
+    fires = fire @ powers[:-1]  # F Q^c: a click after c quiet steps
+    starts = range(0, steps, _BLOCK)
+    if from_record:  # (blocks, n): may click in the block
+        candidates = np.maximum.reduceat(incr, starts, axis=1).T > 0.0
+    else:
+        d = int(round(np.sqrt(step.readout.size)))
+        top = np.linalg.eigvalsh(step.readout.reshape(d, d))[-1]
+        candidates = np.minimum.reduceat(incr, starts, axis=1).T < top * (1.0 + 1e-9)
+
+    def traced(states):  # each state divided by its trace, which must be positive
+        trace = np.add.reduce(states[..., :nd], axis=-1)
+        if trace.size and not trace.min() > 0.0:
+            raise ValueError(_COLLAPSE["counting"])
+        states /= trace[..., None]
+        return states
+
+    ahead = np.arange(_BLOCK)
+    cur = np.empty((n, r))
+    cur[:] = sec.start
+    coords = np.empty((n, len(sample_indices), r))
+    if pos[0] >= 0:
+        coords[:, pos[0]] = cur
+    outcomes = incr.astype(np.int64) if from_record else np.zeros((n, steps), dtype=np.int64)
+    for k0, may in zip(starts, candidates):
+        b = min(_BLOCK, steps - k0)
+        listed = np.flatnonzero(pos[k0 + 1:k0 + b + 1] >= 0) + 1  # the block's sampled steps, then its end
+        if not listed.size or listed[-1] != b:
+            listed = np.append(listed, b)
+        slots = pos[k0 + listed]
+        cand = np.flatnonzero(may)
+        h = cur[cand]
+        states = traced((cur @ wide[:, listed].reshape(r, -1)).reshape(n, -1, r))
+        coords[:, slots[slots >= 0]] = states[:, slots >= 0]
+        cur[:] = states[:, -1]
+        if not cand.size:
+            continue
+        u_blk = np.zeros((cand.size, 2 * _BLOCK))  # zero past the block's end, where no step is taken
+        u_blk[:, :b] = incr[cand, k0:k0 + b]
+        runs = []  # (candidate, step, state) at each click, the state after it
+        idx, off = np.arange(cand.size), np.zeros(cand.size, dtype=np.int64)
+        while idx.size:
+            u = u_blk[idx[:, None], off[:, None] + ahead]
+            if from_record:
+                x = u != 0
+            else:
+                blk = h @ rows
+                a, tau = blk[:, :_BLOCK], blk[:, _BLOCK:]
+                x = u * tau < a
+            x &= ahead < (b - off)[:, None]
+            fi = np.flatnonzero(x.any(axis=1))
+            if not fi.size:
+                break
+            first = x[fi].argmax(axis=1)
+            if not from_record and (a[fi, first] > tau[fi, first]).any():
+                raise ValueError("jump probability exceeded 1; reduce dt")
+            idx, off = idx[fi], off[fi] + first + 1
+            h = traced(np.matmul(fires[first], h[fi, :, None])[:, :, 0])
+            if not from_record:
+                outcomes[cand[idx], k0 + off - 1] = 1
+            runs.append((idx, off, h))
+            idx, h, off = idx[off < b], h[off < b], off[off < b]
+        if not runs:
+            continue
+        idx, off, h = (np.concatenate(part) for part in zip(*runs))
+        order = np.lexsort((off, idx))  # each run ends where its column's next run starts, or past the block
+        idx, off, h = idx[order], off[order], h[order]
+        stop = np.append(np.where(idx[1:] == idx[:-1], off[1:], b + 1), b + 1)
+        quiet_steps = listed - off[:, None]
+        jj, ll = np.nonzero((quiet_steps >= 0) & (listed < stop[:, None]))
+        pick = quiet_steps[jj, ll]
+        states = traced((h @ wide[:, :pick.max() + 1].reshape(r, -1)).reshape(len(h), -1, r)[jj, pick])
+        at, slot = cand[idx[jj]], slots[ll]
+        coords[at[slot >= 0], slot[slot >= 0]] = states[slot >= 0]
+        end = ll == len(listed) - 1
+        cur[at[end]] = states[end]
     return _to_matrices(coords, sec.basis), outcomes
 
 
@@ -406,10 +528,10 @@ def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
 
 
 def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
-    """Filter jump trajectories; returns (sampled states, counts).
+    """Filter jump trajectories, a block of quiet steps at a time; returns (sampled states, counts).
 
     rho0 is one state or a stack (n_traj, d, d), a start per trajectory.
     incr (n_traj, steps) holds per-step uniform draws, or recorded 0/1
     count sequences when from_record is true.
     """
-    return _paths(step, _on_sector(step, rho0), incr, from_record, sample_indices)
+    return _quiet_runs(step, _on_sector(step, rho0), incr, from_record, sample_indices)

@@ -23,6 +23,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .scenarios import SCENARIOS, run_scenario
 
@@ -99,8 +101,8 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in np.asarray(rows, dtype=float).tolist():  # Python floats, whose repr round-trips
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _run_and_write(name: str, params: dict, seed, out_dir: str):

@@ -33,7 +33,7 @@ from .classical import (
     rts_smoother,
     smoothing_chain,
 )
-from .dynamics import LindbladGenerator, flow, propagate_forward, rk4_step, stationary_state
+from .dynamics import LindbladGenerator, _grid, flow, propagate_forward, rk4_step, stationary_state
 from .retrodiction import BoundaryPair, abl_distribution, conditional_at_stage
 from .thermo import (
     backward_neutrality_check,
@@ -589,12 +589,10 @@ def scenario_thermal_qubit(
         _at_most("steady_gap_matches_conduction", float(np.max(np.abs(gap2 - conduction))), 1e-6, "closed-form"),
         _at_most("steady_first_law", abs(j_hot + j_cold), 1e-10, "exact-identity"),
     ]
-    drive_horizon = 1.0
-    n_steps = int(round(drive_horizon / dt))
-    drive_times = dt * np.arange(n_steps + 1)
+    drive_times, h = _grid(0.0, 1.0, dt)  # the drive horizon, in whole steps of dt
     # L_k = L0 + a sin(w t_mid,k) L_X with L_X = -i[SX, .]: H frozen at each step's midpoint
-    drive = drive_amp * np.sin(drive_freq * ((np.arange(n_steps) + 0.5) * dt))[:, None, None]
-    steps = rk4_step(gen.superop + drive * LindbladGenerator(SX).superop, dt)
+    drive = drive_amp * np.sin(drive_freq * ((np.arange(drive_times.size - 1) + 0.5) * h))[:, None, None]
+    steps = rk4_step(gen.superop + drive * LindbladGenerator(SX).superop, h)
     driven = flow(steps, rho0)
     phase = drive_freq * drive_times[:, None, None]
     h_t = ham + drive_amp * np.sin(phase) * SX

@@ -10,12 +10,15 @@ model wherever that retrodiction is enumerable.
 Every pass reads one record-step object (``_accel.record_step``), which
 the model builds once per dt and keeps (``MonitoringModel.record_step``).
 The forward filter, replay and the ensembles share one body (``_filter``)
-and one loop, the record kernel ``_accel._paths``, which steps the real
-branch matrices, so a replay reproduces its simulation bit for bit. The
-backward passes step their transposes, the exact adjoints, over the
-reversed record: for one record on a small coordinate sector a block of
-steps at a time (``_accel._blocked``), where one step's work is too small
-to pay for a Python iteration, and otherwise through the same loop.
+and their mode's forward kernel, which steps the real branch matrices:
+the per-step loop ``_accel._paths`` for currents, and for counts
+``_accel._quiet_runs``, which takes a block of no-click steps per product
+from precomputed powers of the no-click branch. A replay runs the kernel
+of its simulation, so it reproduces it bit for bit. The backward passes
+step the transposes, the exact adjoints, over the reversed record: for
+one record on a small coordinate sector a block of steps at a time
+(``_accel._blocked``), where one step's work is too small to pay for a
+Python iteration, and otherwise through the loop.
 
 Replay and the backward passes take one record or a batch of same-grid
 records, a ``MeasurementRecord`` with (n, steps) increments, and run the
@@ -528,9 +531,8 @@ def pqs_summary_csv(pair: PqsPair, ins: Instrument, path) -> None:
     labels = list(ins.outcomes)
     p = abl_distribution(BoundaryPair(pair.states.mats, pair.effects.mats), ins)
     pairs = pairing(pair.effects.mats, pair.states.mats)
+    rows = np.column_stack([pair.states.times, pairs, *(p[m] for m in labels)]).astype(float).tolist()
     with open(path, "w") as fh:
         fh.write("time,pairing," + ",".join(f"p_{m}" for m in labels) + "\n")
-        for k, t in enumerate(pair.states.times):
-            row = [repr(float(t)), repr(float(pairs[k]))]
-            row += [repr(float(p[m][k])) for m in labels]
-            fh.write(",".join(row) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from retroq import cli
@@ -233,3 +234,16 @@ def test_csv_floats_round_trip(tmp_path):
         eta, post = row.split(",")[:2]
         key = f"p_plus_postselected_eta_{float(eta):g}"
         assert float(post) == report["values"][key]
+
+
+def test_csv_rows_keep_the_bytes_of_a_float_repr_per_entry(tmp_path):
+    """Rows are written from one float array's Python floats, byte for byte
+    what repr(float(x)) of each entry gave: Python and numpy ints, -0.0,
+    1e-5, 1e16 and a float32, from a list of tuples or a 2-D array."""
+    rows = [(3, -0.0, 1e-5, 1e16), (np.int64(7), np.float64(-0.0), np.float32(0.1), 1.0 / 3.0)]
+    for table in (rows, np.array(rows, dtype=float)):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["a", "b", "c", "d"], table)
+        want = "a,b,c,d\n" + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in table)
+        assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[1] == "3.0,-0.0,1e-05,1e+16"

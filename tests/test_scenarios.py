@@ -1,9 +1,11 @@
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
 from retroq import _accel
+from retroq import dynamics as dyn
 from retroq import scenarios as sc
 from retroq import trajectories as tr
 
@@ -138,26 +140,31 @@ def test_counting_small_grid():
 
 
 def test_counting_oracle_makes_one_replay_and_one_backward_call(monkeypatch):
-    """The 21 feasible records of the default grid go through the record
-    kernel in one forward call and one adjoint call, and through the
-    enumeration oracle in one conditional call; the two ensembles make the
-    other kernel calls, from drawn noise."""
+    """The 21 feasible records of the default grid go through the forward
+    counting kernel in one call and the adjoint loop in one call, and
+    through the enumeration oracle in one conditional call; the two
+    ensembles make the other forward calls, from drawn noise."""
     calls = []
-    paths, blocked = _accel._paths, _accel._blocked
+    quiet_runs, paths, blocked = _accel._quiet_runs, _accel._paths, _accel._blocked
     conditional = tr.CountingEnumeration.conditional
 
     def spy_conditional(enum, increments, ins):
         calls.append(("oracle", True, len(increments)))
         return conditional(enum, increments, ins)
 
-    def spy_paths(step, sec, incr, from_record, sample_indices):
+    def spy_quiet_runs(step, sec, incr, from_record, sample_indices):
         calls.append(("adjoint" if sec.adjoint else "forward", from_record, len(incr)))
+        return quiet_runs(step, sec, incr, from_record, sample_indices)
+
+    def spy_paths(step, sec, incr, from_record, sample_indices):
+        calls.append(("adjoint" if sec.adjoint else "loop", from_record, len(incr)))
         return paths(step, sec, incr, from_record, sample_indices)
 
     def spy_blocked(step, sec, incr):
         calls.append(("blocked", True, 1))
         return blocked(step, sec, incr)
 
+    monkeypatch.setattr(_accel, "_quiet_runs", spy_quiet_runs)
     monkeypatch.setattr(_accel, "_paths", spy_paths)
     monkeypatch.setattr(_accel, "_blocked", spy_blocked)
     monkeypatch.setattr(tr.CountingEnumeration, "conditional", spy_conditional)
@@ -184,6 +191,17 @@ def test_thermal_qubit_small_ensemble():
     header, rows = rep.tables["thermal_relaxation.csv"]
     assert header == ["time", "entropy", "relative_entropy", "production_rate", "j_bath", "clausius_gap"]
     assert np.shape(rows) == (1601, 6)
+
+
+def test_thermal_qubit_drives_whole_steps_of_dt():
+    """The driven leg's grid is dynamics' grid: at the default dt it is the
+    floats dt * arange, and a dt that does not divide the drive horizon 1.0
+    is rejected instead of driving a shorter span."""
+    default_dt = inspect.signature(sc.scenario_thermal_qubit).parameters["dt"].default
+    times, h = dyn._grid(0.0, 1.0, default_dt)
+    assert h == default_dt and np.array_equal(times, default_dt * np.arange(times.size))
+    with pytest.raises(ValueError, match="span 1.0 is not an integer number of steps of dt=0.003"):
+        sc.run_scenario("thermal-qubit", dt=0.003, n_traj=50, monitor_horizon=0.1)
 
 
 def test_classical_limit_battery():

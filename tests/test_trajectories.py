@@ -446,6 +446,105 @@ def test_blocked_backward_pass_survives_large_currents():
     assert np.max(np.abs(blocked - loop)) < 1e-12
 
 
+def hand_counts(step, rho0, incr, from_record):
+    """The per-step counting recursion on vec(rho) with the complex branches:
+    rho <- S_x(rho) / Tr, x = 1{u < Tr[R rho]} for a uniform u, or the
+    record's count. Returns (states (n, steps+1, d, d), counts)."""
+    n, steps = incr.shape
+    d = rho0.shape[-1]
+    quiet, fire = step.branches
+    v = np.tile(np.asarray(rho0, dtype=complex).reshape(-1), (n, 1))
+    states, counts = [v], np.empty((n, steps), dtype=np.int64)
+    for k in range(steps):
+        x = incr[:, k] != 0 if from_record else incr[:, k] < (v @ step.readout).real
+        v = np.where(x[:, None], v @ fire.T, v @ quiet.T)
+        v = v / v[:, :: d + 1].sum(axis=1, keepdims=True).real
+        states.append(v)
+        counts[:, k] = x
+    return np.stack(states, axis=1).reshape(n, steps + 1, d, d), counts
+
+
+def quiet_run_cases():
+    """(model, start, dt, n, sector size): a qubit alone and as a batch of
+    1000 (a sector of 3: the drive σx makes the coherence imaginary), the
+    d = 8 number sector and a full d = 8 sector, at dt = 0.05."""
+    d = 8
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+    number_sector = tr.monitoring_model(np.zeros((d, d)), lower, 1.0, mode="counting")
+    qubit = decay_model(kappa=2.0, mode="counting", omega=2.0)
+    return [
+        (qubit, EXCITED, 1e-3, 1, 3),
+        (qubit, EXCITED, 1e-3, 1000, 3),
+        (qubit, EXCITED, 0.05, 1000, 3),
+        (number_sector, fock(d, 7), 0.05, 64, d),
+        (cavity_model(d, mode="counting"), cavity_state(d), 0.05, 16, d * d),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_quiet_runs_are_the_per_step_recursion(case):
+    """Forward counting passes take a block of quiet steps per product; on
+    drawn uniforms they fire exactly where the per-step recursion does, and
+    their states match it to 1e-12, at every grid point or a scattered few,
+    for passes that end inside, at and just past a block edge."""
+    model, start, dt, n, size = quiet_run_cases()[case]
+    step = _accel.record_step(model, dt)
+    assert _accel._on_sector(step, start).start.size == size
+    block = _accel._BLOCK
+    for steps in (block + 15, 2 * block, 2 * block + 1, 40 * block):
+        if n * steps > 20_000 and steps > 2 * block + 1:
+            continue
+        uniforms = rng(steps).random((n, steps))
+        want, counts = hand_counts(step, start, uniforms, False)
+        for idx in (range(steps + 1), [steps, 0, block, block - 1, block + 1, 5]):
+            got, drawn = _accel.counting_paths(step, start, uniforms, False, idx)
+            assert np.array_equal(drawn, counts)
+            assert np.max(np.abs(got - want[:, list(idx)])) < 1e-12
+    assert counts.any()
+
+
+def test_quiet_runs_replay_clicks_at_every_block_offset():
+    """Replayed records click at every offset in a block, some twice more
+    in the same block, so runs start from clicks at every offset; states
+    match the per-step recursion to 1e-12 for records that end inside, at
+    and just past a block edge."""
+    model = decay_model(kappa=1.0, mode="counting", omega=1.3)
+    step = _accel.record_step(model, 0.05)
+    block = _accel._BLOCK
+    for steps in (block + 15, 2 * block, 2 * block + 1):
+        records = np.zeros((block, steps), dtype=np.int64)
+        for offset in range(block):
+            for k in (offset, block + offset, block + offset + 3, block + offset + 6):
+                if k < steps:
+                    records[offset, k] = 1
+        want, _ = hand_counts(step, EXCITED, records, True)
+        got, counts = _accel.counting_paths(step, EXCITED, records, True, range(steps + 1))
+        assert np.array_equal(counts, records)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_quiet_runs_raise_as_the_loop_did():
+    """A jump probability above 1 and a record branch of zero weight raise by
+    name, at a block's start, inside it and across its edge, and a quiet
+    branch that overflows raises rather than filter infinities."""
+    block = _accel._BLOCK
+    coarse = _accel.record_step(decay_model(kappa=30.0, mode="counting"), 0.05)
+    for n in (1, 8):
+        with pytest.raises(ValueError, match="jump probability exceeded 1; reduce dt"):
+            _accel.counting_paths(coarse, EXCITED, rng(1).random((n, 40)), False, [0, 40])
+    step = _accel.record_step(decay_model(kappa=1.0, mode="counting"), 1e-3)
+    for k in (0, 12, block - 1, block):
+        records = np.zeros((3, 2 * block + 5), dtype=np.int64)
+        records[1, k:k + 2] = 1
+        with pytest.raises(ValueError, match="a record branch has zero weight; the record is infeasible"):
+            _accel.counting_paths(step, EXCITED, records, True, [0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = _accel.record_step(decay_model(kappa=1.0, mode="counting", omega=0.7), 1e155)
+        for from_record in (False, True):
+            with pytest.raises(ValueError, match="a power of the quiet branch overflowed"):
+                _accel.counting_paths(huge, EXCITED, np.zeros((1, 3)), from_record, [0])
+
+
 @pytest.mark.parametrize("mode", tr.MODES)
 def test_forward_passes_reject_invalid_initial_states(mode):
     """simulate, replay and ensemble check rho0 as propagate_forward does and
@@ -1010,6 +1109,23 @@ def test_pqs_summary_csv(tmp_path):
         want = tr.smoothed_probability(pair, t, proj_z())
         assert abs(pair_val - pair.pairing_at(t)) < 1e-12
         assert abs(p_g - want["g"]) < 1e-12 and abs(p_e - want["e"]) < 1e-12
+
+
+def test_pqs_summary_csv_keeps_the_bytes_of_a_float_repr_per_entry(tmp_path):
+    """The summary's rows are repr(float(x)) of each time, pairing and
+    probability, byte for byte, though written from one array's floats."""
+    model = decay_model(mode="counting", omega=1.1)
+    states, rec = tr.simulate_counting(model, EXCITED, 0.3, 1e-3, seed=4)
+    pair = tr.PqsPair(states, tr.backward_counting(model, rec, np.eye(2)), rec)
+    path = tmp_path / "summary.csv"
+    tr.pqs_summary_csv(pair, proj_z(), path)
+    p = rd.abl_distribution(rd.BoundaryPair(pair.states.mats, pair.effects.mats), proj_z())
+    pairs = al.pairing(pair.effects.mats, pair.states.mats)
+    want = "time,pairing,p_g,p_e\n" + "".join(
+        ",".join(repr(float(x)) for x in (t, pairs[k], p["g"][k], p["e"][k])) + "\n"
+        for k, t in enumerate(pair.states.times)
+    )
+    assert path.read_bytes() == want.encode()
 
 
 def test_stack_calls_equal_per_point_calls_on_a_record():
