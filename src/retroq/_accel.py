@@ -25,11 +25,17 @@ starts from a shared start or its own, an (n, d, d) stack. The loop
 ``_paths`` advances a step-major (|R|, n_traj) block with one GEMM per
 step into a buffer allocated once, and applies the counting fire branch
 only to the columns that fired; it runs diffusive passes forward and
-every adjoint batch. Forward counting passes run ``_quiet_runs``: between
-clicks the filter applies the one matrix S_quiet, so its powers over a
-block of _BLOCK steps are built once per call, and a block costs a few
-products per set of columns instead of a Python iteration per step. The
-backward passes of ``trajectories`` step the transposed real branches,
+every adjoint batch. A record step is linear in the state, the linear
+filter of Wiseman & Milburn (Quantum Measurement and Control, ch. 4), so
+the loop steps unnormalized states and divides each column by its trace
+(adjoint: its Frobenius norm) once per block of _BLOCK steps, which only
+keeps numbers in range; a drawn current reads its drift as the ratio of
+two more GEMM rows, the readout and the trace. Forward counting passes
+run ``_quiet_runs``: between clicks the filter applies the one matrix
+S_quiet, so its powers over a block of _BLOCK steps are built once per
+call, and a block costs a few products per set of columns instead of a
+Python iteration per step.
+The backward passes of ``trajectories`` step the transposed real branches,
 which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
 forward and backward are exact adjoints by construction. A backward pass
 knows its whole record, so for one record on a sector of at most
@@ -189,6 +195,7 @@ _COLLAPSE = {
     "counting": "a record branch has zero weight; the record is infeasible",
     "adjoint": "effect collapsed to zero; record incompatible with the effect",
 }
+_OVERFLOW = "a record step overflowed; the record's increments are too large"
 
 
 def _reachable(real: np.ndarray, start: np.ndarray):
@@ -257,7 +264,7 @@ def _to_matrices(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
-    """Filter a batch of trajectories step by step; returns (sampled states, outcomes).
+    """Filter a batch of trajectories, normalizing once per block; returns (sampled states, outcomes).
 
     Runs diffusive records forward, drawn or given, and every adjoint batch
     (forward counts run ``_quiet_runs``). Outcomes are drawn from incr,
@@ -266,64 +273,90 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
     is one (|R|, n_traj) coordinate block over the reachable sector R of
     the start (``_on_sector``), a trajectory per column from a shared start
     or its own, stepped by one GEMM into a buffer allocated once:
-    [G_0 | G_1 | G_2 | g]ᵀ weighed by (1, dY, dY²), or [G_quiet | g]ᵀ with
-    G_fireᵀ applied only to the columns that fired, each sliced to R. The
-    leading diagonal coordinate rows sum to each trace, which divides each
-    new state. Columns of incr and outcomes pass through contiguous
+    [G_0 | G_1 | G_2 | √(ηκ) dt g | 1_diag]ᵀ, each sliced to R, whose first
+    three blocks are weighed by (1, dY, dY²). The step is linear, so the
+    loop steps unnormalized states ρ̃, and a drawn current is the ratio of
+    the last two rows plus dW: its drift √(ηκ) dt Tr[(c + c†)ρ̃] / Tr[ρ̃]
+    needs no normalized state. Each column is divided by its trace once per
+    block of _BLOCK steps, which only keeps numbers in range; the block
+    scales multiply to Π_k Tr_k, the per-step traces. Simulation and
+    replay run the same GEMM operand, so replay reproduces simulation bit
+    for bit. Columns of incr and outcomes pass through contiguous
     (_BLOCK, n_traj) buffers, copied once per block of steps. Sampled
-    coordinates are kept real and become matrices once, after the loop.
+    coordinates are kept real and unnormalized, each is divided by its own
+    trace after the loop, and they become matrices once.
 
     On an adjoint sector, the block holds effects and every branch matrix is
     its transpose, which in an orthonormal basis is its Hilbert-Schmidt
-    adjoint: a step is E -> S_b†(E). Each effect is divided by its Euclidean
-    norm, its Frobenius norm, as the trace would vanish for a valid
-    traceless effect such as σz.
+    adjoint: a step is E -> S_b†(E), by [G_0 | G_1 | G_2]ᵀ, or by G_quiet
+    with G_fireᵀ applied only to the columns that fired. Effects are
+    divided by their Euclidean norm, their Frobenius norm, as the trace
+    would vanish for a valid traceless effect such as σz.
+
+    Growth compounds over a block, so a floating-point overflow raises, and
+    so do a zero divisor (a collapsed state or effect) and a block that
+    ends non-finite: the kernel never returns inf or nan.
     """
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
     pos = _sample_positions(steps, sample_indices).tolist()
     r, nd = len(sec.basis), sec.diagonal
     counting = step.mode == "counting"
-    gemm = np.vstack([*sec.real[:1 if counting else 3], sec.readout])
+    collapse = _COLLAPSE["adjoint" if sec.adjoint else step.mode]
+    rows = [*sec.real[:1 if counting else 3]]
+    if not sec.adjoint:
+        rows += [step.gain * step.dt * sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])]
+    gemm = np.vstack(rows)
     fire = sec.real[-1]
-    cur, nxt = np.empty((2, len(gemm), n))
-    cur[:r] = np.atleast_2d(sec.start).T
+    h = np.empty((r, n))
+    h[:] = np.atleast_2d(sec.start).T
+    nxt = np.empty((len(gemm), n))
+    q0, q1, q2 = nxt[:r], nxt[r:2 * r], nxt[2 * r:3 * r]
+    drift, trace = nxt[-2], nxt[-1]  # read only forward, where they are the last two rows
     coords = np.empty((n, len(sample_indices), r))
     outcomes = incr.astype(np.int64 if counting else float) if from_record else np.empty((n, steps))
     block = min(_BLOCK, steps)
     staged_in = np.empty((block, n))
-    staged_out = None if from_record else np.empty((block, n))
+    staged_out = staged_in if from_record else np.empty((block, n))
+    ins, outs = list(staged_in), list(staged_out)
     if pos[0] >= 0:
-        coords[:, pos[0]] = cur[:r].T
-    for k0 in range(0, steps, _BLOCK):
-        b = min(_BLOCK, steps - k0)
-        np.copyto(staged_in[:b], incr[:, k0:k0 + b].T)
-        for j in range(b):
-            h = cur[:r]
-            np.matmul(gemm, h, out=nxt)
-            x = staged_in[j]
-            if not from_record:  # drawn in place
-                x = np.add(step.gain * nxt[-1] * step.dt, x, out=staged_out[j])
-            if counting:
-                fired = x.nonzero()[0]
-                if fired.size:
-                    nxt[:r, fired] = fire @ h[:, fired]
-                cur, nxt = nxt, cur  # the quiet block already holds the new state
-                h = cur[:r]
-            else:  # h = G_0 h + x (G_1 h + x G_2 h), in the GEMM's buffer
-                w = nxt[2 * r:-1]
-                w *= x
-                w += nxt[r:2 * r]
-                w *= x
-                np.add(nxt[:r], w, out=h)
+        coords[:, pos[0]] = h.T
+
+    def fail(kind, _):  # a floating-point error in the loop names its cause
+        raise ValueError(_OVERFLOW if kind == "overflow" else collapse)
+
+    with np.errstate(over="call", divide="call", invalid="call", call=fail):
+        for k0 in range(0, steps, _BLOCK):
+            b = min(_BLOCK, steps - k0)
+            np.copyto(staged_in[:b], incr[:, k0:k0 + b].T)
+            for j in range(b):
+                np.matmul(gemm, h, out=nxt)
+                x = ins[j]
+                if not from_record:  # the drawn current, in place
+                    x = np.divide(drift, trace, out=outs[j])
+                    x += ins[j]
+                if counting:
+                    fired = x.nonzero()[0]
+                    if fired.size:
+                        nxt[:, fired] = fire @ h[:, fired]
+                    h, nxt = nxt, h  # the quiet block already holds the new state
+                else:  # h = G_0 h + x (G_1 h + x G_2 h), in the GEMM's buffer
+                    q2 *= x
+                    q2 += q1
+                    q2 *= x
+                    np.add(q0, q2, out=h)
+                if pos[k0 + j + 1] >= 0:
+                    coords[:, pos[k0 + j + 1]] = h.T
+            if not np.isfinite(h).all():
+                raise ValueError(_OVERFLOW)
             scale = np.hypot.reduce(h) if sec.adjoint else np.add.reduce(h[:nd])
             if not scale.min() > 0.0:
-                raise ValueError(_COLLAPSE["adjoint" if sec.adjoint else step.mode])
+                raise ValueError(collapse)
             h /= scale
-            if pos[k0 + j + 1] >= 0:
-                coords[:, pos[k0 + j + 1]] = h.T
-        if not from_record:
-            outcomes[:, k0:k0 + b] = staged_out[:b].T
+            if not from_record:
+                outcomes[:, k0:k0 + b] = staged_out[:b].T
+        norms = np.hypot.reduce(coords, axis=-1) if sec.adjoint else np.add.reduce(coords[..., :nd], axis=-1)
+        coords /= norms[..., None]
     return _to_matrices(coords, sec.basis), outcomes
 
 
@@ -483,7 +516,7 @@ def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
             m[:x.size] = sec.real[0] + xs * (sec.real[1] + xs * sec.real[2])
         m[x.size:] = np.eye(r)
         if not np.isfinite(m).all():
-            raise ValueError("a record step overflowed; the record's increments are too large")
+            raise ValueError(_OVERFLOW)
         _, e = np.frexp(np.abs(m).max(axis=(1, 2)))
         np.ldexp(m, -e[:, None, None], out=m)
         p = m.reshape(-1, _BLOCK, r, r)

@@ -395,8 +395,8 @@ def scenario_homodyne_cavity(
     zs = np.abs(mean_pop - exact) / se_pop
     dws = ens.innovations
     dw_mean = float(dws.mean())
-    dw_se = float(dws.std(ddof=1) / np.sqrt(dws.size))
     dw_var = float(dws.var(ddof=1))
+    dw_se = float(np.sqrt(dw_var) / np.sqrt(dws.size))
     values = {
         "max_decay_z": float(zs.max()),
         "innovation_mean": dw_mean,

@@ -124,6 +124,10 @@ def test_homodyne_cavity_small_ensemble():
     assert rep.passed
     assert 0.0 < rep.values["pairing_ratio_min"] <= 1.0 + 1e-12
     assert rep.values["innovation_var_rel_err"] < 0.05
+    # one variance pass gives the bytes of separate std and var calls
+    dws = np.random.Generator(np.random.Philox(sc._substreams(4, 3)[0])).normal(0.0, np.sqrt(1e-3), (400, 400))
+    assert rep.values["innovation_mean_z"] == abs(float(dws.mean())) / float(dws.std(ddof=1) / np.sqrt(dws.size))
+    assert rep.values["innovation_var"] == float(dws.var(ddof=1))
 
 
 def test_homodyne_cavity_rejects_coarse_grid():

@@ -318,9 +318,10 @@ def test_backward_counting_quiet_record_hand_recursion():
         assert np.allclose(effects.mats[k], want, atol=1e-13)
 
 
-def hand_effects(model, rec, effect_final):
+def hand_effects(model, rec, effect_final, norm=al.spectral_norm_hermitian):
     """The backward recursion in sandwich form, every term acting on the
-    incoming effect, each earlier point scaled to spectral norm 1."""
+    incoming effect, each earlier point divided by its norm (spectral by
+    default)."""
     dt = rec.dt
     jumps = [j for b in model.gen.baths for j in b.jumps]
     base = np.eye(model.dim) - (1j * model.gen.hamiltonian + 0.5 * sum(j.conj().T @ j for j in jumps)) * dt
@@ -338,7 +339,7 @@ def hand_effects(model, rec, effect_final):
             nxt = m.conj().T @ e @ m + leak * (cd @ e @ c)
             for j in others:
                 nxt = nxt + j.conj().T @ e @ j
-        out.append(nxt / al.spectral_norm_hermitian(nxt))
+        out.append(nxt / norm(nxt))
     return np.array(out[::-1])
 
 
@@ -543,6 +544,127 @@ def test_quiet_runs_raise_as_the_loop_did():
         for from_record in (False, True):
             with pytest.raises(ValueError, match="a power of the quiet branch overflowed"):
                 _accel.counting_paths(huge, EXCITED, np.zeros((1, 3)), from_record, [0])
+
+
+def hand_currents(model, dt, rho0, incr, from_record):
+    """The per-step homodyne recursion in complex Kraus form: rho <- (M rho M†
+    + the undetected leak + the unmonitored sandwiches) / Tr, with M = A +
+    √(ηκ) c dY and dY = √(ηκ) <c + c†> dt + dW for a drawn dW, or the
+    record's current. Returns (states (n, steps+1, d, d), currents)."""
+    n, steps = incr.shape
+    d, c = model.dim, model.c
+    jumps = [j for b in model.gen.baths for j in b.jumps]
+    base = np.eye(d) - (1j * model.gen.hamiltonian + 0.5 * sum(j.conj().T @ j for j in jumps)) * dt
+    sq = np.sqrt(model.eta * model.kappa)
+    leak = (1.0 - model.eta) * model.kappa * dt
+    others = [np.sqrt(dt) * j for j in model.unmonitored_jumps()]
+    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (n, d, d))
+    states, currents = [rho], np.empty((n, steps))
+    for k in range(steps):
+        dy = incr[:, k].copy()
+        if not from_record:
+            dy += sq * np.trace((c + c.conj().T) @ rho, axis1=1, axis2=2).real * dt
+        m = base + sq * dy[:, None, None] * c
+        nxt = m @ rho @ m.conj().transpose(0, 2, 1) + leak * (c @ rho @ c.conj().T)
+        for j in others:
+            nxt = nxt + j @ rho @ j.conj().T
+        rho = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
+        states.append(rho)
+        currents[:, k] = dy
+    return np.stack(states, axis=1), currents
+
+
+def diffusive_cases():
+    """(model, start, sector size): qubit decay (3 real coordinates), a
+    driven qubit (all 4), a d = 8 cavity from |7> (36 real-symmetric ones)
+    and a complex d = 8 cavity (all 64)."""
+    return [
+        (decay_model(eta=0.7), EXCITED, 3),
+        (decay_model(eta=0.7, omega=1.1), EXCITED, 4),
+        (real_cavity_model(8), fock(8, 7), 36),
+        (cavity_model(8), cavity_state(8), 64),
+    ]
+
+
+def assert_paths_are_the_recursion(got, dys, want, currents):
+    """States within 1e-12, currents within 1e-12 of the largest (a current
+    near zero is a difference of drift and noise, exact only to their
+    rounding), and every sampled state of unit trace."""
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(dys - currents)) <= 1e-12 * np.max(np.abs(currents))
+    assert np.max(np.abs(np.trace(got, axis1=-2, axis2=-1) - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_record_loop_is_the_per_step_kraus_recursion(case):
+    """The loop steps unnormalized states, reads each drawn current as a ratio
+    of two GEMM rows and normalizes once per block; its states, drawn and
+    replayed, match the per-step normalized Kraus recursion to 1e-12, its
+    currents to 1e-12 relative, and every sampled state has unit trace, for
+    records that end inside, at and past a block edge."""
+    model, start, size = diffusive_cases()[case]
+    dt = 1e-3
+    step = _accel.record_step(model, dt)
+    assert _accel._on_sector(step, start).start.size == size
+    block = _accel._BLOCK
+    for n in (1, 1000):
+        for steps in (1, block - 1, block, block + 1, 2 * block + 1):
+            dws = rng(steps).normal(0.0, np.sqrt(dt), (n, steps))
+            want, currents = hand_currents(model, dt, start, dws, False)
+            got, dys = _accel.homodyne_paths(step, start, dws, False, range(steps + 1))
+            assert_paths_are_the_recursion(got, dys, want, currents)
+            got, dys = _accel.homodyne_paths(step, start, currents, True, range(steps + 1))
+            assert np.array_equal(dys, currents)
+            assert_paths_are_the_recursion(got, dys, want, currents)
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_adjoint_batch_is_the_frobenius_recursion(mode):
+    """A batch of records on a sector above _BLOCKED_SECTOR runs the loop
+    adjoint, normalizing once per block; its effects match the per-step
+    recursion that divides each effect by its Frobenius norm to 1e-12."""
+    d, dt, steps = 5, 1e-3, 2 * _accel._BLOCK + 6
+    model = cavity_model(d, mode=mode)
+    if mode == "diffusive":
+        batch = batch_of(simulated_records(model, cavity_state(d), 3, horizon=steps * dt))
+    else:
+        counts = np.zeros((3, steps), dtype=np.int64)
+        for k, row in enumerate(counts):  # each record clicks at its own three steps
+            row[[3 + k, 40 + 7 * k, steps - 2 - k]] = 1
+        batch = tr.MeasurementRecord(mode, dt * np.arange(steps + 1), counts)
+    effect = np.diag(np.linspace(0.0, 1.0, d))
+    step = model.record_step(batch.dt)
+    assert _accel._on_sector(step, effect, adjoint=True).start.size > _accel._BLOCKED_SECTOR
+    got = _accel._backward_effects(step, effect, batch.increments[:, ::-1])
+    for row, incr in zip(got, batch.increments):
+        rec = tr.MeasurementRecord(mode, batch.times, incr)
+        want = hand_effects(model, rec, effect, norm=np.linalg.norm)
+        assert np.max(np.abs(row[::-1] - want[:-1])) < 1e-12
+
+
+def test_record_loop_raises_on_currents_that_overflow_a_block():
+    """Normalized once per block, the loop compounds a block's growth: six
+    currents of 1e60 in one block overflow, and every loop pass (a replay,
+    a batch of backward passes and one record on a sector above
+    _BLOCKED_SECTOR) raises by name instead of returning inf or nan.
+    Currents of ±1e3 stay in range and match the per-step recursions."""
+    for d, model, start in ((2, decay_model(eta=0.7, omega=1.1), EXCITED), (5, cavity_model(5), cavity_state(5))):
+        _, rec = tr.simulate_homodyne(model, start, 2 * _accel._BLOCK * 1e-3, 1e-3, seed=26)
+        incr = rec.increments.copy()
+        incr[3:9] = 1e60
+        huge = dataclasses.replace(rec, increments=incr)
+        with pytest.raises(ValueError, match="a record step overflowed"):
+            tr.replay_homodyne(model, start, huge)
+        for loop_record in [batch_of([huge, huge])] + ([huge] if d == 5 else []):
+            with pytest.raises(ValueError, match="a record step overflowed"):
+                tr.backward_homodyne(model, loop_record, np.eye(d))
+        incr = rec.increments.copy()
+        incr[[3, 40, 41, 63]] = (1e3, -1e3, 1e3, 1e3)
+        large = dataclasses.replace(rec, increments=incr)
+        want, _ = hand_currents(model, rec.dt, start, incr[None], True)
+        assert np.max(np.abs(tr.replay_homodyne(model, start, large).mats - want[0])) < 1e-12
+        effects = tr.backward_homodyne(model, batch_of([large, large]), np.eye(d)).mats
+        assert np.max(np.abs(effects - hand_effects(model, large, np.eye(d)))) < 1e-12
 
 
 @pytest.mark.parametrize("mode", tr.MODES)
@@ -937,23 +1059,9 @@ def test_real_cavity_record_is_the_kraus_recursion():
     d = 6
     model = real_cavity_model(d)
     _, rec = tr.simulate_homodyne(model, fock(d, 5), 0.3, 1e-3, seed=19)
-    dt, c = rec.dt, model.c
-    jumps = [j for b in model.gen.baths for j in b.jumps]
-    base = np.eye(d) - (1j * model.gen.hamiltonian + 0.5 * sum(j.conj().T @ j for j in jumps)) * dt
-    sq = np.sqrt(model.eta * model.kappa)
-    leak = (1.0 - model.eta) * model.kappa * dt
-    others = [np.sqrt(dt) * j for j in model.unmonitored_jumps()]
-    rho = fock(d, 5)
-    want = [rho]
-    for dy in rec.increments:
-        m = base + sq * c * dy
-        nxt = m @ rho @ m.conj().T + leak * (c @ rho @ c.conj().T)
-        for j in others:
-            nxt = nxt + j @ rho @ j.conj().T
-        rho = nxt / np.trace(nxt).real
-        want.append(rho)
+    want, _ = hand_currents(model, rec.dt, fock(d, 5), rec.increments[None], True)
     replay = tr.replay_homodyne(model, fock(d, 5), rec).mats
-    assert np.max(np.abs(replay - np.array(want))) < 1e-12
+    assert np.max(np.abs(replay - want[0])) < 1e-12
     effect = np.diag(np.linspace(0.0, 1.0, d))
     effects = tr.backward_homodyne(model, rec, effect)
     assert np.max(np.abs(effects.mats - hand_effects(model, rec, effect))) < 1e-12
