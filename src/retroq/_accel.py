@@ -481,7 +481,7 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
     return _to_matrices(coords, sec.basis), outcomes
 
 
-_BLOCKED_SECTOR = 16  # largest sector whose backward pass runs blocked (crossover near 21)
+_BLOCKED_SECTOR = 16  # largest sector whose backward pass runs blocked (crossover near 16)
 _STAGE = 8 * _BLOCK  # steps whose matrices are built and doubled together, 0.5 MB at |R| = 16
 
 
@@ -498,9 +498,10 @@ def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
     its starting effect, one Frobenius normalization of every column, and
     the hand-off of the last one. Normalization is scale-free, so the
     effects are the loop's up to rounding. A product of _BLOCK scaled
-    matrices has entries below |R|^_BLOCK, far inside the double range; a
-    step matrix that itself overflows raises, and a product that
-    underflows to zero raises as a collapsed effect.
+    matrices has entries below |R|^_BLOCK, far inside the double range;
+    a step matrix that itself overflows raises. An effect that vanishes is
+    collapsed or underflowed under huge currents, so the record reruns on
+    the loop of ``_paths``, whose error names which.
     """
     r, steps = len(sec.basis), incr.size
     padded = -(-steps // _BLOCK) * _BLOCK
@@ -513,7 +514,8 @@ def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
             m[:x.size] = sec.real[x]
         else:
             xs = x[:, None, None]
-            m[:x.size] = sec.real[0] + xs * (sec.real[1] + xs * sec.real[2])
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, by name
+                m[:x.size] = sec.real[0] + xs * (sec.real[1] + xs * sec.real[2])
         m[x.size:] = np.eye(r)
         if not np.isfinite(m).all():
             raise ValueError(_OVERFLOW)
@@ -528,7 +530,7 @@ def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
             np.matmul(prod, h, out=u)
             scale = np.hypot.reduce(u, axis=1)
             if not scale.min() > 0.0:
-                raise ValueError(_COLLAPSE["adjoint"])
+                return _paths(step, sec, incr[None], True, range(1, steps + 1))[0][0]
             u /= scale[:, None]
             h = u[-1]
     return _to_matrices(coords.reshape(padded, r)[:steps], sec.basis)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -111,13 +113,28 @@ def spectral_norm_hermitian(op) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(asoperator(op))))))
 
 
-def state_spectrum(op, tol: float = DEFAULT_TOL):
-    """Check and clean one state (d, d) or a stack (..., d, d); returns (w, V).
+class Spectrum(NamedTuple):
+    """Eigenvalues w (..., d) and eigenvectors V (..., d, d) of a state or a stack that state_spectrum checked."""
+
+    w: np.ndarray
+    v: np.ndarray
+
+    def rebuild(self, f=None) -> np.ndarray:
+        """V diag(f(w)) V†, or the states themselves when f is None."""
+        w = self.w if f is None else f(self.w)
+        return (self.v * w[..., None, :]) @ dagger(self.v)
+
+
+def state_spectrum(op, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Check and clean one state (d, d) or a stack (..., d, d); returns its Spectrum.
 
     Each state is V diag(w) V† with its eigenvalues in [-tol, 0) clamped to
     zero and its trace renormalized to 1. Violations beyond tol raise with
-    a message naming the broken invariant.
+    a message naming the broken invariant. A Spectrum was checked when it
+    was made, so it comes back as it is, and one stack is decomposed once.
     """
+    if isinstance(op, Spectrum):
+        return op
     mats = asstack(op)
     if hermiticity_defect(mats) > tol:
         raise ValueError("state rejected: not Hermitian within tolerance")
@@ -129,10 +146,9 @@ def state_spectrum(op, tol: float = DEFAULT_TOL):
     bad = np.abs(tr - 1.0) > tol
     if np.any(bad):
         raise ValueError(f"state rejected: trace {float(tr[bad][0]):.12g} differs from 1")
-    return w / tr, v
+    return Spectrum(w / tr, v)
 
 
 def validate_state(op, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A raw matrix cleaned through state_spectrum: symmetrized, tiny negatives clamped, trace 1."""
-    w, v = state_spectrum(asoperator(op), tol)
-    return (v * w) @ dagger(v)
+    return state_spectrum(asoperator(op), tol).rebuild()

@@ -226,13 +226,18 @@ def _checked_flow(steps, x, kind: str) -> np.ndarray:
     return mats
 
 
+def _steps(gen: LindbladGenerator, t0: float, t1: float, dt: float, adjoint: bool):
+    """The grid from t0 to t1 and its RK4 step matrix broadcast to one per step, conjugate-transposed for effects."""
+    times, h = _grid(t0, t1, dt)
+    step = rk4_step(gen.superop, h)
+    return times, np.broadcast_to(step.conj().T if adjoint else step, (times.size - 1, *step.shape))
+
+
 def propagate_forward(gen: LindbladGenerator, rho0, t0: float, t1: float, dt: float) -> Timeline:
     """RK4-integrate a state from t0 to t1 with no per-step projection; the
     run aborts if any point of the timeline leaves the states by more than 1e-10."""
-    times, h = _grid(t0, t1, dt)
-    step = rk4_step(gen.superop, h)
-    mats = _checked_flow(np.broadcast_to(step, (times.size - 1, *step.shape)), validate_state(rho0), "state")
-    return Timeline(times, mats, "state")
+    times, steps = _steps(gen, t0, t1, dt, adjoint=False)
+    return Timeline(times, _checked_flow(steps, validate_state(rho0), "state"), "state")
 
 
 def _terminal_effect(effect, dim: int) -> np.ndarray:
@@ -256,14 +261,12 @@ def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: floa
     identity is a fixed point, and the run aborts if any point's spectrum
     leaves [0, 1] by more than 1e-10, counting steps down from t1.
     """
-    times, h = _grid(t0, t1, dt)
-    e = _terminal_effect(effect_final, gen.dim)
-    step = rk4_step(gen.superop, h).conj().T
-    mats = _checked_flow(np.broadcast_to(step, (times.size - 1, *step.shape)), e, "effect")
+    times, steps = _steps(gen, t0, t1, dt, adjoint=True)
+    mats = _checked_flow(steps, _terminal_effect(effect_final, gen.dim), "effect")
     return Timeline(times, mats[::-1], "effect")
 
 
-def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3) -> np.ndarray:
+def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float) -> np.ndarray:
     """Raw RK4 composition over a duration, with no projection and no check.
 
     Used for chain stages, where the matching effect evolution must be the
@@ -271,18 +274,14 @@ def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float = 1e-3)
     """
     if duration == 0.0:
         return asoperator(rho).copy()
-    times, h = _grid(0.0, duration, dt)
-    step = rk4_step(gen.superop, h)
-    return flow(np.broadcast_to(step, (times.size - 1, *step.shape)), rho)[-1]
+    return flow(_steps(gen, 0.0, duration, dt, adjoint=False)[1], rho)[-1]
 
 
-def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float = 1e-3) -> np.ndarray:
+def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float) -> np.ndarray:
     """Adjoint companion of evolve_state: the conjugate transpose of its step matrix."""
     if duration == 0.0:
         return asoperator(effect).copy()
-    times, h = _grid(0.0, duration, dt)
-    step = rk4_step(gen.superop, h).conj().T
-    return flow(np.broadcast_to(step, (times.size - 1, *step.shape)), effect)[-1]
+    return flow(_steps(gen, 0.0, duration, dt, adjoint=True)[1], effect)[-1]
 
 
 def stationary_state(gen: LindbladGenerator) -> np.ndarray:

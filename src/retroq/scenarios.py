@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import SM, SX, SZ, ket, pairing, projector, tensor
+from .algebra import SM, SX, SZ, ket, pairing, projector, state_spectrum, tensor
 from .channels import Instrument, projective, unsharp_z
 from .classical import (
     HmmModel,
@@ -597,16 +597,18 @@ def scenario_thermal_qubit(
     phase = drive_freq * drive_times[:, None, None]
     h_t = ham + drive_amp * np.sin(phase) * SX
     dedt = np.gradient(np.einsum("kij,kji->k", h_t, driven).real, drive_times, edge_order=2)
-    wdot = work_rate(driven, drive_amp * drive_freq * np.cos(phase) * SX)
-    heat = heat_current(gen, "bath", driven, hamiltonian=h_t)
+    driven_spec = state_spectrum(driven)
+    wdot = work_rate(driven_spec, drive_amp * drive_freq * np.cos(phase) * SX)
+    heat = heat_current(gen, "bath", driven_spec, hamiltonian=h_t)
     first_law = float(np.max(np.abs(dedt - wdot + heat)))
     values["first_law_max_err"] = first_law
     assertions.append(_at_most("first_law_pointwise", first_law, 1e-6, "two-route"))
     monitor = monitoring_model(ham, SZ, monitor_kappa, 1.0, extra_baths=(bath,))
     sample_times = [k * monitor_horizon / 10.0 for k in range(11)]
     ens = ensemble_homodyne(monitor, rho0, monitor_horizon, 1e-3, n_traj, s_mon, sample_times)
-    sdots = np.gradient(von_neumann_entropy(ens.states), ens.sample_times, axis=1)
-    expr = sdots + beta * heat_current(gen, "bath", ens.states)
+    ens_spec = state_spectrum(ens.states)
+    sdots = np.gradient(von_neumann_entropy(ens_spec), ens.sample_times, axis=1)
+    expr = sdots + beta * heat_current(gen, "bath", ens_spec)
     cond_mean = expr.mean(axis=0)
     cond_se = expr.std(axis=0, ddof=1) / np.sqrt(n_traj)
     margin = float((cond_mean + 3.0 * cond_se).min())

@@ -5,10 +5,11 @@ so the Clausius combination reads dS/dt + sum_r beta_r J^(r) and equals the
 summed per-bath entropy production. Backward effects never enter any formula
 here; backward_neutrality_check turns that architectural fact into a test.
 
-State arguments, heat_current's hamiltonian and work_rate's dh_dt take one
-operator (d, d) or a stack (..., d, d) that broadcast, such as a timeline's
-mats. A call validates its states once, in one batched eigh, and returns a
-float for one state and an array for a stack.
+State arguments take one operator (d, d), a stack (..., d, d) such as a
+timeline's mats, or its Spectrum from state_spectrum, which passes through:
+thermo_report and clausius_gap decompose a timeline once, in one batched
+eigh. heat_current's hamiltonian and work_rate's dh_dt broadcast against
+the states. A call returns a float for one state and an array for a stack.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LOG_FLOOR, asoperator, dagger, hermitian_eig, pairing, state_spectrum
+from .algebra import LOG_FLOOR, SM, SP, Spectrum, asoperator, dagger, hermitian_eig, pairing, state_spectrum
 from .dynamics import (
     Bath,
     LindbladGenerator,
@@ -34,11 +35,6 @@ SUPPORT_TOL = 1e-12
 def _float_or_array(x):
     """A float for one state, an array for a stack of them."""
     return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-
-
-def _rebuild(w, v):
-    """The operators V diag(w) V† of a stack of spectra."""
-    return (v * w[..., None, :]) @ dagger(v)
 
 
 def _log(w):
@@ -74,8 +70,7 @@ def gibbs_state(hamiltonian, beta: float) -> np.ndarray:
     """exp(-beta H) / Z."""
     w, v = hermitian_eig(hamiltonian)
     p = np.exp(-beta * (w - w.min()))
-    p = p / p.sum()
-    return (v * p) @ dagger(v)
+    return Spectrum(p / p.sum(), v).rebuild()
 
 
 def thermal_bath(omega: float, beta: float, gamma_down: float, label: str = "thermal") -> Bath:
@@ -87,23 +82,17 @@ def thermal_bath(omega: float, beta: float, gamma_down: float, label: str = "the
     if omega <= 0 or gamma_down <= 0:
         raise ValueError("need omega > 0 and gamma_down > 0")
     gamma_up = gamma_down * np.exp(-beta * omega)
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return Bath(label, (np.sqrt(gamma_down) * sm, np.sqrt(gamma_up) * sm.conj().T), beta=beta)
-
-
-def _check_stationary(gen: LindbladGenerator, sigma: np.ndarray) -> None:
-    defect = float(np.max(np.abs(gen.apply(sigma))))
-    if defect > STATIONARY_TOL:
-        raise ValueError(f"sigma is not stationary: max |L(sigma)| = {defect:.3e}")
+    return Bath(label, (np.sqrt(gamma_down) * SM, np.sqrt(gamma_up) * SP), beta=beta)
 
 
 def entropy_production_rate(gen: LindbladGenerator, rho, sigma) -> float | np.ndarray:
     """Spohn's rate -Tr[L(rho)(ln rho - ln sigma)]; nonnegative for one stationary sigma."""
-    wr, vr = state_spectrum(rho)
-    ws, vs = state_spectrum(sigma)
-    _check_stationary(gen, _rebuild(ws, vs))
-    grad = _rebuild(_log(wr), vr) - _rebuild(_log(ws), vs)
-    return _float_or_array(-_trace_of_product(gen.apply(_rebuild(wr, vr)), grad))
+    rs, ss = state_spectrum(rho), state_spectrum(sigma)
+    defect = float(np.max(np.abs(gen.apply(ss.rebuild()))))
+    if defect > STATIONARY_TOL:
+        raise ValueError(f"sigma is not stationary: max |L(sigma)| = {defect:.3e}")
+    grad = rs.rebuild(_log) - ss.rebuild(_log)
+    return _float_or_array(-_trace_of_product(gen.apply(rs.rebuild()), grad))
 
 
 def _dissipator(gen: LindbladGenerator, label: str) -> LindbladGenerator:
@@ -114,8 +103,8 @@ def _dissipator(gen: LindbladGenerator, label: str) -> LindbladGenerator:
 def heat_current(gen: LindbladGenerator, bath_label: str, rho, hamiltonian=None) -> float | np.ndarray:
     """-Tr[H L^(r)(rho)] for one labelled dissipator: energy flowing into that bath."""
     h = gen.hamiltonian if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
-    w, v = state_spectrum(rho)
-    return _float_or_array(-_trace_of_product(h, _dissipator(gen, bath_label).apply(_rebuild(w, v))))
+    rho = state_spectrum(rho).rebuild()
+    return _float_or_array(-_trace_of_product(h, _dissipator(gen, bath_label).apply(rho)))
 
 
 def work_rate(rho, dh_dt) -> float | np.ndarray:
@@ -124,8 +113,7 @@ def work_rate(rho, dh_dt) -> float | np.ndarray:
     scale = np.maximum(1.0, np.abs(dh).max(axis=(-2, -1)))
     if np.any(np.abs(dh - dagger(dh)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("dH/dt must be Hermitian")
-    w, v = state_spectrum(rho)
-    return _float_or_array(_trace_of_product(dh, _rebuild(w, v)))
+    return _float_or_array(_trace_of_product(dh, state_spectrum(rho).rebuild()))
 
 
 def _bath_betas(gen: LindbladGenerator) -> dict:
@@ -155,8 +143,9 @@ def clausius_gap(gen: LindbladGenerator, states: Timeline):
     if untagged:
         raise ValueError(f"the Clausius gap needs every bath's beta; untagged: {', '.join(untagged)}")
     betas = _bath_betas(gen)
-    currents = {label: heat_current(gen, label, states.mats) for label in betas}
-    return _clausius_gap(states.times, von_neumann_entropy(states.mats), currents, betas)
+    spec = state_spectrum(states.mats)
+    currents = {label: heat_current(gen, label, spec) for label in betas}
+    return _clausius_gap(states.times, von_neumann_entropy(spec), currents, betas)
 
 
 def _clausius_gap(times, entropy, currents: dict, betas: dict) -> np.ndarray:
@@ -191,10 +180,11 @@ def thermo_report(gen: LindbladGenerator, states: Timeline, sigma) -> ThermoRepo
     """
     if states.kind != "state":
         raise ValueError("thermo_report wants a state timeline")
-    entropy = von_neumann_entropy(states.mats)
-    rel = relative_entropy(states.mats, sigma)
-    prod = entropy_production_rate(gen, states.mats, sigma)
-    currents = {b.label: heat_current(gen, b.label, states.mats) for b in gen.baths}
+    spec, ref = state_spectrum(states.mats), state_spectrum(sigma)
+    entropy = von_neumann_entropy(spec)
+    rel = relative_entropy(spec, ref)
+    prod = entropy_production_rate(gen, spec, ref)
+    currents = {b.label: heat_current(gen, b.label, spec) for b in gen.baths}
     gap = None
     if gen.baths and all(b.beta is not None for b in gen.baths):
         gap = _clausius_gap(states.times, entropy, currents, _bath_betas(gen))

@@ -81,6 +81,30 @@ def test_state_spectrum_cleans_a_stack_like_single_states():
         assert np.allclose((v[k] * w[k]) @ v[k].conj().T, al.validate_state(m), atol=1e-14)
 
 
+def test_a_spectrum_passes_through_and_rebuilds_its_states():
+    g = rng(14)
+    stack = np.array([random_state(g, 2) for _ in range(4)])
+    spec = al.state_spectrum(stack)
+    assert al.state_spectrum(spec) is spec
+    assert al.state_spectrum(spec, tol=0.0) is spec
+    w, v = spec
+    assert w is spec.w and v is spec.v
+    assert np.allclose(spec.rebuild(), stack, atol=1e-14)
+    assert np.allclose(spec.rebuild(np.sqrt) @ spec.rebuild(np.sqrt), stack, atol=1e-14)
+    assert np.allclose(spec.rebuild()[2], al.validate_state(stack[2]), atol=1e-14)
+
+
+def test_a_plain_tuple_of_states_is_a_stack():
+    """A Spectrum is a tuple, but only a Spectrum passes through: a tuple
+    of two 2×2 states is read as a stack of two states."""
+    pair = (np.diag([0.25, 0.75]), np.diag([1.0, 0.0]))
+    w, v = al.state_spectrum(pair)
+    assert w.shape == (2, 2) and v.shape == (2, 2, 2)
+    assert np.allclose(w, [[0.25, 0.75], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        al.state_spectrum((np.diag([0.25, 0.75]), np.diag([1.5, -0.5])))
+
+
 def test_validate_state_accepts_and_cleans():
     g = rng(9)
     raw = random_state(g, 3)

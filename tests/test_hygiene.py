@@ -159,3 +159,49 @@ def test_only_dynamics_decides_the_time_grid():
     tolerance; a module that tests times itself has grown a second policy."""
     found = {p.name: grid_decisions(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "dynamics.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def eigh_calls(source: str) -> list:
+    """Lines of each call of a function named eigh, such as np.linalg.eigh."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and "eigh" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def spectral_rebuilds(source: str) -> list:
+    """(enclosing definition, line) of each V diag(·) V† written as (v * …) @ dagger(v), the same v twice."""
+    hits = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+                and isinstance(node.right, ast.Call) and len(node.right.args) == 1
+                and "dagger" in (getattr(node.right.func, "attr", None), getattr(node.right.func, "id", None))
+                and ast.dump(node.left.left) == ast.dump(node.right.args[0])):
+            hits.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return hits
+
+
+def test_the_scan_sees_eigh_calls_and_rebuilds():
+    src = "w, v = np.linalg.eigh(a)\nu = eigh(a)\nn = np.linalg.eigvalsh(a)\n\n\ndef f(v, w):\n"
+    src += "    return (v * w) @ dagger(v)\n\n\nclass S:\n    def rebuild(self, w):\n"
+    src += "        return (self.v * w[..., None, :]) @ al.dagger(self.v)\n"
+    src += "\n\nx = (u * w) @ dagger(v)\ny = v * w @ dagger(v)\nz = (v + w) @ dagger(v)\n"
+    assert eigh_calls(src) == [1, 2]
+    assert spectral_rebuilds(src) == [("f", 7), ("S.rebuild", 12), ("", 16)]  # * and @ bind alike
+
+
+def test_only_algebra_decomposes_and_only_spectrum_rebuilds():
+    """State stacks are decomposed in algebra alone, so a caller that needs
+    a stack's spectrum twice passes the Spectrum along; and V diag(·) V† is
+    written once, as Spectrum.rebuild, not by hand in each module that
+    needs an operator back from its spectrum."""
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in sources.items() if eigh_calls(text)] == ["algebra.py"]
+    rebuilds = [(name, where) for name, text in sources.items() for where, _ in spectral_rebuilds(text)]
+    assert rebuilds == [("algebra.py", "Spectrum.rebuild")]

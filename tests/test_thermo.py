@@ -296,23 +296,49 @@ def test_stack_with_one_bad_state_raises_that_states_message():
 
 
 def test_thermo_report_reuses_its_entropy_and_currents(monkeypatch):
-    # One state_spectrum call each for S, J and the Spohn/relative-entropy
-    # pairs (two each); the Clausius column reuses S and J instead of
-    # recomputing them, and equals the clausius_gap route bit for bit.
+    # thermo_report decomposes its timeline and sigma once each, and
+    # clausius_gap its timeline once: every other state_spectrum call is
+    # handed the Spectrum and passes it through. The Clausius column reuses
+    # S and J instead of recomputing them, and equals the clausius_gap
+    # route bit for bit.
     gen = thermal_gen(omega=1.0, beta=1.2)
     sigma = th.gibbs_state(gen.hamiltonian, 1.2)
     states = dyn.propagate_forward(gen, np.diag([0.2, 0.8]), 0.0, 0.2, 1e-3)
-    calls = []
+    decompositions = []
     spectrum = th.state_spectrum
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return spectrum(*args, **kwargs)
+    def counted(op, *args, **kwargs):
+        if not isinstance(op, al.Spectrum):
+            decompositions.append(op)
+        return spectrum(op, *args, **kwargs)
 
     monkeypatch.setattr(th, "state_spectrum", counted)
     rep = th.thermo_report(gen, states, sigma)
-    assert len(calls) == 6
+    assert len(decompositions) == 2
     want = th.clausius_gap(gen, states)
+    assert len(decompositions) == 3
     assert np.array_equal(rep.clausius_gap, want)
     assert np.array_equal(rep.entropy, th.von_neumann_entropy(states.mats))
     assert np.array_equal(rep.heat_currents["bath"], th.heat_current(gen, "bath", states.mats))
+
+
+def test_a_spectrum_gives_what_its_stack_gives():
+    """Each public function of states reads a Spectrum as the state or
+    stack it was made of, bit for bit, so passing one along changes no
+    number."""
+    for gen, label, stack, sigma, herm in _stack_inputs():
+        ref = al.state_spectrum(sigma)
+        calls = [
+            lambda r, s, h: th.von_neumann_entropy(r),
+            lambda r, s, h: th.relative_entropy(r, s),
+            lambda r, s, h: th.entropy_production_rate(gen, r, s),
+            lambda r, s, h: th.heat_current(gen, label, r),
+            lambda r, s, h: th.heat_current(gen, label, r, hamiltonian=h),
+            lambda r, s, h: th.work_rate(r, h),
+        ]
+        for states, h in ((stack, herm), (stack[0], herm[0])):
+            spec = al.state_spectrum(states)
+            for fn in calls:
+                want, got = fn(states, sigma, h), fn(spec, ref, h)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)

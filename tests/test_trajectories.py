@@ -642,6 +642,26 @@ def test_adjoint_batch_is_the_frobenius_recursion(mode):
         assert np.max(np.abs(row[::-1] - want[:-1])) < 1e-12
 
 
+def test_both_backward_shapes_give_one_verdict_on_huge_currents():
+    """Six equal currents on a driven qubit: one record runs blocked and a
+    batch of two runs the loop. At 1e40 both succeed and agree. From 1e100
+    the blocked products underflow and the loop overflows, and at 1e160 the
+    step matrices themselves overflow: both shapes raise the loop's one
+    error, and no RuntimeWarning escapes (pytest makes them errors)."""
+    model = tr.monitoring_model(0.65 * al.SX, al.SM, 1.0, eta=0.8)
+    times = 1e-3 * np.arange(7)
+    for size in (1e40, 1e100, 1e150, 1e160):
+        one = tr.MeasurementRecord("diffusive", times, np.full(6, size))
+        batch = tr.MeasurementRecord("diffusive", times, np.full((2, 6), size))
+        if size == 1e40:
+            alone, rows = tr.backward_homodyne(model, one, np.eye(2)), tr.backward_homodyne(model, batch, np.eye(2))
+            assert np.max(np.abs(alone.mats - rows.mats[1])) < 1e-12
+            continue
+        for rec in (one, batch):
+            with pytest.raises(ValueError, match="a record step overflowed; the record's increments are too large"):
+                tr.backward_homodyne(model, rec, np.eye(2))
+
+
 def test_record_loop_raises_on_currents_that_overflow_a_block():
     """Normalized once per block, the loop compounds a block's growth: six
     currents of 1e60 in one block overflow, and every loop pass (a replay,
