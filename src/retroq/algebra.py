@@ -89,12 +89,15 @@ def tensor(*ops) -> np.ndarray:
 
 
 def pairing(effect, state) -> float | np.ndarray:
-    """Tr[E rho] as a float, or an array over broadcast stacks; rejects imaginary parts."""
+    """Tr[E rho] as a float, or an array over broadcast stacks; rejects imaginary parts.
+
+    The trace is summed entrywise, O(d²) per pair, without forming E rho.
+    """
     e = asstack(effect)
     r = asstack(state)
     if e.shape[-1] != r.shape[-1]:
         raise ValueError(f"dimension mismatch: effect {e.shape[-1]} vs state {r.shape[-1]}")
-    val = np.trace(e @ r, axis1=-2, axis2=-1)
+    val = np.einsum("...ij,...ji->...", e, r)
     bad = np.abs(val.imag) > DEFAULT_TOL * np.maximum(1.0, np.abs(val))
     if np.any(bad):
         raise ValueError(f"pairing has imaginary part {val[bad][0].imag:.3e} beyond tolerance")
@@ -114,7 +117,12 @@ def spectral_norm_hermitian(op) -> float:
 
 
 class Spectrum(NamedTuple):
-    """Eigenvalues w (..., d) and eigenvectors V (..., d, d) of a state or a stack that state_spectrum checked."""
+    """Eigenvalues w (..., d) and eigenvectors V (..., d, d): A = V diag(w) V†.
+
+    state_spectrum makes one for a state or a stack it checked, and
+    Spectrum(*hermitian_eig(op)) one for any Hermitian operator, whose
+    functions f(A) then come from rebuild(f).
+    """
 
     w: np.ndarray
     v: np.ndarray

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, hermitian_part, hermiticity_defect
 from .algebra import sandwich_superop, validate_state
@@ -314,8 +313,12 @@ def pairing_drift(gen: LindbladGenerator, rho0, effect_final, t0: float, t1: flo
 
     The reference value pairs the terminal effect with a dense-exponential
     propagation of the initial state, so the returned number measures true
-    integrator error rather than a telescoping identity.
+    integrator error rather than a telescoping identity. The exponential is
+    scipy.linalg.expm, a route independent of the RK4 steps it checks; scipy
+    is imported here, so no other retroq import loads it.
     """
+    import scipy.linalg
+
     fwd = propagate_forward(gen, rho0, t0, t1, dt)
     bwd = propagate_backward(gen, effect_final, t1, t0, dt)
     prop = scipy.linalg.expm((t1 - t0) * gen.superop)

@@ -19,9 +19,8 @@ bit-identical; the exact ones take no seed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .algebra import SM, SX, SZ, ket, pairing, projector, state_spectrum, tensor
+from .algebra import SM, SX, SZ, Spectrum, hermitian_eig, ket, pairing, projector, state_spectrum, tensor
 from .channels import Instrument, projective, unsharp_z
 from .classical import (
     HmmModel,
@@ -199,6 +198,16 @@ def _scaling_fit(gs: np.ndarray, residuals: np.ndarray):
     return c, float(slope), r2
 
 
+def _coupling_blocks(p_op, gs) -> dict:
+    """exp(-i g p) for each coupling g, all rebuilt from one eigendecomposition of p.
+
+    The pointer's p is i times a real antisymmetric matrix, so each block is
+    real orthogonal; its rounding-level imaginary part is dropped.
+    """
+    spec = Spectrum(*hermitian_eig(p_op))
+    return {float(g): spec.rebuild(lambda w: np.exp(-1j * g * w)).real for g in gs}
+
+
 def scenario_weak_measurement(
     gs=(0.01, 0.02, 0.05, 0.1),
     sigma_q=1.0,
@@ -209,12 +218,12 @@ def scenario_weak_measurement(
 
     The pointer is a truncated oscillator: q = sigma_q (a + a^dag) makes the
     vacuum a Gaussian with Var(q) = sigma_q^2 and p its exact conjugate. The
-    coupling exp(-i g sigma_z x p) acts through one real matrix exponential
-    of the pointer block per coupling, the qubit is
-    post-selected on cos(theta)|0> + e^{i phi} sin(theta)|1>, and both shift
-    residuals against g Re(A_w) and g Im(A_w)/(2 sigma_q^2) must scale
-    quadratically over the g sweep. The default post-selections cover weak
-    value 1, weak value 0 (shift vanishes by symmetry), and a complex
+    coupling exp(-i g sigma_z x p) acts through one real orthogonal pointer
+    block per coupling, each rebuilt from one eigendecomposition of p; the
+    qubit is post-selected on cos(theta)|0> + e^{i phi} sin(theta)|1>, and
+    both shift residuals against g Re(A_w) and g Im(A_w)/(2 sigma_q^2) must
+    scale quadratically over the g sweep. The default post-selections cover
+    weak value 1, weak value 0 (shift vanishes by symmetry), and a complex
     amplified weak value.
     """
     gs = np.asarray(gs, dtype=float)
@@ -235,7 +244,7 @@ def scenario_weak_measurement(
     qubit_in = (ket(2, 0) + ket(2, 1)) / np.sqrt(2.0)
     # exp(-i g sz x p) is u = exp(-i g p) on |0> and its inverse on |1>; -i p is real
     # antisymmetric, so u is real orthogonal and its transpose is the |1> block
-    blocks = {float(g): expm(g * minus_ip) for g in gs}
+    blocks = _coupling_blocks(p_op, gs)
     values = {}
     assertions = []
     rows = []

@@ -1,8 +1,11 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "retroq"
 
@@ -205,3 +208,18 @@ def test_only_algebra_decomposes_and_only_spectrum_rebuilds():
     assert [name for name, text in sources.items() if eigh_calls(text)] == ["algebra.py"]
     rebuilds = [(name, where) for name, text in sources.items() for where, _ in spectral_rebuilds(text)]
     assert rebuilds == [("algebra.py", "Spectrum.rebuild")]
+
+
+def test_no_retroq_module_loads_scipy():
+    """numpy is retroq's one import-time dependency: a fresh interpreter that
+    imports every module has no scipy module loaded. Only the test reference
+    dynamics.pairing_drift imports scipy, when it is called."""
+    names = [p.stem for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    assert "scenarios" in names and "cli" in names
+    probe = "import sys\n"
+    probe += "".join(f"import retroq.{name}\n" for name in names)
+    probe += "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

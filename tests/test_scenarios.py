@@ -102,6 +102,23 @@ def test_weak_measurement_fits_only_residuals_above_rounding():
     assert 1e-9 < exact.actual < 1e-8
 
 
+def test_weak_coupling_blocks_match_a_dense_exponential():
+    """The pointer blocks come from one eigendecomposition of p; scipy's
+    expm of the real antisymmetric -i p stays the second route."""
+    from scipy.linalg import expm
+
+    defaults = inspect.signature(sc.scenario_weak_measurement).parameters
+    gs, sigma_q, n_trunc = (defaults[k].default for k in ("gs", "sigma_q", "n_trunc"))
+    lower = np.diag(np.sqrt(np.arange(1, n_trunc)), 1)
+    minus_ip = (lower.T - lower) / (2.0 * sigma_q)
+    blocks = sc._coupling_blocks(1j * minus_ip, gs)
+    assert list(blocks) == [float(g) for g in gs]
+    for g, u in blocks.items():
+        assert u.dtype == float
+        assert np.max(np.abs(u - expm(g * minus_ip))) < 1e-13
+        assert np.max(np.abs(u.T @ u - np.eye(n_trunc))) < 1e-13
+
+
 def test_epr_chsh_maximum():
     rep = sc.run_scenario("epr")
     assert rep.passed

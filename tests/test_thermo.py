@@ -322,6 +322,34 @@ def test_thermo_report_reuses_its_entropy_and_currents(monkeypatch):
     assert np.array_equal(rep.heat_currents["bath"], th.heat_current(gen, "bath", states.mats))
 
 
+def test_thermo_rebuilds_a_state_stack_at_most_once(monkeypatch):
+    # heat_current and work_rate read Tr[rho X] from the Spectrum without
+    # rebuilding rho; entropy_production_rate rebuilds rho once, for L(rho),
+    # and sigma twice, for L(sigma) and ln sigma. thermo_report adds one
+    # Gibbs state per bath.
+    gen = thermal_gen(omega=1.0, beta=1.2)
+    sigma = th.gibbs_state(gen.hamiltonian, 1.2)
+    states = dyn.propagate_forward(gen, np.diag([0.2, 0.8]), 0.0, 0.2, 1e-3)
+    spec, ref = al.state_spectrum(states.mats), al.state_spectrum(sigma)
+    shapes = []
+    rebuild = al.Spectrum.rebuild
+
+    def counted(self, f=None):
+        shapes.append(self.w.shape)
+        return rebuild(self, f)
+
+    monkeypatch.setattr(al.Spectrum, "rebuild", counted)
+    th.heat_current(gen, "bath", spec)
+    th.heat_current(gen, "bath", spec, hamiltonian=al.SX)
+    th.work_rate(spec, al.SX)
+    assert shapes == []
+    th.entropy_production_rate(gen, spec, ref)
+    assert shapes == [(2,), spec.w.shape, (2,)]
+    shapes.clear()
+    th.thermo_report(gen, states, sigma)
+    assert sorted(shapes) == [(2,), (2,), (2,), spec.w.shape]
+
+
 def test_a_spectrum_gives_what_its_stack_gives():
     """Each public function of states reads a Spectrum as the state or
     stack it was made of, bit for bit, so passing one along changes no
