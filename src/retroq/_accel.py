@@ -32,9 +32,8 @@ the loop steps unnormalized states and divides each column by its trace
 keeps numbers in range; a drawn current reads its drift as the ratio of
 two more GEMM rows, the readout and the trace. Forward counting passes
 run ``_quiet_runs``: between clicks the filter applies the one matrix
-S_quiet, so its powers over a block of _BLOCK steps are built once per
-call, and a block costs a few products per set of columns instead of a
-Python iteration per step.
+S_quiet, so a trajectory jumps from one click candidate to the next by
+precomputed powers of it, forming states only where it clicks or is sampled.
 The backward passes of ``trajectories`` step the transposed real branches,
 which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
 forward and backward are exact adjoints by construction. A backward pass
@@ -44,8 +43,8 @@ products of a block of _BLOCK step matrices, formed by log-depth
 doubling, meet the effect once per block instead of once per step.
 Doubling costs |R|³ per step against the loop's |R|², so larger sectors
 run the loop of ``_paths``, and so does a batch of records, a record per
-column, which shares each step's Python overhead. Quiet runs run adjoint
-measured slower than both adjoint routes, so backward passes keep them.
+column, which shares each step's Python overhead. A backward pass keeps
+the effect at every step, so jumping between clicks would skip nothing.
 The caller draws the noise; reductions across trajectories happen
 outside the kernels.
 
@@ -189,6 +188,7 @@ def _sample_positions(steps: int, sample_indices) -> np.ndarray:
 
 
 _BLOCK = 32  # steps per staged block of record columns
+_BUDGET = 1 << 18  # bytes of screened draws, or of sampled states, a counting pass holds at once
 
 _COLLAPSE = {
     "diffusive": "a trajectory collapsed to zero trace; reduce dt",
@@ -250,17 +250,17 @@ def _on_sector(step: RecordStep, start, adjoint=False) -> _Sector:
                    h[..., sector], nd, adjoint)
 
 
-def _to_matrices(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Complex matrices of real sector coordinates (..., |R|), in one real product.
+def _to_matrices(coords: np.ndarray, basis: np.ndarray, out=None) -> np.ndarray:
+    """Complex matrices of real sector coordinates (..., |R|), in one real product, into out if given.
 
     Each basis column has at most two nonzeros, one real and one imaginary,
     so each part of each entry is a single product: the same numbers a
     complex product would give, without a complex copy of coords.
     """
-    out = np.empty(coords.shape[:-1] + basis.shape[1:], dtype=complex)
-    np.matmul(coords, basis.view(float), out=out.view(float))
     d = int(round(np.sqrt(basis.shape[1])))
-    return out.reshape(coords.shape[:-1] + (d, d))
+    out = np.empty(coords.shape[:-1] + (d, d), dtype=complex) if out is None else out
+    np.matmul(coords, basis.view(float), out=out.reshape(coords.shape[:-1] + basis.shape[1:]).view(float))
+    return out
 
 
 def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
@@ -361,124 +361,120 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
 
 
 def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
-    """Filter count trajectories a block of quiet steps per product; returns (sampled states, counts).
+    """Filter count trajectories from one click candidate to the next; returns (sampled states, counts).
 
-    Between clicks every step applies the one matrix Q = S_quiet, so the
-    powers Q^0..Q^_BLOCK on the sector are built once, each scaled by an
-    exact power of two: the scale cancels in every ratio and trace
-    division, and no product can overflow. A block of _BLOCK steps runs in
-    three parts.
+    Between clicks every step applies the one matrix Q = S_quiet, so a column
+    that clicked or started m steps ago is Q^m h of its anchor h, the state
+    it then had. Q^m = Q^(_BLOCK j) Q^i for m = _BLOCK j + i, from two ladders
+    scaled by exact powers of two, which cancel in every ratio and trace
+    division; ``advance`` applies them with one product per factor in use.
 
-    - Every column takes Q^m h from its start state h at the block's
-      sampled steps and its end only, in one product.
-    - A column can click only where its record holds a count, or where its
-      uniform lies below the top eigenvalue of R, which bounds every jump
-      probability Tr[R ρ]. Those columns meet the stacked rows g Q^m and
-      1_diag Q^m in one product, which gives a_m and τ_m, the jump
-      probability and the trace after m quiet steps, both unnormalized:
-      step m fires when u τ_m < a_m. A column that clicks takes F Q^c h at
-      its first click c and runs on from there, with the others that
-      clicked, each at its own step, until none clicks again.
-    - Each run that starts at a click takes its quiet states up to its
-      column's next click, in one product for the block, and they replace
-      the first part's states after the click.
+    A column can click only at a candidate: where its record holds a count,
+    or where its uniform lies below the top eigenvalue of R, which bounds
+    every jump probability Tr[R ρ]. Each round reads a and τ, the jump
+    probability and the trace m steps on, both unnormalized, for every
+    column's candidates after its anchor from precomputed rows g Q^m and
+    1_diag Q^m, and a candidate fires when u τ < a. A column's first firing
+    candidate moves its anchor to F Q^m h over its trace; one that does not
+    fire changes no state. A replay's candidates are its clicks, which all
+    fire, so it anchors where its simulation did, in the same rounds, and
+    repeats it bit for bit. Sampled states, and each column's end state, are
+    read from the last anchor at or before them. The screen for candidates
+    and the sampled states take _BUDGET bytes at a time.
 
-    Each state is divided by its trace, as in ``_paths``, so states are the
-    per-step loop's to rounding, and so are the outcomes unless a uniform
-    lies within rounding of its probability. A jump probability above 1
-    always fires, so it is tested at clicks. A quiet branch that overflows
-    and a taken branch of zero weight raise.
+    States are the per-step loop's to rounding, and so are the outcomes
+    unless a uniform lies within rounding of its probability. A firing jump
+    probability above 1 raises, as do a power of Q that overflows and a
+    taken branch of zero weight, or a state whose scaled trace falls below
+    2^-900: a quiet stretch that improbable next to the slowest-decaying
+    state could leave the state's entries in subnormal numbers.
     """
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
-    pos = _sample_positions(steps, sample_indices)
-    r, nd = len(sec.basis), sec.diagonal
+    grid = np.asarray(sample_indices, dtype=np.int64).reshape(-1)
+    grid = grid if _sample_positions(steps, grid)[steps] >= 0 else np.append(grid, steps)  # every end is checked
+    r, nd, d = len(sec.basis), sec.diagonal, int(round(np.sqrt(step.readout.size)))
     quiet, fire = sec.real
-    powers = np.empty((_BLOCK + 1, r, r))
-    powers[0] = np.eye(r)
-    for m in range(_BLOCK):
-        power = quiet @ powers[m]
-        np.ldexp(power, -np.frexp(np.abs(power).max())[1], out=powers[m + 1])
-    if not np.isfinite(powers).all():
+
+    def scaled(power):  # largest entry in [1/2, 1)
+        return np.ldexp(power, -np.frexp(np.abs(power).max())[1])
+
+    powers, strides = [np.eye(r)], [np.eye(r)]  # (Q^i)ᵀ and (Q^(_BLOCK j))ᵀ: a row h @ powers[i] is Q^i h
+    for _ in range(_BLOCK):
+        powers.append(scaled(powers[-1] @ quiet.T))
+    for _ in range(steps // _BLOCK):
+        strides.append(scaled(strides[-1] @ powers[-1]))
+    powers, strides = np.array(powers), np.array(strides)
+    if not (np.isfinite(powers).all() and np.isfinite(strides).all()):
         raise ValueError("a power of the quiet branch overflowed; reduce dt")
-    rows = np.concatenate([sec.readout @ powers[:-1], powers[:-1, :nd].sum(axis=1)]).T  # a_m, then τ_m
-    wide = powers.transpose(2, 0, 1).copy()  # h @ wide[:, m] = Q^m h
-    fires = fire @ powers[:-1]  # F Q^c: a click after c quiet steps
-    starts = range(0, steps, _BLOCK)
-    if from_record:  # (blocks, n): may click in the block
-        candidates = np.maximum.reduceat(incr, starts, axis=1).T > 0.0
-    else:
-        d = int(round(np.sqrt(step.readout.size)))
-        top = np.linalg.eigvalsh(step.readout.reshape(d, d))[-1]
-        candidates = np.minimum.reduceat(incr, starts, axis=1).T < top * (1.0 + 1e-9)
+
+    def advance(h, m):  # Q^m h for each row of h, at its own m
+        perm = np.arange(len(h))
+        for factors, which in ((powers, m % _BLOCK), (strides, m // _BLOCK)):
+            which = which.astype(np.min_scalar_type(len(factors))).take(perm)  # small ints sort by radix
+            order = np.argsort(which, kind="stable")
+            perm, h, which, out = perm.take(order), h.take(order, axis=0), which.take(order), np.empty_like(h)
+            cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), len(h)] if len(h) else []
+            for a, b in zip(cuts, cuts[1:]):
+                np.dot(h[a:b], factors[which[a]], out=out[a:b])
+            h = out
+        back = np.empty_like(perm)
+        back[perm] = np.arange(len(h))
+        return h.take(back, axis=0)
 
     def traced(states):  # each state divided by its trace, which must be positive
-        trace = np.add.reduce(states[..., :nd], axis=-1)
-        if trace.size and not trace.min() > 0.0:
+        trace = np.add.reduce(states[..., :nd], axis=-1, keepdims=True)
+        if not (trace > 2.0 ** -900).all():  # below, a state's entries can leave the normal double range
             raise ValueError(_COLLAPSE["counting"])
-        states /= trace[..., None]
-        return states
+        return np.divide(states, trace, out=states)
 
-    ahead = np.arange(_BLOCK)
-    cur = np.empty((n, r))
-    cur[:] = sec.start
-    coords = np.empty((n, len(sample_indices), r))
-    if pos[0] >= 0:
-        coords[:, pos[0]] = cur
-    outcomes = incr.astype(np.int64) if from_record else np.zeros((n, steps), dtype=np.int64)
-    for k0, may in zip(starts, candidates):
-        b = min(_BLOCK, steps - k0)
-        listed = np.flatnonzero(pos[k0 + 1:k0 + b + 1] >= 0) + 1  # the block's sampled steps, then its end
-        if not listed.size or listed[-1] != b:
-            listed = np.append(listed, b)
-        slots = pos[k0 + listed]
-        cand = np.flatnonzero(may)
-        h = cur[cand]
-        states = traced((cur @ wide[:, listed].reshape(r, -1)).reshape(n, -1, r))
-        coords[:, slots[slots >= 0]] = states[:, slots >= 0]
-        cur[:] = states[:, -1]
-        if not cand.size:
-            continue
-        u_blk = np.zeros((cand.size, 2 * _BLOCK))  # zero past the block's end, where no step is taken
-        u_blk[:, :b] = incr[cand, k0:k0 + b]
-        runs = []  # (candidate, step, state) at each click, the state after it
-        idx, off = np.arange(cand.size), np.zeros(cand.size, dtype=np.int64)
-        while idx.size:
-            u = u_blk[idx[:, None], off[:, None] + ahead]
-            if from_record:
-                x = u != 0
-            else:
-                blk = h @ rows
-                a, tau = blk[:, :_BLOCK], blk[:, _BLOCK:]
-                x = u * tau < a
-            x &= ahead < (b - off)[:, None]
-            fi = np.flatnonzero(x.any(axis=1))
-            if not fi.size:
-                break
-            first = x[fi].argmax(axis=1)
-            if not from_record and (a[fi, first] > tau[fi, first]).any():
-                raise ValueError("jump probability exceeded 1; reduce dt")
-            idx, off = idx[fi], off[fi] + first + 1
-            h = traced(np.matmul(fires[first], h[fi, :, None])[:, :, 0])
-            if not from_record:
-                outcomes[cand[idx], k0 + off - 1] = 1
-            runs.append((idx, off, h))
-            idx, h, off = idx[off < b], h[off < b], off[off < b]
-        if not runs:
-            continue
-        idx, off, h = (np.concatenate(part) for part in zip(*runs))
-        order = np.lexsort((off, idx))  # each run ends where its column's next run starts, or past the block
-        idx, off, h = idx[order], off[order], h[order]
-        stop = np.append(np.where(idx[1:] == idx[:-1], off[1:], b + 1), b + 1)
-        quiet_steps = listed - off[:, None]
-        jj, ll = np.nonzero((quiet_steps >= 0) & (listed < stop[:, None]))
-        pick = quiet_steps[jj, ll]
-        states = traced((h @ wide[:, :pick.max() + 1].reshape(r, -1)).reshape(len(h), -1, r)[jj, pick])
-        at, slot = cand[idx[jj]], slots[ll]
-        coords[at[slot >= 0], slot[slot >= 0]] = states[slot >= 0]
-        end = ll == len(listed) - 1
-        cur[at[end]] = states[end]
-    return _to_matrices(coords, sec.basis), outcomes
+    if from_record:
+        test, edge = np.greater, 0.0
+        outcomes = incr.astype(np.int64)
+    else:
+        test, edge = np.less, np.linalg.eigvalsh(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
+        outcomes = np.zeros((n, steps), dtype=np.int64)
+        lead = strides @ np.vstack([sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])]).T
+        rows = np.swapaxes(powers[None, :-1] @ lead[:, None], 2, 3).reshape(-1, 2, r)  # [g Q^m, 1_diag Q^m]
+    chunk = max(1, _BUDGET // max(steps, 1))  # rows whose screen fits the budget
+    flat = np.concatenate([np.flatnonzero(test(incr[c0:c0 + chunk], edge)) + c0 * steps
+                           for c0 in range(0, n, chunk)])
+    (col, k), u = np.divmod(flat, max(steps, 1)), incr.ravel().take(flat)  # candidates by column, then step
+
+    anchor = np.broadcast_to(sec.start, (n, r)).copy()
+    since = np.zeros(n, dtype=np.int64)  # each anchor's grid index
+    history = [(np.arange(n), since.copy(), anchor.copy())]
+    while col.size:
+        m = k - since[col]
+        if not from_record:
+            a, tau = np.einsum("cpr,cr->pc", rows.take(m, axis=0), anchor.take(col, axis=0))
+        first = np.arange(col.size) if from_record else np.flatnonzero(u * tau < a)
+        first = first[np.diff(col[first], prepend=-1) != 0]  # each column's first firing candidate
+        if not from_record and (a[first] > tau[first]).any():
+            raise ValueError("jump probability exceeded 1; reduce dt")
+        at = col[first]
+        anchor[at] = traced(advance(anchor[at], m[first]) @ fire.T)
+        since[col] = steps + 1  # a column that does not fire now never will
+        since[at] = k[first] + 1
+        outcomes[at, k[first]] = 1  # already set on a replay
+        history.append((at, since[at], anchor[at]))
+        keep = k >= since[col]
+        col, k, u = col[keep], k[keep], u[keep]
+
+    owner, when, state = (np.concatenate(part) for part in zip(*history))
+    order = np.lexsort((when, owner))
+    key = owner[order] * (steps + 1) + when[order]
+    shared = traced(advance(np.tile(sec.start.reshape(-1, r)[0], (grid.size, 1)), grid))  # one start's samples
+    states = np.empty((n, len(sample_indices), d, d), dtype=complex)
+    batch = max(1, _BUDGET // (8 * r * grid.size))
+    for c0 in range(0, n, batch):  # each sampled state from the last anchor at or before it
+        want = np.add.outer(np.arange(c0, min(n, c0 + batch)) * (steps + 1), grid)
+        last = order[np.searchsorted(key, want, "right") - 1]
+        own = (last >= n) | (sec.start.ndim > 1)  # pairs that read their own column's anchor
+        coords = np.broadcast_to(shared, want.shape + (r,)).copy()
+        coords[own] = traced(advance(state[last[own]], want[own] % (steps + 1) - when[last[own]]))
+        _to_matrices(coords[:, :len(sample_indices)], sec.basis, out=states[c0:c0 + batch])
+    return states, outcomes
 
 
 _BLOCKED_SECTOR = 16  # largest sector whose backward pass runs blocked (crossover near 16)
@@ -563,7 +559,7 @@ def homodyne_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
 
 
 def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
-    """Filter jump trajectories, a block of quiet steps at a time; returns (sampled states, counts).
+    """Filter jump trajectories from one click candidate to the next; returns (sampled states, counts).
 
     rho0 is one state or a stack (n_traj, d, d), a start per trajectory.
     incr (n_traj, steps) holds per-step uniform draws, or recorded 0/1

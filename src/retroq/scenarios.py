@@ -481,7 +481,7 @@ def scenario_counting(
     times = oracle_dt * np.arange(oracle_steps + 1)
     records = list(np.ndindex(*([2] * oracle_steps)))
     adjacent = [any(a and b for a, b in zip(bits, bits[1:])) for bits in records]
-    weights = [enum.record_weight(bits) for bits in records]
+    weights = [enum.weights[bits] for bits in records]  # np.ndindex yields the dict's own tuple keys
     partition_ok = all(w == 0.0 if adj else w > 0.0 for w, adj in zip(weights, adjacent))
     feasible = [bits for bits, adj in zip(records, adjacent) if not adj]
     # every feasible record in one replay, one backward pass, one ABL call and one oracle call

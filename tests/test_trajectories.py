@@ -114,10 +114,21 @@ def test_replay_homodyne_matches_simulation_exactly():
 
 
 def test_replay_counting_matches_simulation_exactly():
+    """Replay anchors where its simulation did, so it repeats it bit for bit:
+    one record, and a batch on the d = 8 number sector from |1>, whose screen
+    (uniforms below the top eigenvalue 7 κ dt of R) passes many candidates
+    for every click."""
     model = decay_model(mode="counting", omega=1.0)
     states, rec = tr.simulate_counting(model, EXCITED, 0.3, 1e-3, seed=77)
     again = tr.replay_counting(model, EXCITED, rec)
     assert np.array_equal(states.mats, again.mats)
+    step = _accel.record_step(real_cavity_model(8, eta=1.0, mode="counting"), 2e-3)
+    uniforms = rng(78).random((64, 500))
+    states, counts = _accel.counting_paths(step, fock(8, 1), uniforms, False, range(501))
+    again, _ = _accel.counting_paths(step, fock(8, 1), counts, True, range(501))
+    assert np.array_equal(states, again)
+    top = np.linalg.eigvalsh(step.readout.reshape(8, 8))[-1]
+    assert 0 < 5 * counts.sum() < np.count_nonzero(uniforms < top)
 
 
 def test_eta_zero_homodyne_is_deterministic_lindblad():
@@ -468,7 +479,9 @@ def hand_counts(step, rho0, incr, from_record):
 def quiet_run_cases():
     """(model, start, dt, n, sector size): a qubit alone and as a batch of
     1000 (a sector of 3: the drive σx makes the coherence imaginary), the
-    d = 8 number sector and a full d = 8 sector, at dt = 0.05."""
+    d = 8 number sector and a full d = 8 sector, at dt = 0.05; then a
+    strongly driven qubit at κ dt = 0.5 (case STRONG), and the full d = 8
+    sector again with 64 columns, whose |R|×|R| matrices would take 2 MB."""
     d = 8
     lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
     number_sector = tr.monitoring_model(np.zeros((d, d)), lower, 1.0, mode="counting")
@@ -479,28 +492,45 @@ def quiet_run_cases():
         (qubit, EXCITED, 0.05, 1000, 3),
         (number_sector, fock(d, 7), 0.05, 64, d),
         (cavity_model(d, mode="counting"), cavity_state(d), 0.05, 16, d * d),
+        (decay_model(kappa=10.0, mode="counting", omega=10.0), EXCITED, 0.05, 256, 3),
+        (cavity_model(d, mode="counting"), cavity_state(d), 0.05, 64, d * d),
     ]
 
 
-@pytest.mark.parametrize("case", range(5))
-def test_quiet_runs_are_the_per_step_recursion(case):
-    """Forward counting passes take a block of quiet steps per product; on
+STRONG = 5
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_quiet_runs_are_the_per_step_recursion(case, monkeypatch):
+    """Forward counting passes jump from one click candidate to the next; on
     drawn uniforms they fire exactly where the per-step recursion does, and
-    their states match it to 1e-12, at every grid point or a scattered few,
-    for passes that end inside, at and just past a block edge."""
+    their states match it to 1e-12, at every grid point, at a scattered few,
+    or right after clicks, for passes that end inside, at and just past a
+    block edge, whether the byte budget screens and samples a batch whole or
+    in parts. The strongly driven case fires three times within a block and
+    at a record's first and last step; a full sector's batch is larger than
+    the budget would allow as one |R|×|R| matrix per column."""
     model, start, dt, n, size = quiet_run_cases()[case]
     step = _accel.record_step(model, dt)
     assert _accel._on_sector(step, start).start.size == size
+    if size == model.dim ** 2:
+        assert n * size ** 2 * 8 > _accel._BUDGET
     block = _accel._BLOCK
     for steps in (block + 15, 2 * block, 2 * block + 1, 40 * block):
         if n * steps > 20_000 and steps > 2 * block + 1:
             continue
         uniforms = rng(steps).random((n, steps))
         want, counts = hand_counts(step, start, uniforms, False)
-        for idx in (range(steps + 1), [steps, 0, block, block - 1, block + 1, 5]):
-            got, drawn = _accel.counting_paths(step, start, uniforms, False, idx)
-            assert np.array_equal(drawn, counts)
-            assert np.max(np.abs(got - want[:, list(idx)])) < 1e-12
+        after = np.union1d([0, steps], np.flatnonzero(counts.any(axis=0))[:6] + 1)  # just after clicks
+        for budget in (_accel._BUDGET, 100 * steps):  # the second screens 100 rows at a time
+            monkeypatch.setattr(_accel, "_BUDGET", budget)
+            for idx in (range(steps + 1), [steps, 0, block, block - 1, block + 1, 5], after):
+                got, drawn = _accel.counting_paths(step, start, uniforms, False, idx)
+                assert np.array_equal(drawn, counts)
+                assert np.max(np.abs(got - want[:, list(idx)])) < 1e-12
+        if case == STRONG:
+            window = np.lib.stride_tricks.sliding_window_view(counts, block, axis=1)
+            assert window.sum(axis=-1).max() >= 3 and counts[:, 0].any() and counts[:, -1].any()
     assert counts.any()
 
 
@@ -544,6 +574,21 @@ def test_quiet_runs_raise_as_the_loop_did():
         for from_record in (False, True):
             with pytest.raises(ValueError, match="a power of the quiet branch overflowed"):
                 _accel.counting_paths(huge, EXCITED, np.zeros((1, 3)), from_record, [0])
+
+
+def test_quiet_runs_refuse_a_stretch_below_the_double_range():
+    """A click-free record from (|6><6| + |7><7|)/2 on the d = 8 number sector
+    keeps its states to 1e-12 while its weight stays within the double range,
+    and raises as a record of zero weight once the scaled trace falls below
+    2^-900, rather than return a state read from subnormal entries (at 150000
+    steps <n> would read 6.5 for 6)."""
+    lower = np.diag(np.sqrt(np.arange(1.0, 8)), k=1)
+    step = _accel.record_step(tr.monitoring_model(np.zeros((8, 8)), lower, 1.0, mode="counting"), 1e-3)
+    start = (fock(8, 6) + fock(8, 7)) / 2
+    got, _ = _accel.counting_paths(step, start, np.zeros((1, 50_000), dtype=np.int64), True, [50_000])
+    assert np.max(np.abs(got[0, 0] - fock(8, 6))) < 1e-12
+    with pytest.raises(ValueError, match="a record branch has zero weight; the record is infeasible"):
+        _accel.counting_paths(step, start, np.zeros((1, 150_000), dtype=np.int64), True, [150_000])
 
 
 def hand_currents(model, dt, rho0, incr, from_record):
