@@ -188,7 +188,10 @@ def _sample_positions(steps: int, sample_indices) -> np.ndarray:
 
 
 _BLOCK = 32  # steps per staged block of record columns
-_BUDGET = 1 << 18  # bytes of screened draws, or of sampled states, a counting pass holds at once
+# Quiet steps a counting anchor may lie behind its column. A quiet step keeps at least (1 - p/2)² ≥ 1/4
+# of a state's trace at a total jump probability p ≤ 1, so 4^-_RENEW of it stays inside the double range.
+_RENEW = 8 * _BLOCK
+_BUDGET = 1 << 17  # bytes of screened draws, or of sampled states, a counting pass holds at once
 
 _COLLAPSE = {
     "diffusive": "a trajectory collapsed to zero trace; reduce dt",
@@ -364,115 +367,133 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
     """Filter count trajectories from one click candidate to the next; returns (sampled states, counts).
 
     Between clicks every step applies the one matrix Q = S_quiet, so a column
-    that clicked or started m steps ago is Q^m h of its anchor h, the state
-    it then had. Q^m = Q^(_BLOCK j) Q^i for m = _BLOCK j + i, from two ladders
-    scaled by exact powers of two, which cancel in every ratio and trace
-    division; ``advance`` applies them with one product per factor in use.
+    whose anchor h, its state at its start, its latest click or its latest
+    renewal, lies m steps back is Q^m h. Q^m = Q^(_BLOCK j) Q^i for
+    m = _BLOCK j + i, from two ladders scaled by exact powers of two, which
+    cancel in every ratio and trace division; ``advance`` applies them with
+    one product per factor in use. A column's anchor is renewed, Q^m h over
+    its trace, once it lies _RENEW steps back with no click between, so m
+    never exceeds _RENEW and the ladders do not grow with the record.
 
     A column can click only at a candidate: where its record holds a count,
     or where its uniform lies below the top eigenvalue of R, which bounds
     every jump probability Tr[R ρ]. Each round reads a and τ, the jump
     probability and the trace m steps on, both unnormalized, for every
-    column's candidates after its anchor from precomputed rows g Q^m and
-    1_diag Q^m, and a candidate fires when u τ < a. A column's first firing
-    candidate moves its anchor to F Q^m h over its trace; one that does not
-    fire changes no state. A replay's candidates are its clicks, which all
-    fire, so it anchors where its simulation did, in the same rounds, and
-    repeats it bit for bit. Sampled states, and each column's end state, are
-    read from the last anchor at or before them. The screen for candidates
-    and the sampled states take _BUDGET bytes at a time.
+    column's candidates within _RENEW steps of its anchor, from precomputed
+    rows g Q^m and 1_diag Q^m, and a candidate fires when u τ < a. A
+    column's first firing candidate moves its anchor to F Q^m h over its
+    trace; one that does not fire changes no state. A replay's candidates
+    are its clicks, which all fire, so it moves and renews its anchors where
+    its simulation did, in the same rounds, and repeats it bit for bit.
+    Sampled states, and each column's end state, are read from the last
+    anchor at or before them. The screen for candidates and the sampled
+    states take _BUDGET bytes at a time.
 
     States are the per-step loop's to rounding, and so are the outcomes
     unless a uniform lies within rounding of its probability. A firing jump
     probability above 1 raises, as do a power of Q that overflows and a
-    taken branch of zero weight, or a state whose scaled trace falls below
-    2^-900: a quiet stretch that improbable next to the slowest-decaying
-    state could leave the state's entries in subnormal numbers.
+    taken branch of zero weight.
     """
     incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
-    grid = np.asarray(sample_indices, dtype=np.int64).reshape(-1)
-    grid = grid if _sample_positions(steps, grid)[steps] >= 0 else np.append(grid, steps)  # every end is checked
-    r, nd, d = len(sec.basis), sec.diagonal, int(round(np.sqrt(step.readout.size)))
+    _sample_positions(steps, sample_indices)  # checks the indices
+    grid = np.append(np.asarray(sample_indices, dtype=np.int64).reshape(-1), steps)  # each end is checked too
+    r, nd = len(sec.basis), sec.diagonal
+    d = int(round(np.sqrt(step.readout.size)))
     quiet, fire = sec.real
 
-    def scaled(power):  # largest entry in [1/2, 1)
-        return np.ldexp(power, -np.frexp(np.abs(power).max())[1])
+    def ladder(base, size):  # base^0..base^size, each scaled to a largest entry in [1/2, 1)
+        rungs = [np.eye(r)]
+        for _ in range(size):
+            power = rungs[-1] @ base
+            rungs.append(np.ldexp(power, -np.frexp(np.abs(power).max())[1]))
+        return np.array(rungs)
 
-    powers, strides = [np.eye(r)], [np.eye(r)]  # (Q^i)ᵀ and (Q^(_BLOCK j))ᵀ: a row h @ powers[i] is Q^i h
-    for _ in range(_BLOCK):
-        powers.append(scaled(powers[-1] @ quiet.T))
-    for _ in range(steps // _BLOCK):
-        strides.append(scaled(strides[-1] @ powers[-1]))
-    powers, strides = np.array(powers), np.array(strides)
-    if not (np.isfinite(powers).all() and np.isfinite(strides).all()):
+    powers = ladder(quiet.T, _BLOCK)  # (Q^i)ᵀ: a row h @ powers[i] is Q^i h
+    if not np.isfinite(powers).all():
         raise ValueError("a power of the quiet branch overflowed; reduce dt")
+    strides = ladder(powers[-1], _RENEW // _BLOCK)  # (Q^(_BLOCK j))ᵀ, finite as products of finite rungs
 
     def advance(h, m):  # Q^m h for each row of h, at its own m
-        perm = np.arange(len(h))
+        done = np.arange(len(h))  # the rows of h in the order they are stepped
         for factors, which in ((powers, m % _BLOCK), (strides, m // _BLOCK)):
-            which = which.astype(np.min_scalar_type(len(factors))).take(perm)  # small ints sort by radix
-            order = np.argsort(which, kind="stable")
-            perm, h, which, out = perm.take(order), h.take(order, axis=0), which.take(order), np.empty_like(h)
-            cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), len(h)] if len(h) else []
+            which = which.astype(np.uint8).take(done)
+            order = np.argsort(which, kind="stable")  # a radix sort on small integers
+            done = done.take(order)
+            which = which.take(order)
+            h = h.take(order, axis=0)
+            out = np.empty_like(h)
+            cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), len(h)]
             for a, b in zip(cuts, cuts[1:]):
-                np.dot(h[a:b], factors[which[a]], out=out[a:b])
+                np.matmul(h[a:b], factors[which[a]], out=out[a:b])
             h = out
-        back = np.empty_like(perm)
-        back[perm] = np.arange(len(h))
+        back = np.empty_like(done)
+        back[done] = np.arange(len(h))
         return h.take(back, axis=0)
 
     def traced(states):  # each state divided by its trace, which must be positive
         trace = np.add.reduce(states[..., :nd], axis=-1, keepdims=True)
-        if not (trace > 2.0 ** -900).all():  # below, a state's entries can leave the normal double range
+        if not (trace > 0.0).all():
             raise ValueError(_COLLAPSE["counting"])
         return np.divide(states, trace, out=states)
 
     if from_record:
-        test, edge = np.greater, 0.0
         outcomes = incr.astype(np.int64)
+        test, edge = np.greater, 0.0
     else:
-        test, edge = np.less, np.linalg.eigvalsh(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
         outcomes = np.zeros((n, steps), dtype=np.int64)
-        lead = strides @ np.vstack([sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])]).T
-        rows = np.swapaxes(powers[None, :-1] @ lead[:, None], 2, 3).reshape(-1, 2, r)  # [g Q^m, 1_diag Q^m]
+        test, edge = np.less, np.linalg.eigvalsh(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
+        lead = strides[:-1] @ np.stack([sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])], axis=1)
+        probes = (powers[None, :-1] @ lead[:, None]).reshape(_RENEW, r, 2)  # [(Q^m)ᵀ g, (Q^m)ᵀ 1_diag]
     chunk = max(1, _BUDGET // max(steps, 1))  # rows whose screen fits the budget
     flat = np.concatenate([np.flatnonzero(test(incr[c0:c0 + chunk], edge)) + c0 * steps
                            for c0 in range(0, n, chunk)])
-    (col, k), u = np.divmod(flat, max(steps, 1)), incr.ravel().take(flat)  # candidates by column, then step
+    col, k = np.divmod(flat, max(steps, 1))  # candidates by column, then step
+    u = incr.ravel().take(flat)
 
     anchor = np.broadcast_to(sec.start, (n, r)).copy()
     since = np.zeros(n, dtype=np.int64)  # each anchor's grid index
-    history = [(np.arange(n), since.copy(), anchor.copy())]
-    while col.size:
+    history = [(np.arange(n) * (steps + 1), anchor.copy())]  # (column·(steps + 1) + grid index, state) of each anchor
+    while True:
         m = k - since[col]
+        near = np.flatnonzero(m < _RENEW)  # candidates before their column's renewal
         if not from_record:
-            a, tau = np.einsum("cpr,cr->pc", rows.take(m, axis=0), anchor.take(col, axis=0))
-        first = np.arange(col.size) if from_record else np.flatnonzero(u * tau < a)
-        first = first[np.diff(col[first], prepend=-1) != 0]  # each column's first firing candidate
-        if not from_record and (a[first] > tau[first]).any():
+            a, tau = np.einsum("crp,cr->pc", probes.take(m[near], axis=0), anchor.take(col[near], axis=0))
+            fires = u[near] * tau < a
+            near, a, tau = near[fires], a[fires], tau[fires]
+        heads = np.diff(col[near], prepend=-1) != 0  # each column's first firing candidate
+        if not from_record and (a[heads] > tau[heads]).any():
             raise ValueError("jump probability exceeded 1; reduce dt")
+        first = near[heads]
         at = col[first]
-        anchor[at] = traced(advance(anchor[at], m[first]) @ fire.T)
-        since[col] = steps + 1  # a column that does not fire now never will
-        since[at] = k[first] + 1
+        due = since + _RENEW < steps  # no click before the renewal, and steps left after it
+        due[at] = False
+        moved = np.concatenate([at, np.flatnonzero(due)])
+        if not moved.size:
+            break
+        new = advance(anchor[moved], np.concatenate([m[first], np.full(moved.size - at.size, _RENEW)]))
+        new[:at.size] = new[:at.size] @ fire.T
+        anchor[moved] = traced(new)
+        when = np.concatenate([k[first] + 1, since[due] + _RENEW])
+        since[col] = steps + 1  # a column that neither fires nor is renewed now never will
+        since[moved] = when
         outcomes[at, k[first]] = 1  # already set on a replay
-        history.append((at, since[at], anchor[at]))
+        history.append((moved * (steps + 1) + when, anchor[moved]))
         keep = k >= since[col]
         col, k, u = col[keep], k[keep], u[keep]
 
-    owner, when, state = (np.concatenate(part) for part in zip(*history))
-    order = np.lexsort((when, owner))
-    key = owner[order] * (steps + 1) + when[order]
-    shared = traced(advance(np.tile(sec.start.reshape(-1, r)[0], (grid.size, 1)), grid))  # one start's samples
+    key, state = (np.concatenate(part) for part in zip(*history))
+    del history
+    order = np.argsort(key)
+    key = key.take(order)
+    state = state.take(order, axis=0)
     states = np.empty((n, len(sample_indices), d, d), dtype=complex)
     batch = max(1, _BUDGET // (8 * r * grid.size))
     for c0 in range(0, n, batch):  # each sampled state from the last anchor at or before it
-        want = np.add.outer(np.arange(c0, min(n, c0 + batch)) * (steps + 1), grid)
-        last = order[np.searchsorted(key, want, "right") - 1]
-        own = (last >= n) | (sec.start.ndim > 1)  # pairs that read their own column's anchor
-        coords = np.broadcast_to(shared, want.shape + (r,)).copy()
-        coords[own] = traced(advance(state[last[own]], want[own] % (steps + 1) - when[last[own]]))
+        cols = np.arange(c0, min(n, c0 + batch))
+        points = np.tile(grid, cols.size)
+        last = np.searchsorted(key, np.repeat(cols, grid.size) * (steps + 1) + points, "right") - 1
+        coords = traced(advance(state[last], points - key[last] % (steps + 1))).reshape(cols.size, grid.size, r)
         _to_matrices(coords[:, :len(sample_indices)], sec.basis, out=states[c0:c0 + batch])
     return states, outcomes
 

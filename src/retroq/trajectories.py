@@ -14,8 +14,8 @@ and their mode's forward kernel, which steps the real branch matrices:
 the per-step loop ``_accel._paths`` for currents, and for counts
 ``_accel._quiet_runs``, which jumps each trajectory from one click
 candidate to the next by precomputed powers of the no-click branch. A
-replay runs the kernel of its simulation, and anchors where it clicked,
-so it reproduces it bit for bit. The backward passes
+replay runs the kernel of its simulation, and anchors where it clicked
+and renewed, so it reproduces it bit for bit. The backward passes
 step the transposes, the exact adjoints, over the reversed record: for
 one record on a small coordinate sector a block of steps at a time
 (``_accel._blocked``), where one step's work is too small to pay for a

@@ -481,7 +481,9 @@ def quiet_run_cases():
     1000 (a sector of 3: the drive σx makes the coherence imaginary), the
     d = 8 number sector and a full d = 8 sector, at dt = 0.05; then a
     strongly driven qubit at κ dt = 0.5 (case STRONG), and the full d = 8
-    sector again with 64 columns, whose |R|×|R| matrices would take 2 MB."""
+    sector again with 64 columns, whose |R|×|R| matrices would take 2 MB;
+    last, free decay from |e> at κ dt = 0.05 (case LONG), whose no-click
+    weight 0.95^m leaves the double range after about 14000 steps."""
     d = 8
     lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
     number_sector = tr.monitoring_model(np.zeros((d, d)), lower, 1.0, mode="counting")
@@ -494,13 +496,14 @@ def quiet_run_cases():
         (cavity_model(d, mode="counting"), cavity_state(d), 0.05, 16, d * d),
         (decay_model(kappa=10.0, mode="counting", omega=10.0), EXCITED, 0.05, 256, 3),
         (cavity_model(d, mode="counting"), cavity_state(d), 0.05, 64, d * d),
+        (decay_model(kappa=1.0, mode="counting"), EXCITED, 0.05, 4, 2),
     ]
 
 
-STRONG = 5
+STRONG, LONG = 5, 7
 
 
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(8))
 def test_quiet_runs_are_the_per_step_recursion(case, monkeypatch):
     """Forward counting passes jump from one click candidate to the next; on
     drawn uniforms they fire exactly where the per-step recursion does, and
@@ -516,8 +519,8 @@ def test_quiet_runs_are_the_per_step_recursion(case, monkeypatch):
     if size == model.dim ** 2:
         assert n * size ** 2 * 8 > _accel._BUDGET
     block = _accel._BLOCK
-    for steps in (block + 15, 2 * block, 2 * block + 1, 40 * block):
-        if n * steps > 20_000 and steps > 2 * block + 1:
+    for steps in (block + 15, 2 * block, 2 * block + 1, 40 * block, 440 * block):
+        if n * steps > 60_000 and steps > 2 * block + 1:
             continue
         uniforms = rng(steps).random((n, steps))
         want, counts = hand_counts(step, start, uniforms, False)
@@ -556,8 +559,10 @@ def test_quiet_runs_replay_clicks_at_every_block_offset():
 
 def test_quiet_runs_raise_as_the_loop_did():
     """A jump probability above 1 and a record branch of zero weight raise by
-    name, at a block's start, inside it and across its edge, and a quiet
-    branch that overflows raises rather than filter infinities."""
+    name, at a block's start, inside it and across its edge, as does a
+    click-free record whose weight underflows, though its end is not
+    sampled; a quiet branch that overflows raises rather than filter
+    infinities."""
     block = _accel._BLOCK
     coarse = _accel.record_step(decay_model(kappa=30.0, mode="counting"), 0.05)
     for n in (1, 8):
@@ -569,6 +574,9 @@ def test_quiet_runs_raise_as_the_loop_did():
         records[1, k:k + 2] = 1
         with pytest.raises(ValueError, match="a record branch has zero weight; the record is infeasible"):
             _accel.counting_paths(step, EXCITED, records, True, [0])
+    dead = _accel.record_step(decay_model(kappa=40.0, mode="counting"), 0.05)  # A|e> = 2e-16 |e>
+    with pytest.raises(ValueError, match="a record branch has zero weight; the record is infeasible"):
+        _accel.counting_paths(dead, EXCITED, np.zeros((2, 40), dtype=np.int64), True, [0])
     with np.errstate(over="ignore", invalid="ignore"):
         huge = _accel.record_step(decay_model(kappa=1.0, mode="counting", omega=0.7), 1e155)
         for from_record in (False, True):
@@ -576,19 +584,18 @@ def test_quiet_runs_raise_as_the_loop_did():
                 _accel.counting_paths(huge, EXCITED, np.zeros((1, 3)), from_record, [0])
 
 
-def test_quiet_runs_refuse_a_stretch_below_the_double_range():
-    """A click-free record from (|6><6| + |7><7|)/2 on the d = 8 number sector
-    keeps its states to 1e-12 while its weight stays within the double range,
-    and raises as a record of zero weight once the scaled trace falls below
-    2^-900, rather than return a state read from subnormal entries (at 150000
-    steps <n> would read 6.5 for 6)."""
+def test_quiet_runs_keep_long_click_free_stretches():
+    """Click-free records far longer than the double range could carry as one
+    power of the quiet branch keep their states: from (|6><6| + |7><7|)/2 on
+    the d = 8 number sector, the |7> part dies away and <n> reads 6, and |7>
+    alone stays |7>, as the per-block normalization of the per-step loop
+    gives them."""
     lower = np.diag(np.sqrt(np.arange(1.0, 8)), k=1)
     step = _accel.record_step(tr.monitoring_model(np.zeros((8, 8)), lower, 1.0, mode="counting"), 1e-3)
-    start = (fock(8, 6) + fock(8, 7)) / 2
-    got, _ = _accel.counting_paths(step, start, np.zeros((1, 50_000), dtype=np.int64), True, [50_000])
-    assert np.max(np.abs(got[0, 0] - fock(8, 6))) < 1e-12
-    with pytest.raises(ValueError, match="a record branch has zero weight; the record is infeasible"):
-        _accel.counting_paths(step, start, np.zeros((1, 150_000), dtype=np.int64), True, [150_000])
+    for start, end in (((fock(8, 6) + fock(8, 7)) / 2, fock(8, 6)), (fock(8, 7), fock(8, 7))):
+        for steps in (50_000, 150_000):
+            got, _ = _accel.counting_paths(step, start, np.zeros((1, steps), dtype=np.int64), True, [steps])
+            assert np.max(np.abs(got[0, 0] - end)) < 1e-12
 
 
 def hand_currents(model, dt, rho0, incr, from_record):
