@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import sandwich_superop
+from .algebra import eigenvalues, sandwich_superop
 
 # Reported in benchmark machine facts only; no kernel uses numba.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
@@ -442,7 +442,7 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
         test, edge = np.greater, 0.0
     else:
         outcomes = np.zeros((n, steps), dtype=np.int64)
-        test, edge = np.less, np.linalg.eigvalsh(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
+        test, edge = np.less, eigenvalues(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
         lead = strides[:-1] @ np.stack([sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])], axis=1)
         probes = (powers[None, :-1] @ lead[:, None]).reshape(_RENEW, r, 2)  # [(Q^m)ᵀ g, (Q^m)ᵀ 1_diag]
     chunk = max(1, _BUDGET // max(steps, 1))  # rows whose screen fits the budget

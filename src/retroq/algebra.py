@@ -104,16 +104,70 @@ def pairing(effect, state) -> float | np.ndarray:
     return val.real if val.ndim else float(val.real)
 
 
+def _qubit_spectrum(a, vectors: bool):
+    """Closed-form spectrum of a (..., 2, 2) stack, read from its lower triangle.
+
+    With m = (a+d)/2, δ = (a-d)/2 and b = A[1,0] the eigenvalues are
+    m ∓ hypot(δ, |b|). The top eigenvector spans the range of A - w_lo I,
+    whose column 0, (δ + r, b), does not cancel when δ >= 0 and whose
+    column 1, (b̄, r - δ), does not when δ < 0; the other eigenvector is its
+    orthogonal complement. A ∝ I has a zero range and takes V = [[0, 1], [-1, 0]].
+    """
+    p, q, b = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
+    m, delta, size = 0.5 * (p + q), 0.5 * (p - q), np.abs(b)
+    r = np.hypot(delta, size)
+    w = np.empty((*np.shape(m), 2))
+    np.subtract(m, r, out=w[..., 0])
+    np.add(m, r, out=w[..., 1])
+    if not vectors:
+        return w
+    first = delta >= 0.0
+    big = np.abs(delta) + r
+    n = np.hypot(big, size)
+    flat = n == 0.0  # then big = 0 too, and both become 1
+    big, n = big + flat, n + flat
+    x = np.where(first, big, np.conj(b)) / n
+    y = np.where(first, b, big) / n
+    v = np.empty(a.shape, np.result_type(x, y))
+    v[..., 0, 0], v[..., 1, 0] = np.conj(y), -np.conj(x)
+    v[..., 0, 1], v[..., 1, 1] = x, y
+    return w, v
+
+
+def eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues (..., d) of a Hermitian matrix or stack (..., d, d).
+
+    Like np.linalg.eigvalsh it reads only the lower triangle. With
+    eigensystem, this is the one place in retroq that solves an
+    eigenproblem: in closed form at d = 2, where LAPACK would be called
+    once per matrix, and through np.linalg at every other d.
+    """
+    a = np.asarray(a)
+    return _qubit_spectrum(a, False) if a.shape[-2:] == (2, 2) else np.linalg.eigvalsh(a)
+
+
+def eigensystem(a):
+    """(w, V) with A = V diag(w) V† for a Hermitian matrix or stack, w ascending; see eigenvalues."""
+    a = np.asarray(a)
+    return _qubit_spectrum(a, True) if a.shape[-2:] == (2, 2) else np.linalg.eigh(a)
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} rejected: non-finite entries")
+
+
 def hermitian_eig(op):
     """Eigendecomposition of a Hermitian operator; returns (w, V) with A = V diag(w) V†."""
     a = asoperator(op)
+    _require_finite(a, "operator")
     if hermiticity_defect(a) > DEFAULT_TOL * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError("operator is not Hermitian within tolerance")
-    return np.linalg.eigh(hermitian_part(a))
+    return eigensystem(hermitian_part(a))
 
 
 def spectral_norm_hermitian(op) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(asoperator(op))))))
+    return float(np.max(np.abs(eigenvalues(hermitian_part(asoperator(op))))))
 
 
 class Spectrum(NamedTuple):
@@ -144,9 +198,10 @@ def state_spectrum(op, tol: float = DEFAULT_TOL) -> Spectrum:
     if isinstance(op, Spectrum):
         return op
     mats = asstack(op)
+    _require_finite(mats, "state")
     if hermiticity_defect(mats) > tol:
         raise ValueError("state rejected: not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitian_part(mats))
+    w, v = eigensystem(hermitian_part(mats))
     if w.size and float(w.min()) < -tol:
         raise ValueError(f"state rejected: negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import eigenvalues
 from .channels import Channel, Instrument, compose_preprocess
 from .dynamics import LindbladGenerator
 from .retrodiction import ChainSpec, Stage
@@ -226,7 +227,7 @@ class LinearGaussianModel:
                 raise ValueError(f"{name} must be {size}x{size}")
             if np.max(np.abs(mat - mat.T)) > 1e-10:
                 raise ValueError(f"{name} must be symmetric")
-            if float(np.linalg.eigvalsh(mat).min()) < -1e-10:
+            if float(eigenvalues(mat).min()) < -1e-10:
                 raise ValueError(f"{name} must be positive semidefinite")
         for field, value in (
             ("a", a), ("q", q), ("c", c), ("r", r), ("mean0", mean0), ("cov0", cov0)
@@ -266,7 +267,7 @@ def kalman_filter(model: LinearGaussianModel, ys):
             m = model.a @ m
             p = model.a @ p @ model.a.T + model.q
         s = model.c @ p @ model.c.T + model.r
-        if float(np.linalg.eigvalsh(s).min()) <= 0.0:
+        if float(eigenvalues(s).min()) <= 0.0:
             raise ValueError(f"innovation covariance is singular at step {k}")
         gain = np.linalg.solve(s, model.c @ p).T
         m = m + gain @ (arr[k] - model.c @ m)
@@ -290,7 +291,7 @@ def rts_smoother(model: LinearGaussianModel, filtered):
     for k in range(k_steps - 2, -1, -1):
         pred_m = model.a @ means[k]
         pred_p = model.a @ covs[k] @ model.a.T + model.q
-        if float(np.linalg.eigvalsh(pred_p).min()) <= 0.0:
+        if float(eigenvalues(pred_p).min()) <= 0.0:
             raise ValueError(
                 f"predicted covariance is singular between steps {k} and {k + 1}"
             )
@@ -338,7 +339,7 @@ def gaussian_batch_oracle(model: LinearGaussianModel, ys):
     r_big = np.kron(np.eye(k_steps), model.r)
     mean_x = prior_means.reshape(-1)
     cov_y = c_big @ big @ c_big.T + r_big
-    if float(np.linalg.eigvalsh(cov_y).min()) <= 0.0:
+    if float(eigenvalues(cov_y).min()) <= 0.0:
         raise ValueError("observation covariance is singular")
     cross = big @ c_big.T
     resid = arr.reshape(-1) - c_big @ mean_x

@@ -35,9 +35,10 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple:
+    """(parameters, sha256 of the file) from one read, so the hash describes what ran."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -47,6 +48,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
     if "schema_version" not in cfg:
@@ -57,7 +60,7 @@ def _load_config(path: str) -> dict:
         )
     params = dict(cfg)
     del params["schema_version"]
-    return params
+    return params, _sha256(raw)
 
 
 def _parameters(name: str) -> set:
@@ -149,9 +152,7 @@ def cmd_run(name: str, config_path, seed, out_flag) -> int:
     config_hash = _sha256(b"")
     try:
         if config_path:
-            params = _load_config(config_path)
-            with open(config_path, "rb") as fh:
-                config_hash = _sha256(fh.read())
+            params, config_hash = _load_config(config_path)
         _check_params(name, params)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

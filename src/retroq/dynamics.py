@@ -7,8 +7,8 @@ RK4 step matrix of it (rk4_step) on vec(rho), the backward pass over its
 conjugate transpose, the Hilbert-Schmidt adjoint, so the discrete backward
 flow is the exact adjoint of the discrete forward flow. No step is projected
 or clamped: the propagate_* passes check the whole timeline once, in one
-batched eigvalsh, and raise if any point leaves the valid set by more than
-PROJECTION_FAIL_TOL.
+batched algebra.eigenvalues, and raise if any point leaves the valid set by
+more than PROJECTION_FAIL_TOL.
 
 Every time grid of the package is built, checked, compared and looked up
 here, under one tolerance (_GRID_TOL).
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, hermitian_part, hermiticity_defect
-from .algebra import sandwich_superop, validate_state
+from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, eigenvalues, hermitian_part
+from .algebra import hermiticity_defect, sandwich_superop, validate_state
 
 PROJECTION_FAIL_TOL = 1e-10
 _GRID_TOL = 1e-9  # a time t is on grid point g when |t - g| <= _GRID_TOL * max(1, |g|)
@@ -212,7 +212,7 @@ def _checked_flow(steps, x, kind: str) -> np.ndarray:
         mats = flow(steps, x)
         finite = np.isfinite(mats).all(axis=(-2, -1))
         mag = np.full(len(mats), np.inf)
-        w = np.linalg.eigvalsh(mats[finite])
+        w = eigenvalues(mats[finite])
         excess = np.abs(w.sum(axis=-1) - 1.0) if kind == "state" else np.maximum(w[:, -1] - 1.0, 0.0)
         mag[finite] = np.maximum(-w[:, 0], 0.0) + excess
     bad = np.flatnonzero(mag > PROJECTION_FAIL_TOL)

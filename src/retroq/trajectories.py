@@ -43,6 +43,7 @@ from .algebra import (
     asoperator,
     asstack,
     dagger,
+    eigenvalues,
     pairing,
     spectral_norm_hermitian,
     state_spectrum,
@@ -318,7 +319,7 @@ def _backward(model, record: MeasurementRecord, effect_final) -> Timeline:
     ef = _terminal_effect(effect_final, model.dim)
     incr = np.atleast_2d(record.increments)[:, ::-1]
     body = _accel._backward_effects(model.record_step(record.dt), ef, incr)[:, ::-1]
-    body /= np.abs(np.linalg.eigvalsh(body)).max(axis=-1)[..., None, None]
+    body /= np.abs(eigenvalues(body)).max(axis=-1)[..., None, None]
     mats = np.concatenate([body, np.broadcast_to(ef, (len(body), 1) + ef.shape)], axis=1)
     return Timeline(record.times, mats if record.increments.ndim == 2 else mats[0], "effect")
 

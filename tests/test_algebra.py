@@ -127,3 +127,79 @@ def test_pauli_constants():
     assert np.allclose(al.SX @ al.SX, np.eye(2))
     assert np.allclose(al.SM, (al.SX + 1j * al.SY) / 2)
     assert np.allclose(al.SM @ al.ket(2, 1), al.ket(2, 0))
+
+
+def qubit_stacks(g, n):
+    """(name, stack) pairs of Hermitian (n, 2, 2) stacks, complex and real,
+    with the inputs where a closed form can go wrong."""
+    out = []
+    for kind in ("complex", "real"):
+        a = g.normal(size=(n, 2, 2)) + (1j * g.normal(size=(n, 2, 2)) if kind == "complex" else 0.0)
+        a = a + al.dagger(a)
+        diag = a * np.eye(2)  # b = 0 with either diagonal entry the larger
+        flat = diag[..., :1, :1] * np.eye(2)  # A ∝ I, and the zero matrix
+        flat[0] = 0.0
+        psi = g.normal(size=(n, 2)) + (1j * g.normal(size=(n, 2)) if kind == "complex" else 0.0)
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        eps = 10.0 ** g.uniform(-18.0, -12.0, size=(n, 1, 1))  # λ_min ≤ 1e-12
+        pure = (1.0 - eps) * psi[:, :, None] * psi.conj()[:, None, :] + 0.5 * eps * np.eye(2)
+        out += [(f"{kind}", a), (f"{kind} diagonal", diag), (f"{kind} ∝ I", flat), (f"{kind} near-pure", pure),
+                (f"{kind} × 1e150", 1e150 * a), (f"{kind} × 1e-150", 1e-150 * a)]
+    return out
+
+
+def test_closed_form_qubit_spectrum_matches_lapack():
+    g = rng(21)
+    for name, a in qubit_stacks(g, 10_000):
+        w, v = al.eigensystem(a)
+        ref = np.linalg.eigvalsh(a)
+        norm = np.abs(ref).max(axis=-1)
+        # bounds relative to the norm on the scaled stacks, where max(1, ‖A‖) would say nothing below 1
+        bound = 1e-14 * (norm if "×" in name else np.maximum(1.0, norm))
+        assert np.array_equal(al.eigenvalues(a), w), name
+        assert w.dtype == ref.dtype and v.dtype == a.dtype, name
+        assert (np.diff(w, axis=-1) >= 0.0).all(), name
+        assert (np.abs(w - ref).max(axis=-1) <= bound).all(), name
+        assert np.abs(al.dagger(v) @ v - np.eye(2)).max() <= 1e-14, name
+        assert (np.abs((v * w[..., None, :]) @ al.dagger(v) - a).max(axis=(-2, -1)) <= bound).all(), name
+
+
+def test_closed_form_reads_the_lower_triangle_and_one_matrix():
+    """Like LAPACK, the upper triangle and the imaginary diagonal are never read."""
+    g = rng(22)
+    a = random_herm(g, 2)
+    junk = a + np.triu(g.normal(size=(2, 2)), 1) + 1j * np.diag(g.normal(size=2))
+    assert np.array_equal(al.eigenvalues(junk), al.eigenvalues(a))
+    w, v = al.eigensystem(junk)
+    assert w.shape == (2,) and v.shape == (2, 2)
+    assert np.allclose(w, np.linalg.eigvalsh(junk), rtol=0.0, atol=1e-14)
+    assert np.allclose((v * w) @ v.conj().T, a, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_other_dimensions_are_lapack_bit_for_bit(d):
+    g = rng(23 + d)
+    for kind in ("complex", "real"):
+        a = g.normal(size=(50, d, d)) + (1j * g.normal(size=(50, d, d)) if kind == "complex" else 0.0)
+        a = a + al.dagger(a)
+        w, v = al.eigensystem(a)
+        want_w, want_v = np.linalg.eigh(a)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.array_equal(al.eigenvalues(a), np.linalg.eigvalsh(a))
+        assert np.array_equal(al.eigenvalues(a[0]), np.linalg.eigvalsh(a[0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d", [2, 3])
+def test_non_finite_operators_are_rejected_before_decomposition(d, bad):
+    """A NaN passes silently through a decomposition (LAPACK's eigvalsh of
+    diag(nan, 1) is [0, -0]), so it is refused by name first."""
+    op = np.eye(d, dtype=complex) / d
+    op[0, 0] = bad
+    for call in (al.state_spectrum, al.validate_state):
+        with pytest.raises(ValueError, match="state rejected: non-finite"):
+            call(op)
+    with pytest.raises(ValueError, match="state rejected: non-finite"):
+        al.state_spectrum(np.stack([np.eye(d) / d, op]))
+    with pytest.raises(ValueError, match="operator rejected: non-finite"):
+        al.hermitian_eig(op)

@@ -63,6 +63,32 @@ def test_config_file_parameters_reach_the_scenario(tmp_path):
     assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
 
+def test_config_is_read_once_and_hashed_as_read(tmp_path, monkeypatch):
+    """The parameters that ran and the recorded hash come from the same bytes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps({"schema_version": 1, "etas": [0.5]}).encode())
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    out = tmp_path / "o"
+    assert run_cli("run", "unsharp-qubit", "--config", str(cfg), "--out", str(out)) == 0
+    assert opened.count(str(cfg)) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    params, digest = cli._load_config(str(cfg))
+    assert params == {"etas": [0.5]} and manifest["config_sha256"] == digest
+
+
+def test_config_that_is_not_text_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"schema_version": 1, "etas": [0.5\xff]}')
+    assert run_cli("run", "unsharp-qubit", "--config", str(cfg)) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"schema_version": 1,\n  "etas": [0.1,]}')

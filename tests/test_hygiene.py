@@ -165,9 +165,9 @@ def test_only_dynamics_decides_the_time_grid():
 
 
 def eigh_calls(source: str) -> list:
-    """Lines of each call of a function named eigh, such as np.linalg.eigh."""
+    """Lines of each call of a function named eigh or eigvalsh, such as np.linalg.eigh."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-            and "eigh" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+            and {"eigh", "eigvalsh"} & {getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
 
 
 def spectral_rebuilds(source: str) -> list:
@@ -195,17 +195,21 @@ def test_the_scan_sees_eigh_calls_and_rebuilds():
     src += "    return (v * w) @ dagger(v)\n\n\nclass S:\n    def rebuild(self, w):\n"
     src += "        return (self.v * w[..., None, :]) @ al.dagger(self.v)\n"
     src += "\n\nx = (u * w) @ dagger(v)\ny = v * w @ dagger(v)\nz = (v + w) @ dagger(v)\n"
-    assert eigh_calls(src) == [1, 2]
+    assert eigh_calls(src) == [1, 2, 3]
     assert spectral_rebuilds(src) == [("f", 7), ("S.rebuild", 12), ("", 16)]  # * and @ bind alike
 
 
 def test_only_algebra_decomposes_and_only_spectrum_rebuilds():
-    """State stacks are decomposed in algebra alone, so a caller that needs
-    a stack's spectrum twice passes the Spectrum along; and V diag(·) V† is
-    written once, as Spectrum.rebuild, not by hand in each module that
-    needs an operator back from its spectrum."""
+    """Every eigenproblem is solved by algebra.eigenvalues or
+    algebra.eigensystem, which take the closed form at d = 2, so a module
+    that calls eigh or eigvalsh itself pays LAPACK's per-matrix cost there;
+    and V diag(·) V† is written once, as Spectrum.rebuild, not by hand in
+    each module that needs an operator back from its spectrum."""
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert [name for name, text in sources.items() if eigh_calls(text)] == ["algebra.py"]
+    solvers = [node.name for node in ast.parse(sources["algebra.py"]).body
+               if isinstance(node, ast.FunctionDef) and eigh_calls(ast.unparse(node))]
+    assert solvers == ["eigenvalues", "eigensystem"]
     rebuilds = [(name, where) for name, text in sources.items() for where, _ in spectral_rebuilds(text)]
     assert rebuilds == [("algebra.py", "Spectrum.rebuild")]
 

@@ -103,20 +103,23 @@ def test_weak_measurement_fits_only_residuals_above_rounding():
 
 
 def test_weak_coupling_blocks_match_a_dense_exponential():
-    """The pointer blocks come from one eigendecomposition of p; scipy's
-    expm of the real antisymmetric -i p stays the second route."""
+    """The pointer's two states per coupling come from a Taylor series of
+    matrix products; scipy's expm of the real antisymmetric -i p
+    stays the second route. exp(-igp)|0> is column 0 of exp(g (-ip)) and
+    exp(+igp)|0> its row 0. A coupling of 1.7 takes several substeps."""
     from scipy.linalg import expm
 
     defaults = inspect.signature(sc.scenario_weak_measurement).parameters
     gs, sigma_q, n_trunc = (defaults[k].default for k in ("gs", "sigma_q", "n_trunc"))
     lower = np.diag(np.sqrt(np.arange(1, n_trunc)), 1)
     minus_ip = (lower.T - lower) / (2.0 * sigma_q)
-    blocks = sc._coupling_blocks(1j * minus_ip, gs)
-    assert list(blocks) == [float(g) for g in gs]
-    for g, u in blocks.items():
-        assert u.dtype == float
-        assert np.max(np.abs(u - expm(g * minus_ip))) < 1e-13
-        assert np.max(np.abs(u.T @ u - np.eye(n_trunc))) < 1e-13
+    states = sc._pointer_states(minus_ip, (*gs, 1.7))
+    assert list(states) == [float(g) for g in (*gs, 1.7)]
+    for g, pair in states.items():
+        u = expm(g * minus_ip)
+        assert pair.dtype == float and pair.shape == (2, n_trunc)
+        assert np.max(np.abs(pair - np.stack([u[:, 0], u[0]]))) < 1e-13
+        assert np.max(np.abs(np.linalg.norm(pair, axis=1) - 1.0)) < 1e-13
 
 
 def test_epr_chsh_maximum():
@@ -193,6 +196,16 @@ def test_counting_oracle_makes_one_replay_and_one_backward_call(monkeypatch):
     assert rep.passed and rep.values["feasible_records"] == 21.0
     assert [c for c in calls if c[1]] == [("forward", True, 21), ("adjoint", True, 21), ("oracle", True, 21)]
     assert [c for c in calls if not c[1]] == [("forward", False, 500), ("forward", False, 200)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_counting_z_is_zero_when_every_trajectory_clicks_once():
+    """At κ·horizon = 750 every emitter has decayed and clicked once, so the
+    totals have no spread; the mean equals 1 - exp(-750) = 1.0 exactly, and
+    z is 0, not 0/0."""
+    rep = sc.scenario_counting(kappa=50, horizon=15, n_traj=100)
+    assert rep.values["count_mean"] == 1.0 and rep.values["count_mean_z"] == 0.0
+    assert rep.passed
 
 
 def test_counting_rejects_long_grid():
