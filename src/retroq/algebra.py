@@ -108,17 +108,25 @@ def _qubit_spectrum(a, vectors: bool):
     """Closed-form spectrum of a (..., 2, 2) stack, read from its lower triangle.
 
     With m = (a+d)/2, δ = (a-d)/2 and b = A[1,0] the eigenvalues are
-    m ∓ hypot(δ, |b|). The top eigenvector spans the range of A - w_lo I,
-    whose column 0, (δ + r, b), does not cancel when δ >= 0 and whose
-    column 1, (b̄, r - δ), does not when δ < 0; the other eigenvector is its
-    orthogonal complement. A ∝ I has a zero range and takes V = [[0, 1], [-1, 0]].
+    m ∓ r, r = hypot(δ, |b|). The one of larger magnitude, m + sign(m) r,
+    is taken as it stands and the other as det A over it, written as
+    a (d/·) - |b| (|b|/·) so that neither product leaves the range of A:
+    m - r itself would lose the small eigenvalue of diag(1, 1e-20) to
+    rounding, where this keeps it to a few ulps. The top eigenvector spans
+    the range of A - w_lo I, whose column 0, (δ + r, b), does not cancel
+    when δ >= 0 and whose column 1, (b̄, r - δ), does not when δ < 0; the
+    other eigenvector is its orthogonal complement. A ∝ I has a zero range
+    and takes V = [[0, 1], [-1, 0]].
     """
     p, q, b = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
     m, delta, size = 0.5 * (p + q), 0.5 * (p - q), np.abs(b)
     r = np.hypot(delta, size)
+    outer = m + np.copysign(r, m)  # |outer| = ‖A‖ bounds every entry, and is 0 only for A = 0
+    safe = outer + (outer == 0.0)
+    inner = p * (q / safe) - size * (size / safe)
     w = np.empty((*np.shape(m), 2))
-    np.subtract(m, r, out=w[..., 0])
-    np.add(m, r, out=w[..., 1])
+    np.minimum(outer, inner, out=w[..., 0])
+    np.maximum(outer, inner, out=w[..., 1])
     if not vectors:
         return w
     first = delta >= 0.0
@@ -139,17 +147,19 @@ def eigenvalues(a) -> np.ndarray:
 
     Like np.linalg.eigvalsh it reads only the lower triangle. With
     eigensystem, this is the one place in retroq that solves an
-    eigenproblem: in closed form at d = 2, where LAPACK would be called
-    once per matrix, and through np.linalg at every other d.
+    eigenproblem: in closed form for a stack of 2×2 matrices, where LAPACK
+    would be called once per matrix, and through np.linalg for one matrix
+    and at every other d, where one call costs less than the closed
+    form's numpy calls on scalars.
     """
     a = np.asarray(a)
-    return _qubit_spectrum(a, False) if a.shape[-2:] == (2, 2) else np.linalg.eigvalsh(a)
+    return _qubit_spectrum(a, False) if a.ndim > 2 and a.shape[-2:] == (2, 2) else np.linalg.eigvalsh(a)
 
 
 def eigensystem(a):
     """(w, V) with A = V diag(w) V† for a Hermitian matrix or stack, w ascending; see eigenvalues."""
     a = np.asarray(a)
-    return _qubit_spectrum(a, True) if a.shape[-2:] == (2, 2) else np.linalg.eigh(a)
+    return _qubit_spectrum(a, True) if a.ndim > 2 and a.shape[-2:] == (2, 2) else np.linalg.eigh(a)
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SM, SX, SZ, eigenvalues, ket, pairing, projector, state_spectrum, tensor
+from .algebra import SM, SX, SZ, Spectrum, eigenvalues, hermitian_eig, ket, pairing, projector, state_spectrum, tensor
 from .channels import Instrument, projective, unsharp_z
 from .classical import (
     HmmModel,
@@ -198,30 +198,14 @@ def _scaling_fit(gs: np.ndarray, residuals: np.ndarray):
     return c, float(slope), r2
 
 
-def _pointer_states(minus_ip, gs) -> dict:
-    """Pointer states exp(-i g p)|0> and exp(+i g p)|0>, the rows of one (2, n) array per coupling g.
+def _coupling_blocks(p_op, gs) -> dict:
+    """exp(-i g p) for each coupling g, all rebuilt from one eigendecomposition of p.
 
-    -ip is real antisymmetric, so all are real. They come from one Taylor
-    series of matrix products, a column per state, over ceil(max |g| ‖-ip‖₁)
-    substeps, whose exponents have norm at most 1. A substep sums terms
-    until each column of the last has 1-norm below 2^-53: every later term
-    is smaller by 1/(k+1) or more, so the rest of the series is below
-    1/k of that, and each column has 2-norm 1.
+    The pointer's p is i times a real antisymmetric matrix, so each block is
+    real orthogonal; its rounding-level imaginary part is dropped.
     """
-    gs = [float(g) for g in gs]
-    norm = float(np.abs(minus_ip).sum(axis=0).max())
-    substeps = max(1, int(np.ceil(max(map(abs, gs)) * norm)))
-    h = np.outer(gs, [1.0, -1.0]).ravel() / substeps  # columns +g, -g per coupling
-    vec = np.zeros((len(minus_ip), h.size))
-    vec[0] = 1.0
-    for _ in range(substeps):
-        term, total, k = vec, vec, 0
-        while np.abs(term).sum(axis=0).max() >= 2.0**-53:
-            k += 1
-            term = (minus_ip @ term) * (h / k)
-            total = total + term
-        vec = total
-    return dict(zip(gs, vec.T.reshape(len(gs), 2, -1)))
+    spec = Spectrum(*hermitian_eig(p_op))
+    return {float(g): spec.rebuild(lambda w: np.exp(-1j * g * w)).real for g in gs}
 
 
 def scenario_weak_measurement(
@@ -234,9 +218,8 @@ def scenario_weak_measurement(
 
     The pointer is a truncated oscillator: q = sigma_q (a + a^dag) makes the
     vacuum a Gaussian with Var(q) = sigma_q^2 and p its exact conjugate. The
-    coupling exp(-i g sigma_z x p) takes the pointer vacuum to exp(-i g p)|0>
-    on |0> and exp(+i g p)|0> on |1>, two real vectors per coupling built
-    from matrix products (_pointer_states) with no decomposition; the
+    coupling exp(-i g sigma_z x p) acts through one real orthogonal pointer
+    block per coupling, each rebuilt from one eigendecomposition of p; the
     qubit is post-selected on cos(theta)|0> + e^{i phi} sin(theta)|1>, and
     both shift residuals against g Re(A_w) and g Im(A_w)/(2 sigma_q^2) must
     scale quadratically over the g sweep. The default post-selections cover
@@ -259,7 +242,9 @@ def scenario_weak_measurement(
     minus_ip = (lower.T - lower) / (2.0 * sigma_q)
     p_op = 1j * minus_ip
     qubit_in = (ket(2, 0) + ket(2, 1)) / np.sqrt(2.0)
-    pointer = _pointer_states(minus_ip, gs)
+    # exp(-i g sz x p) is u = exp(-i g p) on |0> and its inverse on |1>; -i p is real
+    # antisymmetric, so u is real orthogonal and its transpose is the |1> block
+    blocks = _coupling_blocks(p_op, gs)
     values = {}
     assertions = []
     rows = []
@@ -270,8 +255,8 @@ def scenario_weak_measurement(
         tag_pair = f"theta_{theta:g}_phi_{phi:g}"
         dqs, dps, worst_leak = [], [], 0.0
         for g in gs:
-            # rows: the |0> and |1> parts of exp(-i g sz x p) (qubit_in ⊗ |0>)
-            pf = np.tensordot(fvec.conj(), qubit_in[:, None] * pointer[float(g)], axes=(0, 0))
+            u = blocks[float(g)]  # rows: the |0> and |1> parts of U (qubit_in ⊗ |0>)
+            pf = np.tensordot(fvec.conj(), qubit_in[:, None] * np.stack([u[:, 0], u[0]]), axes=(0, 0))
             norm2 = float(np.vdot(pf, pf).real)
             leak = float((abs(pf[-1]) ** 2 + abs(pf[-2]) ** 2) / norm2)
             worst_leak = max(worst_leak, leak)
@@ -521,9 +506,11 @@ def scenario_counting(
     ens = ensemble_counting(free, EXCITED, horizon, dt, n_traj, s_mc)
     totals = ens.total_counts().astype(float)
     want_mean = 1.0 - np.exp(-kappa * horizon)
-    se = float(totals.std(ddof=1) / np.sqrt(n_traj))
+    # each total is 0 or 1, so under the closed form the mean has standard error sqrt(p(1 - p)/n),
+    # whether or not the sample spreads; it is 0 only where p is exactly 0 or 1
+    se = float(np.sqrt(want_mean * (1.0 - want_mean) / n_traj))
     miss = abs(float(totals.mean()) - want_mean)
-    z = miss / se if se > 0.0 else (0.0 if miss == 0.0 else np.inf)  # se = 0 when every total is equal
+    z = miss / se if se > 0.0 else (0.0 if miss == 0.0 else np.inf)
     values["count_mean"] = float(totals.mean())
     values["count_mean_z"] = z
     assertions.append(_at_most("count_mean_z", z, 3.0, "monte-carlo-3sigma"))

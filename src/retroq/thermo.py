@@ -8,7 +8,7 @@ here; backward_neutrality_check turns that architectural fact into a test.
 State arguments take one operator (d, d), a stack (..., d, d) such as a
 timeline's mats, or its Spectrum from state_spectrum, which passes through:
 thermo_report and clausius_gap decompose a timeline once, in one batched
-algebra.eigensystem (a closed form for qubits). heat_current's hamiltonian
+algebra.eigensystem (a closed form for qubit stacks). heat_current's hamiltonian
 and work_rate's dh_dt broadcast against the states. A call returns a float
 for one state and an array for a stack.
 """

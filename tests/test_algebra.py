@@ -143,8 +143,15 @@ def qubit_stacks(g, n):
         psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
         eps = 10.0 ** g.uniform(-18.0, -12.0, size=(n, 1, 1))  # λ_min ≤ 1e-12
         pure = (1.0 - eps) * psi[:, :, None] * psi.conj()[:, None, :] + 0.5 * eps * np.eye(2)
+        # Gibbs states of -ω/2 σz at βω from 20 to 60 (populations 1 : e^-βω), then diag(1, 1e-20),
+        # in either order: LAPACK returns a diagonal exactly, to every relative digit
+        tail = np.exp(-g.uniform(20.0, 60.0, size=n))
+        gibbs = np.zeros((n, 2, 2), a.dtype)
+        gibbs[:, 0, 0], gibbs[:, 1, 1] = 1.0 / (1.0 + tail), tail / (1.0 + tail)
+        gibbs[0, 0, 0], gibbs[0, 1, 1] = 1.0, 1e-20
+        gibbs[1::2] = gibbs[1::2, ::-1, ::-1]
         out += [(f"{kind}", a), (f"{kind} diagonal", diag), (f"{kind} ∝ I", flat), (f"{kind} near-pure", pure),
-                (f"{kind} × 1e150", 1e150 * a), (f"{kind} × 1e-150", 1e-150 * a)]
+                (f"{kind} diagonal Gibbs", gibbs), (f"{kind} × 1e150", 1e150 * a), (f"{kind} × 1e-150", 1e-150 * a)]
     return out
 
 
@@ -160,20 +167,31 @@ def test_closed_form_qubit_spectrum_matches_lapack():
         assert w.dtype == ref.dtype and v.dtype == a.dtype, name
         assert (np.diff(w, axis=-1) >= 0.0).all(), name
         assert (np.abs(w - ref).max(axis=-1) <= bound).all(), name
+        if "diagonal" in name or "∝ I" in name:  # each eigenvalue to a few ulps of itself, however small
+            assert (np.abs(w - ref) <= 1e-15 * np.abs(ref)).all(), name
         assert np.abs(al.dagger(v) @ v - np.eye(2)).max() <= 1e-14, name
         assert (np.abs((v * w[..., None, :]) @ al.dagger(v) - a).max(axis=(-2, -1)) <= bound).all(), name
 
 
-def test_closed_form_reads_the_lower_triangle_and_one_matrix():
+def test_closed_form_reads_the_lower_triangle_of_a_stack():
     """Like LAPACK, the upper triangle and the imaginary diagonal are never read."""
     g = rng(22)
-    a = random_herm(g, 2)
-    junk = a + np.triu(g.normal(size=(2, 2)), 1) + 1j * np.diag(g.normal(size=2))
+    a = np.stack([random_herm(g, 2) for _ in range(3)])
+    junk = a + np.triu(g.normal(size=(3, 2, 2)), 1) + 1j * g.normal(size=(3, 2))[..., None] * np.eye(2)
     assert np.array_equal(al.eigenvalues(junk), al.eigenvalues(a))
     w, v = al.eigensystem(junk)
-    assert w.shape == (2,) and v.shape == (2, 2)
+    assert w.shape == (3, 2) and v.shape == (3, 2, 2)
     assert np.allclose(w, np.linalg.eigvalsh(junk), rtol=0.0, atol=1e-14)
-    assert np.allclose((v * w) @ v.conj().T, a, rtol=0.0, atol=1e-14)
+    assert np.allclose((v * w[..., None, :]) @ al.dagger(v), a, rtol=0.0, atol=1e-14)
+
+
+def test_one_qubit_matrix_is_lapack_bit_for_bit():
+    """One LAPACK call costs less than the closed form's numpy calls on scalars."""
+    a = random_herm(rng(23), 2)
+    w, v = al.eigensystem(a)
+    want_w, want_v = np.linalg.eigh(a)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    assert np.array_equal(al.eigenvalues(a), np.linalg.eigvalsh(a))
 
 
 @pytest.mark.parametrize("d", [3, 4, 8])

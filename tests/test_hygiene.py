@@ -201,8 +201,9 @@ def test_the_scan_sees_eigh_calls_and_rebuilds():
 
 def test_only_algebra_decomposes_and_only_spectrum_rebuilds():
     """Every eigenproblem is solved by algebra.eigenvalues or
-    algebra.eigensystem, which take the closed form at d = 2, so a module
-    that calls eigh or eigvalsh itself pays LAPACK's per-matrix cost there;
+    algebra.eigensystem, which take the closed form for 2×2 stacks, so a
+    module that calls eigh or eigvalsh itself pays LAPACK's per-matrix cost
+    there;
     and V diag(·) V† is written once, as Spectrum.rebuild, not by hand in
     each module that needs an operator back from its spectrum."""
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}

@@ -103,23 +103,20 @@ def test_weak_measurement_fits_only_residuals_above_rounding():
 
 
 def test_weak_coupling_blocks_match_a_dense_exponential():
-    """The pointer's two states per coupling come from a Taylor series of
-    matrix products; scipy's expm of the real antisymmetric -i p
-    stays the second route. exp(-igp)|0> is column 0 of exp(g (-ip)) and
-    exp(+igp)|0> its row 0. A coupling of 1.7 takes several substeps."""
+    """The pointer blocks come from one eigendecomposition of p; scipy's
+    expm of the real antisymmetric -i p stays the second route."""
     from scipy.linalg import expm
 
     defaults = inspect.signature(sc.scenario_weak_measurement).parameters
     gs, sigma_q, n_trunc = (defaults[k].default for k in ("gs", "sigma_q", "n_trunc"))
     lower = np.diag(np.sqrt(np.arange(1, n_trunc)), 1)
     minus_ip = (lower.T - lower) / (2.0 * sigma_q)
-    states = sc._pointer_states(minus_ip, (*gs, 1.7))
-    assert list(states) == [float(g) for g in (*gs, 1.7)]
-    for g, pair in states.items():
-        u = expm(g * minus_ip)
-        assert pair.dtype == float and pair.shape == (2, n_trunc)
-        assert np.max(np.abs(pair - np.stack([u[:, 0], u[0]]))) < 1e-13
-        assert np.max(np.abs(np.linalg.norm(pair, axis=1) - 1.0)) < 1e-13
+    blocks = sc._coupling_blocks(1j * minus_ip, gs)
+    assert list(blocks) == [float(g) for g in gs]
+    for g, u in blocks.items():
+        assert u.dtype == float
+        assert np.max(np.abs(u - expm(g * minus_ip))) < 1e-13
+        assert np.max(np.abs(u.T @ u - np.eye(n_trunc))) < 1e-13
 
 
 def test_epr_chsh_maximum():
@@ -199,12 +196,17 @@ def test_counting_oracle_makes_one_replay_and_one_backward_call(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_counting_z_is_zero_when_every_trajectory_clicks_once():
-    """At κ·horizon = 750 every emitter has decayed and clicked once, so the
-    totals have no spread; the mean equals 1 - exp(-750) = 1.0 exactly, and
-    z is 0, not 0/0."""
-    rep = sc.scenario_counting(kappa=50, horizon=15, n_traj=100)
-    assert rep.values["count_mean"] == 1.0 and rep.values["count_mean_z"] == 0.0
+@pytest.mark.parametrize("kappa, horizon, mean", [(50.0, 15.0, 1.0), (30.0, 1.0, 1.0), (1e-3, 1.0, 0.0)])
+def test_counting_z_holds_when_the_totals_do_not_spread(kappa, horizon, mean):
+    """At κ·horizon = 750 and 30 every emitter clicks once, and at 1e-3 none
+    of these 100 does, so the totals have no spread. z divides by the
+    closed form's own standard error, sqrt(p(1 - p)/n), not the sample's 0:
+    at 30, p = 1 - 9.4e-14 is not 1.0, and at 750 it is, where the miss is
+    exactly 0 and so is z."""
+    rep = sc.scenario_counting(kappa=kappa, horizon=horizon, n_traj=100)
+    p = 1.0 - np.exp(-kappa * horizon)
+    assert rep.values["count_mean"] == mean
+    assert rep.values["count_mean_z"] == (abs(mean - p) / np.sqrt(p * (1.0 - p) / 100) if p < 1.0 else 0.0)
     assert rep.passed
 
 

@@ -85,6 +85,23 @@ def test_production_rate_zero_at_stationarity_and_positive_away():
         th.entropy_production_rate(gen, rho, 0.5 * np.eye(2) + 0.2 * al.SX)
 
 
+@pytest.mark.parametrize("beta", [25.0, 40.0])
+def test_production_rate_at_low_temperature_matches_its_populations(beta):
+    """At βω = 40 sigma's small eigenvalue is 4e-18, and ln sigma must read
+    -40 there, not a rounded 0 at the log floor, whether sigma comes alone
+    or as a stack. For diagonal states the rate is -Σ_i ṗ_i (ln p_i - ln s_i)."""
+    gen = thermal_gen(beta=beta)
+    sigma = th.gibbs_state(gen.hamiltonian, beta)
+    pe = np.array([1e-3, 0.3, 0.6])  # excited (index 1) populations
+    rho = np.zeros((3, 2, 2))
+    rho[:, 0, 0], rho[:, 1, 1] = 1.0 - pe, pe
+    flow = np.exp(-beta) * (1.0 - pe) - pe  # dpe/dt at gamma_down = 1
+    se = np.exp(-beta) / (1.0 + np.exp(-beta))
+    want = -flow * (np.log(pe) - np.log(se) - np.log1p(-pe) + np.log1p(-se))
+    for s in (sigma, np.broadcast_to(sigma, rho.shape)):
+        assert np.allclose(th.entropy_production_rate(gen, rho, s), want, rtol=1e-12, atol=0.0)
+
+
 def test_production_rate_matches_relative_entropy_slope():
     """Two routes to the same number: the algebraic rate and the central
     finite difference of D(rho_t || sigma) along a propagated timeline."""
