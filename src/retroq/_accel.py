@@ -272,7 +272,7 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
     Runs diffusive records forward, drawn or given, and every adjoint batch
     (forward counts run ``_quiet_runs``). Outcomes are drawn from incr,
     which is left as it is (a current is dY = √(ηκ) <c + c†> dt + dW), or
-    are incr itself when from_record is true; counts are int64. The batch
+    are incr itself, as floats, when from_record is true. The batch
     is one (|R|, n_traj) coordinate block over the reachable sector R of
     the start (``_on_sector``), a trajectory per column from a shared start
     or its own, stepped by one GEMM into a buffer allocated once:
@@ -317,7 +317,7 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
     q0, q1, q2 = nxt[:r], nxt[r:2 * r], nxt[2 * r:3 * r]
     drift, trace = nxt[-2], nxt[-1]  # read only forward, where they are the last two rows
     coords = np.empty((n, len(sample_indices), r))
-    outcomes = incr.astype(np.int64 if counting else float) if from_record else np.empty((n, steps))
+    outcomes = incr if from_record else np.empty((n, steps))
     block = min(_BLOCK, steps)
     staged_in = np.empty((block, n))
     staged_out = staged_in if from_record else np.empty((block, n))

@@ -92,6 +92,8 @@ def pairing(effect, state) -> float | np.ndarray:
     """Tr[E rho] as a float, or an array over broadcast stacks; rejects imaginary parts.
 
     The trace is summed entrywise, O(d²) per pair, without forming E rho.
+    This is retroq's one route for Re Tr[A B] of Hermitian A and B, such as
+    <H> or Tr[L(rho) ln sigma], not only for effects paired with states.
     """
     e = asstack(effect)
     r = asstack(state)
@@ -167,25 +169,19 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} rejected: non-finite entries")
 
 
-def hermitian_eig(op):
-    """Eigendecomposition of a Hermitian operator; returns (w, V) with A = V diag(w) V†."""
-    a = asoperator(op)
-    _require_finite(a, "operator")
-    if hermiticity_defect(a) > DEFAULT_TOL * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError("operator is not Hermitian within tolerance")
-    return eigensystem(hermitian_part(a))
-
-
-def spectral_norm_hermitian(op) -> float:
-    return float(np.max(np.abs(eigenvalues(hermitian_part(asoperator(op))))))
+def _require_hermitian(a: np.ndarray, message: str, tol: float = DEFAULT_TOL) -> None:
+    """Raise ValueError(message) unless each matrix of a is Hermitian to tol times max(1, its largest entry)."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if np.any(np.abs(a - dagger(a)).max(axis=(-2, -1)) > tol * scale):
+        raise ValueError(message)
 
 
 class Spectrum(NamedTuple):
     """Eigenvalues w (..., d) and eigenvectors V (..., d, d): A = V diag(w) V†.
 
     state_spectrum makes one for a state or a stack it checked, and
-    Spectrum(*hermitian_eig(op)) one for any Hermitian operator, whose
-    functions f(A) then come from rebuild(f).
+    hermitian_eig one for any Hermitian operator; it unpacks as (w, V),
+    and the functions f(A) come from rebuild(f).
     """
 
     w: np.ndarray
@@ -195,6 +191,18 @@ class Spectrum(NamedTuple):
         """V diag(f(w)) V†, or the states themselves when f is None."""
         w = self.w if f is None else f(self.w)
         return (self.v * w[..., None, :]) @ dagger(self.v)
+
+
+def hermitian_eig(op) -> Spectrum:
+    """The Spectrum of a finite Hermitian operator, A = V diag(w) V†, once A is checked."""
+    a = asoperator(op)
+    _require_finite(a, "operator")
+    _require_hermitian(a, "operator is not Hermitian within tolerance")
+    return Spectrum(*eigensystem(hermitian_part(a)))
+
+
+def spectral_norm_hermitian(op) -> float:
+    return float(np.max(np.abs(eigenvalues(hermitian_part(asoperator(op))))))
 
 
 def state_spectrum(op, tol: float = DEFAULT_TOL) -> Spectrum:

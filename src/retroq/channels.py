@@ -81,9 +81,8 @@ class Instrument:
 
     def povm(self) -> dict:
         """Outcome label -> effect I_m†(I); effects sum to the identity."""
-        d = self.dim
-        effects = np.eye(d).reshape(-1) @ self.superops.conj()
-        return dict(zip(self.outcomes, effects.reshape(-1, d, d)))
+        eye = np.eye(self.dim)
+        return {m: self.adjoint(m, eye) for m in self.outcomes}
 
     def nonselective(self) -> Channel:
         return Channel(np.concatenate(self.kraus))

@@ -108,6 +108,19 @@ def _write_csv(path: str, header: list, rows) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+def _write_manifest(out_dir: str, config_hash: str, seed, started: str, reports: list) -> None:
+    """manifest.json of a run or of verify-all: version, config hash, seed, stamps and each report's verdict."""
+    manifest = {
+        "tool_version": __version__,
+        "config_sha256": config_hash,
+        "seed": seed,
+        "started": started,
+        "finished": _utc_now(),
+        "results": {r.name: r.passed for r in reports},
+    }
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
 def _run_and_write(name: str, params: dict, seed, out_dir: str):
     """Run one scenario, --seed over params if it takes a seed, and write its report.json and tables.
 
@@ -164,15 +177,7 @@ def cmd_run(name: str, config_path, seed, out_flag) -> int:
     recorded = None  # a scenario without a seed records null
     if "seed" in _parameters(name):
         recorded = seed if seed is not None else params.get("seed", 0)
-    manifest = {
-        "tool_version": __version__,
-        "config_sha256": config_hash,
-        "seed": recorded,
-        "started": started,
-        "finished": _utc_now(),
-        "results": {name: report.passed},
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_manifest(out_dir, config_hash, recorded, started, [report])
     _print_failures(report)
     n = len(report.assertions)
     print(f"{name}: {'PASS' if report.passed else 'FAIL'} ({n} assertions) -> {out_dir}")
@@ -197,15 +202,7 @@ def cmd_verify_all(seed, out_flag) -> int:
             print(f"  {report.name}/{a.name}: {a.tag} [{mark}]")
     root = out_flag or os.environ.get("RETROQ_OUT") or "runs"
     os.makedirs(root, exist_ok=True)
-    manifest = {
-        "tool_version": __version__,
-        "config_sha256": _sha256(b""),
-        "seed": seed if seed is not None else 0,
-        "started": started,
-        "finished": _utc_now(),
-        "results": {r.name: r.passed for r in reports},
-    }
-    _write_json(os.path.join(root, "manifest.json"), manifest)
+    _write_manifest(root, _sha256(b""), seed if seed is not None else 0, started, reports)
     ok = all(r.passed for r in reports)
     for report in reports:
         _print_failures(report)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, eigenvalues, hermitian_part
-from .algebra import hermiticity_defect, sandwich_superop, validate_state
+from .algebra import DEFAULT_TOL, _require_hermitian, apply_superop, asoperator, dagger, eigenvalues
+from .algebra import hermitian_part, hermiticity_defect, pairing, sandwich_superop, validate_state
 
 PROJECTION_FAIL_TOL = 1e-10
 _GRID_TOL = 1e-9  # a time t is on grid point g when |t - g| <= _GRID_TOL * max(1, |g|)
@@ -64,8 +64,7 @@ class LindbladGenerator:
 
     def __post_init__(self):
         h = asoperator(self.hamiltonian)
-        if hermiticity_defect(h) > DEFAULT_TOL * max(1.0, float(np.max(np.abs(h)))):
-            raise ValueError("Hamiltonian is not Hermitian within tolerance")
+        _require_hermitian(h, "Hamiltonian is not Hermitian within tolerance")
         baths = tuple(self.baths)
         labels = [b.label for b in baths]
         if len(set(labels)) != len(labels):
@@ -165,8 +164,8 @@ def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
 def _grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, float]:
     """The grid t0 + h * arange(n + 1) and its step h, once t1 - t0 is checked to be n >= 1 steps of dt."""
     span = t1 - t0
-    if span <= 0 or dt <= 0:
-        raise ValueError("need t1 > t0 and dt > 0")
+    if not (np.isfinite((t0, t1, dt)).all() and span > 0 and dt > 0):
+        raise ValueError("need finite t0 < t1 and dt > 0")
     n = int(round(span / dt))
     if n < 1 or _off_grid(n * dt, span):
         raise ValueError(f"span {span} is not an integer number of steps of dt={dt}")
@@ -323,6 +322,4 @@ def pairing_drift(gen: LindbladGenerator, rho0, effect_final, t0: float, t1: flo
     bwd = propagate_backward(gen, effect_final, t1, t0, dt)
     prop = scipy.linalg.expm((t1 - t0) * gen.superop)
     rho_exact = (prop @ validate_state(rho0).ravel()).reshape(gen.dim, gen.dim)
-    ref = float(np.trace(asoperator(effect_final) @ rho_exact).real)
-    vals = np.einsum("kij,kji->k", bwd.mats, fwd.mats).real
-    return float(np.max(np.abs(vals - ref)))
+    return float(np.max(np.abs(pairing(bwd.mats, fwd.mats) - pairing(effect_final, rho_exact))))

@@ -75,8 +75,7 @@ def effective_effects(ins: Instrument, effect) -> dict:
     e = asstack(effect)
     if e.shape[-1] != ins.dim:
         raise ValueError(f"dimension mismatch: instrument {ins.dim} vs effect {e.shape[-1]}")
-    pulled = np.einsum("...k,mkl->m...l", e.reshape(*e.shape[:-2], -1), ins.superops.conj())
-    return dict(zip(ins.outcomes, pulled.reshape(-1, *e.shape)))
+    return {m: ins.adjoint(m, e) for m in ins.outcomes}
 
 
 def coarse_grain(ins: Instrument, partition: dict) -> Instrument:

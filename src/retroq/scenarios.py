@@ -16,11 +16,11 @@ take a seed and draw from named Philox substreams of it, so reruns are
 bit-identical; the exact ones take no seed.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import SM, SX, SZ, Spectrum, eigenvalues, hermitian_eig, ket, pairing, projector, state_spectrum, tensor
+from .algebra import SM, SX, SZ, eigenvalues, hermitian_eig, ket, pairing, projector, state_spectrum, tensor
 from .channels import Instrument, projective, unsharp_z
 from .classical import (
     HmmModel,
@@ -72,16 +72,6 @@ class Assertion:
     passed: bool
     tag: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "actual": self.actual,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "tag": self.tag,
-        }
-
 
 def _close(name, actual, expected, tol, tag) -> Assertion:
     actual = float(actual)
@@ -118,7 +108,7 @@ class ScenarioReport:
             "name": self.name,
             "passed": self.passed,
             "values": {k: self.values[k] for k in sorted(self.values)},
-            "assertions": [a.as_dict() for a in self.assertions],
+            "assertions": [asdict(a) for a in self.assertions],
             "artifacts": sorted(self.tables),
         }
 
@@ -204,7 +194,7 @@ def _coupling_blocks(p_op, gs) -> dict:
     The pointer's p is i times a real antisymmetric matrix, so each block is
     real orthogonal; its rounding-level imaginary part is dropped.
     """
-    spec = Spectrum(*hermitian_eig(p_op))
+    spec = hermitian_eig(p_op)
     return {float(g): spec.rebuild(lambda w: np.exp(-1j * g * w)).real for g in gs}
 
 
@@ -608,7 +598,7 @@ def scenario_thermal_qubit(
     driven = flow(steps, rho0)
     phase = drive_freq * drive_times[:, None, None]
     h_t = ham + drive_amp * np.sin(phase) * SX
-    dedt = np.gradient(np.einsum("kij,kji->k", h_t, driven).real, drive_times, edge_order=2)
+    dedt = np.gradient(pairing(h_t, driven), drive_times, edge_order=2)
     driven_spec = state_spectrum(driven)
     wdot = work_rate(driven_spec, drive_amp * drive_freq * np.cos(phase) * SX)
     heat = heat_current(gen, "bath", driven_spec, hamiltonian=h_t)

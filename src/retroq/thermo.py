@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LOG_FLOOR, SM, SP, Spectrum, asoperator, dagger, hermitian_eig, pairing, state_spectrum
+from .algebra import LOG_FLOOR, SM, SP, Spectrum, _require_hermitian, asoperator, dagger, hermitian_eig, pairing
+from .algebra import state_spectrum
 from .dynamics import (
     Bath,
     LindbladGenerator,
@@ -40,11 +41,6 @@ def _float_or_array(x):
 
 def _log(w):
     return np.log(np.clip(w, LOG_FLOOR, None))
-
-
-def _trace_of_product(a, b):
-    """Re Tr[A B] over broadcast stacks."""
-    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def _diagonal_in(v, x):
@@ -115,7 +111,7 @@ def entropy_production_rate(gen: LindbladGenerator, rho, sigma) -> float | np.nd
         raise ValueError(f"sigma is not stationary: max |L(sigma)| = {defect:.3e}")
     flow = gen.apply(rs.rebuild())
     own = (_log(rs.w) * _diagonal_in(rs.v, flow)).sum(axis=-1)
-    return _float_or_array(_trace_of_product(flow, ss.rebuild(_log)) - own)
+    return _float_or_array(pairing(flow, ss.rebuild(_log)) - own)
 
 
 def _dissipator(gen: LindbladGenerator, label: str) -> LindbladGenerator:
@@ -135,9 +131,7 @@ def heat_current(gen: LindbladGenerator, bath_label: str, rho, hamiltonian=None)
 def work_rate(rho, dh_dt) -> float | np.ndarray:
     """Tr[rho dH/dt] for an explicitly driven Hamiltonian."""
     dh = np.asarray(dh_dt, dtype=complex)
-    scale = np.maximum(1.0, np.abs(dh).max(axis=(-2, -1)))
-    if np.any(np.abs(dh - dagger(dh)).max(axis=(-2, -1)) > 1e-10 * scale):
-        raise ValueError("dH/dt must be Hermitian")
+    _require_hermitian(dh, "dH/dt must be Hermitian", tol=1e-10)
     return _float_or_array(_expectation(state_spectrum(rho), dh))
 
 

@@ -82,13 +82,8 @@ class MonitoringModel:
             raise ValueError("monitored rate kappa must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"efficiency eta={self.eta} must lie in [0, 1]")
-        scaled = np.sqrt(self.kappa) * c
-        flat = [j for b in self.gen.baths for j in b.jumps]
-        if not any(np.allclose(j, scaled, atol=1e-12) for j in flat):
-            raise ValueError(
-                "the generator does not contain the monitored channel sqrt(kappa)*c"
-            )
         object.__setattr__(self, "c", c)
+        self.unmonitored_jumps()  # raises unless the generator holds sqrt(kappa) c
 
     @property
     def dim(self) -> int:
@@ -106,16 +101,13 @@ class MonitoringModel:
         return step
 
     def unmonitored_jumps(self) -> list:
-        """Every generator jump except one copy of the monitored channel."""
+        """Every generator jump except one copy of the monitored channel; raises if there is none."""
         scaled = np.sqrt(self.kappa) * self.c
-        out, dropped = [], False
-        for b in self.gen.baths:
-            for j in b.jumps:
-                if not dropped and np.allclose(j, scaled, atol=1e-12):
-                    dropped = True
-                    continue
-                out.append(j)
-        return out
+        flat = [j for b in self.gen.baths for j in b.jumps]
+        for i, j in enumerate(flat):
+            if np.allclose(j, scaled, atol=1e-12):
+                return flat[:i] + flat[i + 1:]
+        raise ValueError("the generator does not contain the monitored channel sqrt(kappa)*c")
 
 
 def monitoring_model(hamiltonian, c, kappa, eta=1.0, mode="diffusive", extra_baths=()):
@@ -413,8 +405,7 @@ def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarra
     _one_record(record, "innovations")
     if not _same_grid(states.times, record.times):
         raise ValueError("state timeline does not match the record grid")
-    xc = model.x_c
-    xbars = np.einsum("ij,kji->k", xc, states.mats[:-1]).real
+    xbars = pairing(model.x_c, states.mats[:-1])
     return record.increments - np.sqrt(model.eta * model.kappa) * xbars * record.dt
 
 

@@ -18,16 +18,11 @@ from retroq import dynamics as dyn
 from retroq import retrodiction as rd
 from retroq import scenarios as sc
 from retroq import thermo as th
+from conftest import random_state
 
 
 def rng(seed):
     return np.random.default_rng(seed)
-
-
-def random_state(g, d):
-    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
-    m = a @ a.conj().T
-    return m / np.trace(m)
 
 
 def random_effect(g, d, lo=0.2, hi=0.8):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from retroq import algebra as al
+from conftest import random_state
 
 
 def rng(seed=0):
@@ -11,12 +12,6 @@ def rng(seed=0):
 def random_herm(g, d, scale=1.0):
     a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
     return scale * 0.5 * (a + a.conj().T)
-
-
-def random_state(g, d):
-    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
-    m = a @ a.conj().T
-    return m / np.trace(m)
 
 
 def random_effect(g, d):

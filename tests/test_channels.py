@@ -5,16 +5,11 @@ from retroq import _accel
 from retroq import algebra as al
 from retroq import channels as ch
 from retroq import trajectories as tr
+from conftest import random_state
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def random_state(g, d):
-    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
-    m = a @ a.conj().T
-    return m / np.trace(m)
 
 
 def haar_unitary(g, n):

@@ -148,6 +148,24 @@ def test_out_of_range_parameter_exits_2(name, params, tmp_path, capsys):
     assert "rejected" in err and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, field, value", [
+    ("homodyne-cavity", "horizon", "Infinity"),
+    ("counting", "horizon", "Infinity"),
+    ("thermal-qubit", "horizon", "Infinity"),
+    ("homodyne-cavity", "dt", "NaN"),
+])
+def test_non_finite_grid_in_a_config_exits_2(name, field, value, tmp_path, capsys):
+    """Python's json reads Infinity and NaN; a grid built from them is a
+    rejected configuration (exit 2), not a traceback with the assertion
+    failure code 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"schema_version": 1, "{field}": {value}}}')
+    assert run_cli("run", name, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration rejected by {name}: need finite t0 < t1 and dt > 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_dir_in_a_config_is_an_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "out_dir": str(tmp_path / "elsewhere")}))

@@ -3,17 +3,11 @@ import pytest
 
 from retroq import algebra as al
 from retroq import dynamics as dyn
+from conftest import random_state
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def random_state(g, d, mix=0.3):
-    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
-    m = a @ a.conj().T
-    m = m / np.trace(m)
-    return (1 - mix) * m + mix * np.eye(d) / d  # keep well inside the cone
 
 
 def random_effect_interior(g, d, lo=0.2, hi=0.8):
@@ -41,7 +35,7 @@ def amplitude_damping(gamma):
 def test_generator_matches_hand_expanded_dissipator():
     g = rng(20)
     gen = random_generator(g, 3)
-    rho = random_state(g, 3)
+    rho = random_state(g, 3, mix=0.3)
     h = gen.hamiltonian
     want = -1j * (h @ rho - rho @ h)
     for b in gen.baths:
@@ -54,7 +48,7 @@ def test_generator_matches_hand_expanded_dissipator():
 def test_adjoint_duality_and_unitality():
     g = rng(21)
     gen = random_generator(g, 4)
-    rho = random_state(g, 4)
+    rho = random_state(g, 4, mix=0.3)
     x = g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4))
     lhs = np.trace(x @ gen.apply(rho))
     rhs = np.trace(gen.adjoint(x) @ rho)
@@ -66,7 +60,7 @@ def test_adjoint_duality_and_unitality():
 def test_superoperator_agrees_with_apply():
     g = rng(22)
     gen = random_generator(g, 3)
-    rho = random_state(g, 3)
+    rho = random_state(g, 3, mix=0.3)
     vec = gen.superop @ rho.ravel()
     assert np.allclose(vec.reshape(3, 3), gen.apply(rho), atol=1e-12)
     # independent expansion on row-major vec: vec(A rho B) = (A ⊗ Bᵀ) vec(rho)
@@ -124,7 +118,7 @@ def test_backward_identity_is_fixed_point():
 def test_forward_backward_pairing_telescopes_on_shared_grid():
     g = rng(24)
     gen = random_generator(g, 3)
-    rho0 = random_state(g, 3)
+    rho0 = random_state(g, 3, mix=0.3)
     ef = random_effect_interior(g, 3)
     fwd = dyn.propagate_forward(gen, rho0, 0.0, 1.0, 2e-3)
     bwd = dyn.propagate_backward(gen, ef, 1.0, 0.0, 2e-3)
@@ -135,7 +129,7 @@ def test_forward_backward_pairing_telescopes_on_shared_grid():
 def test_evolve_state_effect_are_exact_adjoints():
     g = rng(25)
     gen = random_generator(g, 4)
-    rho0 = random_state(g, 4)
+    rho0 = random_state(g, 4, mix=0.3)
     ef = random_effect_interior(g, 4)
     lhs = np.trace(ef @ dyn.evolve_state(gen, rho0, 0.7, 1e-3))
     rhs = np.trace(dyn.evolve_effect(gen, ef, 0.7, 1e-3) @ rho0)
@@ -145,7 +139,7 @@ def test_evolve_state_effect_are_exact_adjoints():
 def test_propagation_semigroup_composition():
     g = rng(26)
     gen = random_generator(g, 2)
-    rho0 = random_state(g, 2)
+    rho0 = random_state(g, 2, mix=0.3)
     once = dyn.propagate_forward(gen, rho0, 0.0, 1.0, 1e-3)
     first = dyn.propagate_forward(gen, rho0, 0.0, 0.4, 1e-3)
     second = dyn.propagate_forward(gen, first.at(0.4), 0.4, 1.0, 1e-3)
@@ -159,7 +153,7 @@ def test_pairing_drift_small_and_rk4_order():
     drifts = {}
     for d in (2, 3):
         gen = random_generator(g, d, h_scale=4.0, j_scale=0.4)
-        rho0 = random_state(g, d)
+        rho0 = random_state(g, d, mix=0.3)
         ef = random_effect_interior(g, d)
         drifts[d] = (
             dyn.pairing_drift(gen, rho0, ef, 0.0, 1.0, 1e-3),
@@ -191,7 +185,7 @@ def test_propagated_timelines_end_on_the_raw_evolutions():
     g = rng(31)
     gen = random_generator(g, 3)
     ef = random_effect_interior(g, 3)
-    fwd = dyn.propagate_forward(gen, random_state(g, 3), 0.0, 0.6, 2e-3)
+    fwd = dyn.propagate_forward(gen, random_state(g, 3, mix=0.3), 0.0, 0.6, 2e-3)
     bwd = dyn.propagate_backward(gen, ef, 0.6, 0.0, 2e-3)
     assert np.array_equal(fwd.mats[-1], dyn.evolve_state(gen, fwd.mats[0], 0.6, 2e-3))
     assert np.array_equal(bwd.mats[0], dyn.evolve_effect(gen, ef, 0.6, 2e-3))
@@ -214,6 +208,16 @@ def test_grid_rejects_fractional_spans():
     gen = amplitude_damping(1.0)
     with pytest.raises(ValueError, match="integer number of steps"):
         dyn.propagate_forward(gen, np.eye(2) / 2, 0.0, 1.0005, 1e-2)
+
+
+@pytest.mark.parametrize("t0, t1, dt", [
+    (0.0, np.inf, 1e-3), (0.0, 1.0, np.nan), (np.nan, 1.0, 1e-3), (-np.inf, 0.0, 0.1), (0.0, 1.0, np.inf),
+])
+def test_grid_rejects_non_finite_inputs(t0, t1, dt):
+    """inf and NaN ends or steps raise one named ValueError, not an
+    OverflowError or numpy's message about converting a float to an int."""
+    with pytest.raises(ValueError, match="^need finite t0 < t1 and dt > 0$"):
+        dyn._grid(t0, t1, dt)
 
 
 def test_timeline_grid_lookup():

@@ -215,6 +215,82 @@ def test_only_algebra_decomposes_and_only_spectrum_rebuilds():
     assert rebuilds == [("algebra.py", "Spectrum.rebuild")]
 
 
+def trace_pairings(source: str) -> list:
+    """(enclosing definition, line) of each Tr[A B] written out: an einsum of two
+    operands whose last two indices are swapped and summed away, such as
+    "...ij,...ji", or np.trace(A @ B)."""
+    hits = []
+
+    def pairs_by_einsum(node):
+        spec = node.args[0].value if node.args and isinstance(node.args[0], ast.Constant) else ""
+        inputs, _, out = str(spec).replace(" ", "").partition("->")
+        ops = [op.replace("...", "")[-2:] for op in inputs.split(",")]
+        return (len(ops) == 2 and all(len(op) == 2 for op in ops) and ops[0] == ops[1][::-1]
+                and ops[0][0] != ops[0][1] and not set(ops[0]) & set(out))
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            by_trace = (name == "trace" and node.args and isinstance(node.args[0], ast.BinOp)
+                        and isinstance(node.args[0].op, ast.MatMult))
+            if by_trace or (name == "einsum" and pairs_by_einsum(node)):
+                hits.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return hits
+
+
+def test_the_scan_sees_trace_pairings():
+    src = 'a = np.einsum("...ij,...ji->...", x, y).real\n'
+    src += 'b = np.einsum("kij,kji->k", bwd.mats, fwd.mats).real\n'
+    src += 'c = np.einsum("ij,kji->k", xc, states.mats[:-1]).real\n'
+    src += 'd = float(np.trace(asoperator(e) @ rho).real)\n'
+    src += 'e = einsum("ij, ji", x, y)\n\n\ndef f(v, x):\n'
+    src += '    return np.einsum("...jki,...jk->...i", v, x).real\n'
+    src += 'g = np.einsum("ij,ji->ij", x, y)\nh = np.einsum("ikjk->ij", s)\n'
+    src += 'i = np.einsum("...ki,...i->...k", p, w)\nj = np.trace(x) @ y\nk = np.einsum(spec, x, y)\n'
+    assert trace_pairings(src) == [("", 1), ("", 2), ("", 3), ("", 4), ("", 5)]
+
+
+def test_only_pairing_takes_the_trace_of_a_product():
+    """Re Tr[A B] is algebra.pairing, which sums the trace entrywise and
+    rejects an imaginary part: a module that writes its own einsum or
+    np.trace(A @ B) has grown a second spelling of the paper's pairing."""
+    found = [(p.name, where) for p in sorted(SRC.glob("*.py")) for where, _ in trace_pairings(p.read_text())]
+    assert found == [("algebra.py", "pairing")]
+
+
+def heisenberg_branches(source: str) -> list:
+    """(enclosing definition, line) of each conjugate taken of an instrument's superops stack."""
+    hits = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "conj"
+                and "superops" in attributes_read(node.func.value)):
+            hits.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return hits
+
+
+def test_only_instrument_adjoint_pulls_an_effect_back():
+    """I_m†(X) is Instrument.adjoint; the POVM and the effective effects
+    are that branch applied to I and to E, not a conjugated stack of their own."""
+    src = "class I:\n    def adjoint(self, m, x):\n        return f(self.superops[m].conj().T, x)\n"
+    src += "e = np.eye(2).reshape(-1) @ ins.superops.conj()\nc = st.instrument.superop.conj().T\n"
+    assert heisenberg_branches(src) == [("I.adjoint", 3), ("", 4)]
+    found = [(p.name, where) for p in sorted(SRC.glob("*.py")) for where, _ in heisenberg_branches(p.read_text())]
+    assert found == [("channels.py", "Instrument.adjoint")]
+
+
 def test_no_retroq_module_loads_scipy():
     """numpy is retroq's one import-time dependency: a fresh interpreter that
     imports every module has no scipy module loaded. Only the test reference

@@ -7,16 +7,11 @@ from retroq import algebra as al
 from retroq import channels as ch
 from retroq import dynamics as dyn
 from retroq import retrodiction as rd
+from conftest import random_state
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def random_state(g, d):
-    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
-    m = a @ a.conj().T
-    return m / np.trace(m)
 
 
 def random_effect(g, d, lo=0.1, hi=0.9):

@@ -4,17 +4,11 @@ import pytest
 from retroq import algebra as al
 from retroq import dynamics as dyn
 from retroq import thermo as th
+from conftest import random_state
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def random_state(g, d, mix=0.3):
-    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
-    m = a @ a.conj().T
-    m = m / np.trace(m)
-    return (1 - mix) * m + mix * np.eye(d) / d
 
 
 def thermal_gen(omega=1.0, beta=1.2, gamma_down=1.0, label="bath"):
@@ -35,14 +29,14 @@ def test_entropy_range_on_random_states():
     g = rng(1)
     for d in (2, 3, 5):
         for _ in range(10):
-            s = th.von_neumann_entropy(random_state(g, d))
+            s = th.von_neumann_entropy(random_state(g, d, mix=0.3))
             assert -1e-12 <= s <= np.log(d) + 1e-12
 
 
 def test_relative_entropy_closed_forms_and_support():
     rho = np.diag([1.0, 0.0])
     assert abs(th.relative_entropy(rho, 0.5 * np.eye(2)) - np.log(2)) < 1e-12
-    sigma = random_state(rng(2), 3)
+    sigma = random_state(rng(2), 3, mix=0.3)
     assert abs(th.relative_entropy(sigma, sigma)) < 1e-12
     assert th.relative_entropy(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == float("inf")
 
@@ -51,7 +45,7 @@ def test_relative_entropy_klein_nonnegativity():
     g = rng(3)
     for _ in range(50):
         d = int(g.integers(2, 5))
-        val = th.relative_entropy(random_state(g, d), random_state(g, d))
+        val = th.relative_entropy(random_state(g, d, mix=0.3), random_state(g, d, mix=0.3))
         assert val >= 0.0
         assert np.isfinite(val)
 
@@ -125,7 +119,7 @@ def test_relative_entropy_monotone_along_relaxation():
 
 def test_unitary_generator_preserves_entropy_and_produces_nothing():
     gen = dyn.LindbladGenerator(0.9 * al.SX + 0.4 * al.SZ, ())
-    rho0 = random_state(rng(5), 2)
+    rho0 = random_state(rng(5), 2, mix=0.3)
     states = dyn.propagate_forward(gen, rho0, 0.0, 1.0, 1e-3)
     entropies = np.array([th.von_neumann_entropy(m) for m in states.mats])
     assert np.max(np.abs(entropies - entropies[0])) < 1e-8
@@ -253,7 +247,7 @@ def _stack_inputs():
     h = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
     jump = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
     gen3 = dyn.LindbladGenerator(h + h.conj().T, (dyn.Bath("b", (0.5 * jump,)),))
-    stack = np.array([random_state(g, 3) for _ in range(20)])
+    stack = np.array([random_state(g, 3, mix=0.3) for _ in range(20)])
     herm = np.array([a + a.conj().T for a in g.normal(size=(20, 3, 3)) + 1j * g.normal(size=(20, 3, 3))])
     yield gen3, "b", stack, dyn.stationary_state(gen3), herm
 
@@ -297,7 +291,7 @@ def test_stack_with_one_bad_state_raises_that_states_message():
         lambda r: th.heat_current(gen, "bath", r),
         lambda r: th.work_rate(r, al.SX),
     ]
-    good = np.array([random_state(g, 2) for _ in range(6)], dtype=complex)
+    good = np.array([random_state(g, 2, mix=0.3) for _ in range(6)], dtype=complex)
     bad_states = (
         np.array([[0.5, 0.3], [0.0, 0.5]]),  # not Hermitian
         np.diag([1.2, -0.2]),  # negative eigenvalue
