@@ -364,7 +364,7 @@ def _paths(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
 
 
 def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indices):
-    """Filter count trajectories from one click candidate to the next; returns (sampled states, counts).
+    """Filter count trajectories from one click candidate to the next; returns (sampled states, int8 counts).
 
     Between clicks every step applies the one matrix Q = S_quiet, so a column
     whose anchor h, its state at its start, its latest click or its latest
@@ -438,10 +438,10 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
         return np.divide(states, trace, out=states)
 
     if from_record:
-        outcomes = incr.astype(np.int64)
+        outcomes = incr.astype(np.int8)
         test, edge = np.greater, 0.0
     else:
-        outcomes = np.zeros((n, steps), dtype=np.int64)
+        outcomes = np.zeros((n, steps), dtype=np.int8)  # an int8 0/1 per step; sums promote to int64
         test, edge = np.less, eigenvalues(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
         lead = strides[:-1] @ np.stack([sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])], axis=1)
         probes = (powers[None, :-1] @ lead[:, None]).reshape(_RENEW, r, 2)  # [(Q^m)ᵀ g, (Q^m)ᵀ 1_diag]

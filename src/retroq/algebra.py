@@ -65,6 +65,16 @@ def apply_superop(s, x) -> np.ndarray:
     return (x.reshape(*x.shape[:-2], -1) @ np.transpose(s)).reshape(x.shape)
 
 
+def apply_adjoint(s, x) -> np.ndarray:
+    """unvec(S† vec(x)), the Heisenberg map of a d²×d² superoperator, for one operator or a stack.
+
+    S† acts on row vectors as their product with the conjugate of S, so this
+    is apply_superop(S.conj().T, x) bit for bit, without the transposes.
+    """
+    x = asstack(x)
+    return (x.reshape(*x.shape[:-2], -1) @ np.conj(s)).reshape(x.shape)
+
+
 def ket(dim: int, i: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[i] = 1.0

@@ -7,6 +7,9 @@ S_m = sum_a M_ma ⊗ M̄_ma on row-major vec(rho), the convention of the
 record step (algebra.sandwich_superop). Branches are S_m vec(rho); effects
 travel the other way through the adjoint S_m†, I_m†(X) = sum_a M_ma† X M_ma.
 Composition is a matrix product, and a channel is a one-outcome instrument.
+Every instrument, built alone, by composition or as one of a stack (the
+stages of classical.smoothing_chain), is filled by _settle, which checks
+the completeness of a whole stack in one pass.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, apply_superop, asoperator, dagger, sandwich_superop, tensor
+from .algebra import DEFAULT_TOL, apply_adjoint, apply_superop, asoperator, dagger, sandwich_superop, tensor
 
 
 @dataclass(frozen=True)
@@ -43,23 +46,10 @@ class Instrument:
         d = fams[0].shape[-1]
         if any(fam.ndim != 3 or len(fam) == 0 or fam.shape[1:] != (d, d) for fam in fams):
             raise ValueError("instrument needs a nonempty Kraus family per outcome, all d x d")
-        padded = np.zeros((len(fams), max(map(len, fams)), d, d), dtype=complex)
+        padded = np.zeros((1, len(fams), max(map(len, fams)), d, d), dtype=complex)
         for i, fam in enumerate(fams):  # zero operators add nothing to S_m
-            padded[i, :len(fam)] = fam
-        self._settle(labels, fams, sandwich_superop(padded, padded))
-
-    def _settle(self, labels, fams, superops):
-        """Set the fields from checked parts, then check completeness once."""
-        d = fams[0].shape[-1]
-        total = superops.sum(axis=0)
-        resid = total[:: d + 1].sum(axis=0)  # vec(I) @ S, the conjugate of S† vec(I)
-        resid[:: d + 1] -= 1.0
-        defect = float(np.abs(resid).max())
-        for name, value in (("outcomes", labels), ("kraus", fams), ("superops", superops),
-                            ("superop", total), ("completeness_defect", defect)):
-            object.__setattr__(self, name, value)
-        if defect > DEFAULT_TOL:
-            raise ValueError(f"completeness defect {defect:.3e} exceeds tolerance {DEFAULT_TOL:.1e}")
+            padded[0, i, :len(fam)] = fam
+        _settle((self,), labels, (fams,), sandwich_superop(padded, padded))
 
     @property
     def dim(self) -> int:
@@ -77,7 +67,7 @@ class Instrument:
 
     def adjoint(self, m, x) -> np.ndarray:
         """Heisenberg-picture branch I_m†(X) of one operator or a stack."""
-        return apply_superop(self.superops[self._index(m)].conj().T, x)
+        return apply_adjoint(self.superops[self._index(m)], x)
 
     def povm(self) -> dict:
         """Outcome label -> effect I_m†(I); effects sum to the identity."""
@@ -121,7 +111,7 @@ class Channel:
 
     def adjoint(self, x) -> np.ndarray:
         """Heisenberg-picture action: sum_k K† X K (unital when the map is TP)."""
-        return apply_superop(self.superop.conj().T, x)
+        return apply_adjoint(self.superop, x)
 
 
 def projective(labels_to_projectors: dict) -> Instrument:
@@ -146,17 +136,63 @@ def unsharp_z(eta: float) -> Instrument:
     return Instrument(("+", "-"), ((a * eye + b * sz,), (a * eye - b * sz,)))
 
 
+def _families(ops, lengths) -> list:
+    """The Kraus families of each entry of a (K, A, d, d) stack of operators, listed outcome by outcome.
+
+    Outcome m owns the next lengths[m] operators of its entry's row.
+    """
+    ends = np.cumsum(lengths).tolist()
+    return [tuple(row[a:b] for a, b in zip([0, *ends], ends)) for row in ops]
+
+
+def _preprocessed(ops, maps, lam: Channel) -> tuple:
+    """Operators (..., A, d, d) and outcome maps (..., n, d², d²) composed after the channel, each in one product.
+
+    The operators become (..., A·b, d, d), K_a L_b with b fastest, and each
+    map S_m becomes S_m S_lam.
+    """
+    d, b = lam.dim, len(lam.kraus)
+    right = lam.kraus.transpose(1, 0, 2).reshape(d, b * d)  # [L_1 | L_2 | ...]
+    lead, a = ops.shape[:-3], ops.shape[-3]
+    ops = (ops.reshape(-1, d) @ right).reshape(*lead, a, d, b, d).swapaxes(-3, -2).reshape(*lead, a * b, d, d)
+    return ops, (maps.reshape(-1, d * d) @ lam.superop).reshape(maps.shape)
+
+
+def _settle(outs, labels, fams, superops) -> None:
+    """Fill K instruments from checked parts, then check their completeness in one pass.
+
+    fams holds each instrument's Kraus families and superops the (K, n, d², d²)
+    stack of their outcome maps. Instrument construction, compose_preprocess
+    and classical.smoothing_chain all end here, so a stack of instruments
+    costs one completeness check, not one per instrument.
+    """
+    d = fams[0][0].shape[-1]
+    total = superops.sum(axis=1)
+    resid = total[:, :: d + 1].sum(axis=1)  # vec(I) @ S, the conjugate of S† vec(I)
+    resid[:, :: d + 1] -= 1.0
+    defects = np.abs(resid).max(axis=1)
+    for out, fam, ops, tot, defect in zip(outs, fams, superops, total, defects.tolist()):
+        for name, value in (("outcomes", labels), ("kraus", fam), ("superops", ops),
+                            ("superop", tot), ("completeness_defect", defect)):
+            object.__setattr__(out, name, value)
+    worst = float(defects.max())
+    if worst > DEFAULT_TOL:
+        raise ValueError(f"completeness defect {worst:.3e} exceeds tolerance {DEFAULT_TOL:.1e}")
+
+
+def _stack(labels, fams, superops) -> tuple:
+    """K new instruments from checked parts (see _settle)."""
+    outs = tuple(object.__new__(Instrument) for _ in fams)
+    _settle(outs, labels, fams, superops)
+    return outs
+
+
 def compose_preprocess(ins: Instrument, lam: Channel) -> Instrument:
     """Instrument that first applies the channel, then measures: branches K_ma L_b, maps S_m S_lam."""
     if ins.dim != lam.dim:
         raise ValueError(f"dimension mismatch: instrument {ins.dim} vs channel {lam.dim}")
-    d, b = ins.dim, len(lam.kraus)
-    right = lam.kraus.transpose(1, 0, 2).reshape(d, b * d)  # [L_1 | L_2 | ...]
-    fams = tuple((fam.reshape(-1, d) @ right).reshape(-1, d, b, d).swapaxes(1, 2).reshape(-1, d, d)
-                 for fam in ins.kraus)
-    out = object.__new__(Instrument)
-    out._settle(ins.outcomes, fams, ins.superops @ lam.superop)
-    return out
+    ops, maps = _preprocessed(np.concatenate(ins.kraus)[None], ins.superops[None], lam)
+    return _stack(ins.outcomes, _families(ops, [len(fam) * len(lam.kraus) for fam in ins.kraus]), maps)[0]
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import eigenvalues
-from .channels import Channel, Instrument, compose_preprocess
+from .algebra import eigenvalues, sandwich_superop
+from .channels import Channel, _families, _preprocessed, _stack
 from .dynamics import LindbladGenerator
 from .retrodiction import ChainSpec, Stage
 
@@ -175,21 +175,22 @@ def smoothing_chain(model: HmmModel, observations) -> ChainSpec:
         raise ValueError(f"observed symbol {obs[np.argmax(scale <= 0.0)]} has zero weight everywhere")
     ratio = weights / scale
     states = np.arange(n)
-    keep = np.zeros((obs.size, n, 1, dim, dim), dtype=complex)
-    keep[:, states, 0, states, states] = np.sqrt(ratio)
-    leak = np.zeros((obs.size, dim, dim, dim), dtype=complex)
-    leak[:, states, n, states] = np.sqrt(1.0 - ratio)
-    leak[:, n, n, n] = 1.0
+    kraus = np.zeros((obs.size, n + 1, dim, dim, dim), dtype=complex)  # stage, outcome, operator
+    kraus[:, states, 0, states, states] = np.sqrt(ratio)
+    kraus[:, n, states, n, states] = np.sqrt(1.0 - ratio)
+    kraus[:, n, n, n, n] = 1.0
+    maps = sandwich_superop(kraus, kraus)
+    ops = np.concatenate([kraus[:, :n, 0], kraus[:, n]], axis=1)  # each stage's operators without the padding
+    later_ops, maps[1:] = _preprocessed(ops[1:], maps[1:], lam)
+    lengths = [1] * n + [dim]
+    fams = _families(ops[:1], lengths) + _families(later_ops, [k * len(lam.kraus) for k in lengths])
     labels = tuple(f"x{x}" for x in range(n)) + ("discard",)
-    stages = []
-    for k in range(obs.size):
-        ins = Instrument(labels, (*keep[k], leak[k]))
-        stages.append(Stage(gen, 0.0, ins if k == 0 else compose_preprocess(ins, lam)))
+    stages = tuple(Stage(gen, 0.0, ins) for ins in _stack(labels, fams, maps))
     rho = np.zeros((dim, dim), dtype=complex)
     rho[:n, :n] = np.diag(model.prior)
     effect = np.eye(dim, dtype=complex)
     effect[n, n] = 0.0
-    return ChainSpec(rho, tuple(stages), gen, 0.0, effect)
+    return ChainSpec(rho, stages, gen, 0.0, effect)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 States follow d rho/dt = L(rho); effects follow dE/dt = -L†(E) with a terminal
 condition, integrated here as dE/ds = +L†(E) in reversed time s. A generator
-builds the superoperator of L once; every pass runs flow over one classic
-RK4 step matrix of it (rk4_step) on vec(rho), the backward pass over its
+builds the superoperator of L once; every pass steps vec(rho) by one
+classic RK4 step matrix of it (rk4_step), the backward pass by its
 conjugate transpose, the Hilbert-Schmidt adjoint, so the discrete backward
-flow is the exact adjoint of the discrete forward flow. No step is projected
+flow is the exact adjoint of the discrete forward flow. A pass at d <= 4
+takes a block of steps per product, from a ladder of the step's powers
+built once, whose adjoint is the forward ladder's exact conjugate
+transpose (_power_flow); a larger d, and a time-dependent stack of steps
+such as a driven system's, take one product per step (flow). No step is projected
 or clamped: the propagate_* passes check the whole timeline once, in one
 batched algebra.eigenvalues, and raise if any point leaves the valid set by
 more than PROJECTION_FAIL_TOL.
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, _require_hermitian, apply_superop, asoperator, dagger, eigenvalues
+from .algebra import DEFAULT_TOL, _require_hermitian, apply_adjoint, apply_superop, asoperator, dagger, eigenvalues
 from .algebra import hermitian_part, hermiticity_defect, pairing, sandwich_superop, validate_state
 
 PROJECTION_FAIL_TOL = 1e-10
@@ -96,7 +100,7 @@ class LindbladGenerator:
 
     def adjoint(self, x) -> np.ndarray:
         """Heisenberg-picture L†(X) of one operator or a stack; annihilates the identity."""
-        return apply_superop(self.superop.conj().T, x)
+        return apply_adjoint(self.superop, x)
 
 
 @dataclass(frozen=True)
@@ -184,12 +188,14 @@ def rk4_step(superop, h: float) -> np.ndarray:
 
 
 def flow(steps, x):
-    """The (n + 1, d, d) timeline x_{k+1} = steps[k] vec(x_k) of an (n, d², d²) step stack.
+    """The (n + 1, d, d) timeline x_{k+1} = steps[k] vec(x_k) of an (n, d², d²) step stack, one product per step.
 
-    Each step is a row-major matrix on vec(x); a time-homogeneous caller
-    passes one step matrix broadcast to (n, d², d²). Only Lindblad step
-    matrices run here: record steps, forward and backward, run the record
-    kernel of ``_accel``, the backward passes on its transposed real branches.
+    Each step is a row-major matrix on vec(x). This loop runs a genuinely
+    time-dependent stack, such as the driven qubit of thermal-qubit, and a
+    time-homogeneous step too large for the ladder of ``_power_flow``.
+    Only Lindblad step matrices run here: record steps, forward and
+    backward, run the record kernel of ``_accel``, the backward passes on
+    its transposed real branches.
     """
     x = asoperator(x)
     out = np.empty((len(steps) + 1, x.size), dtype=complex)
@@ -199,8 +205,44 @@ def flow(steps, x):
     return out.reshape(-1, *x.shape)
 
 
-def _checked_flow(steps, x, kind: str) -> np.ndarray:
-    """flow, then one batched check that every point is a valid state or effect.
+_LADDER = 32  # most powers in a ladder, so most steps per block of a ladder flow
+_LADDER_SECTOR = 16  # largest d² whose time-homogeneous flow runs the ladder (measured crossover d² = 16-25)
+
+
+def _power_flow(step, n: int, x, adjoint: bool) -> np.ndarray:
+    """The (n + 1, d, d) timeline of x under n steps of one step matrix S, or of S† when adjoint.
+
+    At d² <= _LADDER_SECTOR the powers S¹…S^B, B = min(_LADDER, ⌈√n⌉), are
+    built once as P_{i+1} = S P_i, and the adjoint's as their conjugate
+    transposes, P′_{i+1} = P′_i S†, so within a block the backward map is
+    the exact adjoint of the forward one. A block of B steps is then one
+    product of the stacked (B d², d²) powers with the point that starts it.
+    The ladder costs B d⁶ to build against n d⁴ for the loop, so a larger
+    d² runs the per-step loop of ``flow``.
+    """
+    x = asoperator(x)
+    d2 = step.shape[0]
+    if d2 > _LADDER_SECTOR:
+        return flow(np.broadcast_to(step.conj().T if adjoint else step, (n, d2, d2)), x)
+    size = min(_LADDER, int(np.ceil(np.sqrt(n))))  # B builds and n/B blocks cost least near B = √n
+    ladder = np.empty((size, d2, d2), dtype=complex)
+    ladder[0] = step
+    for i in range(1, size):
+        np.matmul(step, ladder[i - 1], out=ladder[i])
+    if adjoint:
+        ladder = ladder.conj().swapaxes(-1, -2)
+    rows = np.ascontiguousarray(ladder).reshape(size * d2, d2)  # block row i is P_(i+1)
+    out = np.empty((n + 1, d2), dtype=complex)
+    out[0] = x.ravel()
+    for k in range(0, n, size):
+        b = min(size, n - k)
+        np.matmul(rows[:b * d2], out[k], out=out[k + 1:k + 1 + b].reshape(-1))
+    return out.reshape(-1, *x.shape)
+
+
+def _checked_flow(step, n: int, x, kind: str) -> np.ndarray:
+    """_power_flow, forward for a state and adjoint for an effect, then one
+    batched check that every point is a valid state or effect.
 
     A point's magnitude is its negative eigenvalue plus |Tr - 1| for a state,
     and the amount its spectrum leaves [0, 1] for an effect; a non-finite
@@ -208,7 +250,7 @@ def _checked_flow(steps, x, kind: str) -> np.ndarray:
     whose magnitude exceeds PROJECTION_FAIL_TOL.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = flow(steps, x)
+        mats = _power_flow(step, n, x, adjoint=kind == "effect")
         finite = np.isfinite(mats).all(axis=(-2, -1))
         mag = np.full(len(mats), np.inf)
         w = eigenvalues(mats[finite])
@@ -218,24 +260,23 @@ def _checked_flow(steps, x, kind: str) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise ValueError(
-            f"{kind} leaves the valid set by {mag[k]:.3e} at step {k} of {len(steps)}, "
+            f"{kind} leaves the valid set by {mag[k]:.3e} at step {k} of {n}, "
             f"beyond {PROJECTION_FAIL_TOL:.0e}; reduce dt"
         )
     return mats
 
 
-def _steps(gen: LindbladGenerator, t0: float, t1: float, dt: float, adjoint: bool):
-    """The grid from t0 to t1 and its RK4 step matrix broadcast to one per step, conjugate-transposed for effects."""
+def _steps(gen: LindbladGenerator, t0: float, t1: float, dt: float):
+    """The grid from t0 to t1, the RK4 step matrix of gen on its spacing, and the step count."""
     times, h = _grid(t0, t1, dt)
-    step = rk4_step(gen.superop, h)
-    return times, np.broadcast_to(step.conj().T if adjoint else step, (times.size - 1, *step.shape))
+    return times, rk4_step(gen.superop, h), times.size - 1
 
 
 def propagate_forward(gen: LindbladGenerator, rho0, t0: float, t1: float, dt: float) -> Timeline:
     """RK4-integrate a state from t0 to t1 with no per-step projection; the
     run aborts if any point of the timeline leaves the states by more than 1e-10."""
-    times, steps = _steps(gen, t0, t1, dt, adjoint=False)
-    return Timeline(times, _checked_flow(steps, validate_state(rho0), "state"), "state")
+    times, step, n = _steps(gen, t0, t1, dt)
+    return Timeline(times, _checked_flow(step, n, validate_state(rho0), "state"), "state")
 
 
 def _terminal_effect(effect, dim: int) -> np.ndarray:
@@ -259,8 +300,8 @@ def propagate_backward(gen: LindbladGenerator, effect_final, t1: float, t0: floa
     identity is a fixed point, and the run aborts if any point's spectrum
     leaves [0, 1] by more than 1e-10, counting steps down from t1.
     """
-    times, steps = _steps(gen, t0, t1, dt, adjoint=True)
-    mats = _checked_flow(steps, _terminal_effect(effect_final, gen.dim), "effect")
+    times, step, n = _steps(gen, t0, t1, dt)
+    mats = _checked_flow(step, n, _terminal_effect(effect_final, gen.dim), "effect")
     return Timeline(times, mats[::-1], "effect")
 
 
@@ -272,14 +313,14 @@ def evolve_state(gen: LindbladGenerator, rho, duration: float, dt: float) -> np.
     """
     if duration == 0.0:
         return asoperator(rho).copy()
-    return flow(_steps(gen, 0.0, duration, dt, adjoint=False)[1], rho)[-1]
+    return _power_flow(*_steps(gen, 0.0, duration, dt)[1:], rho, adjoint=False)[-1]
 
 
 def evolve_effect(gen: LindbladGenerator, effect, duration: float, dt: float) -> np.ndarray:
     """Adjoint companion of evolve_state: the conjugate transpose of its step matrix."""
     if duration == 0.0:
         return asoperator(effect).copy()
-    return flow(_steps(gen, 0.0, duration, dt, adjoint=True)[1], effect)[-1]
+    return _power_flow(*_steps(gen, 0.0, duration, dt)[1:], effect, adjoint=True)[-1]
 
 
 def stationary_state(gen: LindbladGenerator) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import apply_superop, asoperator, asstack, pairing
+from .algebra import apply_adjoint, apply_superop, asoperator, asstack, pairing
 from .channels import Instrument
 from .dynamics import LindbladGenerator, evolve_effect, evolve_state
 
@@ -45,16 +45,21 @@ class BoundaryPair:
 def abl_distribution(b: BoundaryPair, ins: Instrument) -> dict:
     """Outcome distribution conditioned on both boundaries.
 
-    p(m) = Tr[E(t+) I_m(rho(t-))] / sum_k Tr[E(t+) I_k(rho(t-))]. The
-    probabilities are returned as the exact ratio of the two evaluations,
-    never renormalized afterwards: floats for one boundary pair, arrays over
-    the points of a stacked one. A null post-selection, a denominator that
-    is not positive, raises.
+    p(m) = Tr[E(t+) I_m(rho(t-))] / sum_k Tr[E(t+) I_k(rho(t-))]. Every
+    outcome's branch comes from one product of vec(rho) with the outcome
+    maps stacked into one m·d² × d² operand, and every numerator from one
+    pairing over the (m, ..., d, d) branch stack. The probabilities are returned as the
+    exact ratio of the two evaluations, never renormalized afterwards:
+    floats for one boundary pair, arrays over the points of a stacked one.
+    A null post-selection, a denominator that is not positive, raises.
     """
     if ins.dim != b.dim:
         raise ValueError(f"dimension mismatch: instrument {ins.dim} vs boundary {b.dim}")
-    branches = [ins.apply(m, b.rho_pre) for m in ins.outcomes]
-    num = np.array([pairing(b.E_post, br) for br in branches])
+    d, m, rho = b.dim, len(ins.outcomes), b.rho_pre
+    # row (m, i) of the stacked maps is row i of S_m; the points run along the product's columns
+    branches = (ins.superops.reshape(m * d * d, d * d) @ rho.reshape(-1, d * d).T).reshape(m, d, d, -1)
+    pad = (1,) * max(0, b.E_post.ndim - rho.ndim)  # so that a stack of effects broadcasts past the outcome axis
+    num = pairing(b.E_post, np.moveaxis(branches, -1, 1).reshape(m, *pad, *rho.shape[:-2], d, d))
     denom = num.sum(axis=0)
     if np.any(denom <= NULL_TOL):
         raise ValueError(
@@ -165,6 +170,17 @@ def chain_joint(spec: ChainSpec, outcomes) -> float:
     return pairing(spec.effect_final, rho)
 
 
+def _effects_after(spec: ChainSpec, first: int) -> list:
+    """Effect just after the measurement of each stage from first on, by one backward sweep."""
+    e = evolve_effect(spec.final_generator, spec.effect_final, spec.final_duration, spec.dt)
+    rev = [e]
+    for st in reversed(spec.stages[first + 1:]):
+        e = apply_adjoint(st.instrument.superop, e)
+        e = evolve_effect(st.generator, e, st.duration, spec.dt)
+        rev.append(e)
+    return rev[::-1]
+
+
 def backward_effect_chain(spec: ChainSpec) -> list:
     """Effect just after each stage's measurement, by one backward sweep.
 
@@ -172,20 +188,15 @@ def backward_effect_chain(spec: ChainSpec) -> list:
     each earlier entry crosses one later stage through the adjoint of its
     nonselective superoperator and the adjoint of its evolution.
     """
-    e = evolve_effect(spec.final_generator, spec.effect_final, spec.final_duration, spec.dt)
-    rev = [e]
-    for st in reversed(spec.stages[1:]):
-        e = apply_superop(st.instrument.superop.conj().T, e)
-        e = evolve_effect(st.generator, e, st.duration, spec.dt)
-        rev.append(e)
-    return rev[::-1]
+    return _effects_after(spec, 0)
 
 
 def conditional_at_stage(spec: ChainSpec, j: int) -> dict:
     """Outcome distribution of stage j with every other stage summed out.
 
     Stages before j act on the forward state through their nonselective
-    superoperators; stages after j are absorbed into the backward effect.
+    superoperators; stages after j, and only those, are absorbed into the
+    backward effect.
     """
     n = len(spec.stages)
     if not 0 <= j < n:
@@ -196,5 +207,4 @@ def conditional_at_stage(spec: ChainSpec, j: int) -> dict:
         rho = apply_superop(st.instrument.superop, rho)
     st = spec.stages[j]
     rho = evolve_state(st.generator, rho, st.duration, spec.dt)
-    e = backward_effect_chain(spec)[j]
-    return abl_distribution(BoundaryPair(rho, e), st.instrument)
+    return abl_distribution(BoundaryPair(rho, _effects_after(spec, j)[0]), st.instrument)

@@ -216,3 +216,14 @@ def test_non_finite_operators_are_rejected_before_decomposition(d, bad):
         al.state_spectrum(np.stack([np.eye(d) / d, op]))
     with pytest.raises(ValueError, match="operator rejected: non-finite"):
         al.hermitian_eig(op)
+
+
+def test_apply_adjoint_is_the_conjugate_transpose_applied():
+    """The Heisenberg map X -> S†(X) equals apply_superop of S's conjugate
+    transpose bit for bit, for one operator and for a stack."""
+    g = np.random.default_rng(53)
+    for d in (2, 3, 5):
+        s = g.normal(size=(d * d, d * d)) + 1j * g.normal(size=(d * d, d * d))
+        x = g.normal(size=(4, d, d)) + 1j * g.normal(size=(4, d, d))
+        for op in (x[0], x):
+            assert np.array_equal(al.apply_adjoint(s, op), al.apply_superop(s.conj().T, op))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from retroq import channels as ch
 from retroq import classical as cl
 from retroq.retrodiction import conditional_at_stage
 
@@ -140,6 +141,67 @@ def test_smoothing_chain_battery_over_random_models():
         cond = conditional_at_stage(chain, j)
         got = np.array([cond[f"x{i}"] for i in range(n)])
         assert np.max(np.abs(got - smoothed[j])) < 1e-12
+
+
+def stage_instruments(model, obs):
+    """smoothing_chain's instruments built one stage at a time: an Instrument
+    of the stage's Kraus families, preprocessed by the transition channel
+    after the first stage through compose_preprocess."""
+    n = model.n_states
+    dim = n + 1
+    lam = cl._transition_channel(model.transition, dim)
+    weights = model.likelihood[np.asarray(obs)]
+    ratio = weights / weights.max(axis=1, keepdims=True)
+    labels = tuple(f"x{x}" for x in range(n)) + ("discard",)
+    out = []
+    for k, r in enumerate(ratio):
+        fams = []
+        leak = np.zeros((dim, dim, dim), dtype=complex)
+        for x in range(n):
+            keep = np.zeros((1, dim, dim), dtype=complex)
+            keep[0, x, x] = np.sqrt(r[x])
+            fams.append(keep)
+            leak[x, n, x] = np.sqrt(1.0 - r[x])
+        leak[n, n, n] = 1.0
+        ins = ch.Instrument(labels, (*fams, leak))
+        out.append(ins if k == 0 else ch.compose_preprocess(ins, lam))
+    return out
+
+
+def test_smoothing_chain_stages_are_the_per_stage_build():
+    """The stacked build of all stages, one sandwich, one product with the
+    transition map and one Kraus product, gives every stage bit for bit the
+    instrument the per-stage build gives."""
+    for seed in range(20):
+        g = rng(300 + seed)
+        n, n_sym = int(g.integers(2, 5)), int(g.integers(2, 4))
+        model = random_hmm(g, n, n_sym)
+        obs = g.integers(0, n_sym, size=int(g.integers(1, 6)))
+        stages = cl.smoothing_chain(model, obs).stages
+        want = stage_instruments(model, obs)
+        assert len(stages) == len(want)
+        for st, ins in zip(stages, want):
+            got = st.instrument
+            assert got.outcomes == ins.outcomes
+            assert got.completeness_defect == ins.completeness_defect
+            assert np.array_equal(got.superops, ins.superops) and np.array_equal(got.superop, ins.superop)
+            assert len(got.kraus) == len(ins.kraus)
+            assert all(np.array_equal(a, b) for a, b in zip(got.kraus, ins.kraus))
+
+
+def test_stacked_instruments_check_completeness_once_for_all():
+    """A stack of instruments is checked in one pass: a defect in any one
+    of them raises, naming the worst."""
+    g = rng(61)
+    model = random_hmm(g, 3, 2)
+    stages = cl.smoothing_chain(model, [0, 1, 1]).stages
+    labels = stages[0].instrument.outcomes
+    fams = [st.instrument.kraus for st in stages]
+    maps = np.array([st.instrument.superops for st in stages])
+    assert len(ch._stack(labels, fams, maps)) == 3
+    maps[1, 0] *= 1.001
+    with pytest.raises(ValueError, match="completeness defect .* exceeds tolerance"):
+        ch._stack(labels, fams, maps)
 
 
 def test_linear_gaussian_validation():

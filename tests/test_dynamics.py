@@ -284,3 +284,41 @@ def test_stacked_driven_timeline_equals_per_step_generators():
     l_x = dyn.LindbladGenerator(al.SX).superop
     steps = dyn.rk4_step(dyn.LindbladGenerator(ham0, (bath,)).superop + drive * l_x, dt)
     assert np.max(np.abs(dyn.flow(steps, rho0) - np.array(want))) < 1e-12
+
+
+def test_ladder_flow_is_the_per_step_loop():
+    """A time-homogeneous flow at d² <= 16 runs a ladder of step powers, a
+    block of steps per product; forward and adjoint, it is the per-step loop
+    over the step matrix or its conjugate transpose to 1e-13, for flows
+    shorter than a block, ending on and just past a block, and long enough
+    to cap the block size."""
+    g = rng(47)
+    b = dyn._LADDER
+    for d in (2, 3, 4):
+        gen = random_generator(g, d)
+        step = dyn.rk4_step(gen.superop, 1e-2)
+        starts = {False: random_state(g, d, mix=0.3), True: random_effect_interior(g, d)}
+        for n in (1, b - 1, b, b + 1, 3 * b + 5, b * b + 1, 3 * b * b + 5):
+            for adjoint, x in starts.items():
+                want = dyn.flow(np.broadcast_to(step.conj().T if adjoint else step, (n, d * d, d * d)), x)
+                got = dyn._power_flow(step, n, x, adjoint)
+                assert got.shape == want.shape == (n + 1, d, d)
+                assert np.max(np.abs(got - want)) < 1e-13, (d, n, adjoint)
+
+
+def test_flow_route_follows_the_step_size(monkeypatch):
+    """Steps of at most _LADDER_SECTOR coordinates run the ladder, larger
+    ones flow's per-step loop, for every time-homogeneous pass."""
+    looped = []
+    loop = dyn.flow
+    monkeypatch.setattr(dyn, "flow", lambda steps, x: looped.append(len(steps)) or loop(steps, x))
+    for d in (4, 5):
+        gen = random_generator(rng(d), d)
+        rho = random_state(rng(d), d, mix=0.3)
+        del looped[:]
+        dyn.propagate_forward(gen, rho, 0.0, 0.05, 1e-3)
+        dyn.propagate_backward(gen, np.eye(d), 0.05, 0.0, 1e-3)
+        dyn.evolve_state(gen, rho, 0.05, 1e-3)
+        dyn.evolve_effect(gen, np.eye(d), 0.05, 1e-3)
+        assert (d * d <= dyn._LADDER_SECTOR) == (d == 4)
+        assert looped == ([] if d == 4 else [50] * 4)

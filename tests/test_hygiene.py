@@ -264,31 +264,46 @@ def test_only_pairing_takes_the_trace_of_a_product():
     assert found == [("algebra.py", "pairing")]
 
 
-def heisenberg_branches(source: str) -> list:
-    """(enclosing definition, line) of each conjugate taken of an instrument's superops stack."""
+def heisenberg_maps(source: str) -> list:
+    """(enclosing definition, line) of each Heisenberg map S† written out: a
+    conjugate taken of a superoperator (an expression that reads .superop or
+    .superops), or apply_superop given a conjugated operand."""
     hits = []
+
+    def conjugated(node):  # the operand of a conj call, x.conj() or np.conj(x); None for any other node
+        if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "conj":
+            return node.args[0] if node.args else node.func.value
+        return None
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}".lstrip(".")
-        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "conj"
-                and "superops" in attributes_read(node.func.value)):
+        operand = conjugated(node)
+        if operand is not None and {"superop", "superops"} & attributes_read(operand):
+            hits.append((where, node.lineno))
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "apply_superop" and node.args
+                and any(conjugated(n) is not None for n in ast.walk(node.args[0]))):
             hits.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "")
-    return hits
+    return sorted(set(hits), key=lambda h: h[1])
 
 
 def test_only_instrument_adjoint_pulls_an_effect_back():
-    """I_m†(X) is Instrument.adjoint; the POVM and the effective effects
-    are that branch applied to I and to E, not a conjugated stack of their own."""
-    src = "class I:\n    def adjoint(self, m, x):\n        return f(self.superops[m].conj().T, x)\n"
+    """The Heisenberg map X -> S†(X) of a superoperator is algebra.apply_adjoint:
+    Instrument.adjoint, Channel.adjoint, LindbladGenerator.adjoint and the
+    backward chain sweep call it, and the POVM and the effective effects are
+    Instrument.adjoint applied to I and to E, not a conjugated stack of their
+    own. The scan sees the spellings apply_adjoint replaced."""
+    src = "class I:\n    def adjoint(self, m, x):\n        return apply_superop(self.superops[m].conj().T, x)\n"
     src += "e = np.eye(2).reshape(-1) @ ins.superops.conj()\nc = st.instrument.superop.conj().T\n"
-    assert heisenberg_branches(src) == [("I.adjoint", 3), ("", 4)]
-    found = [(p.name, where) for p in sorted(SRC.glob("*.py")) for where, _ in heisenberg_branches(p.read_text())]
-    assert found == [("channels.py", "Instrument.adjoint")]
+    src += "def adjoint(self, x):\n    return apply_superop(np.conj(s).T, x)\nf = x @ np.conj(gen.superop)\n"
+    src += "b = (op @ basis.conj().T).real\ng = apply_adjoint(st.instrument.superop, e)\nh = apply_superop(s, x)\n"
+    assert heisenberg_maps(src) == [("I.adjoint", 3), ("", 4), ("", 5), ("adjoint", 7), ("", 8)]
+    found = [(p.name, where) for p in sorted(SRC.glob("*.py")) for where, _ in heisenberg_maps(p.read_text())]
+    assert found == []
 
 
 def test_no_retroq_module_loads_scipy():

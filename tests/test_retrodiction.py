@@ -173,6 +173,34 @@ def test_stack_with_one_complex_pairing_raises_the_pairing_message():
     assert _error(lambda: rd.abl_distribution(rd.BoundaryPair(rhos, effects), ins)) == single
 
 
+def abl_reference(b, ins):
+    """The per-outcome route: each branch by Instrument.apply, each numerator by its own pairing."""
+    num = np.array([al.pairing(b.E_post, ins.apply(m, b.rho_pre)) for m in ins.outcomes])
+    return dict(zip(ins.outcomes, num / num.sum(axis=0)))
+
+
+def test_abl_distribution_is_the_per_outcome_route():
+    """One product for every branch and one pairing for every numerator give
+    the per-outcome route's probabilities to 1e-15, in its shapes: floats for
+    one pair, arrays for stacked states, effects or both, broadcast."""
+    g = rng(43)
+    for d in (2, 3, 4, 5):
+        ins = random_instrument(g, d, (1, 2, 1, 3))
+        rhos = np.array([random_state(g, d) for _ in range(6)])
+        effects = np.array([random_effect(g, d) for _ in range(6)])
+        grid = np.array([[random_effect(g, d) for _ in range(6)] for _ in range(2)])
+        cases = [(rhos[0], effects[0]), (rhos, effects), (rhos[0], effects), (rhos, effects[0]),
+                 (rhos, grid), (rhos[0], grid), (grid, effects[0])]
+        for rho, e in cases:
+            b = rd.BoundaryPair(rho, e)
+            got, want = rd.abl_distribution(b, ins), abl_reference(b, ins)
+            assert list(got) == list(ins.outcomes)
+            for m in ins.outcomes:
+                assert np.shape(got[m]) == np.shape(want[m])
+                assert np.max(np.abs(np.asarray(got[m]) - want[m])) <= 1e-15
+            assert all(isinstance(p, float) for p in got.values()) == (rho.ndim == e.ndim == 2)
+
+
 def test_effective_effects_of_a_stack_equal_per_effect_calls():
     g = rng(17)
     d = 3

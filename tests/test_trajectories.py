@@ -52,6 +52,36 @@ def test_unmonitored_jumps_drop_exactly_one_copy():
     assert any(np.allclose(j, np.sqrt(2.0) * al.SM) for j in rest)
 
 
+def test_monitored_channel_matches_exactly():
+    """A jump off the monitored channel by 1e-5 relative is another channel:
+    it no longer passes as sqrt(kappa) c, while an exact copy still does."""
+    near = dyn.LindbladGenerator(np.zeros((2, 2)), (dyn.Bath("b", (np.sqrt(1.00001) * al.SM,)),))
+    with pytest.raises(ValueError, match="does not contain the monitored channel"):
+        tr.MonitoringModel(near, al.SM, 1.0, 1.0, "diffusive")
+    exact = dyn.LindbladGenerator(np.zeros((2, 2)), (dyn.Bath("b", (np.sqrt(2.0) * al.SM, 0.3 * al.SZ)),))
+    model = tr.MonitoringModel(exact, al.SM, 2.0, 1.0, "diffusive")
+    assert len(model.unmonitored_jumps()) == 1
+
+
+def test_counts_are_int8_and_total_beyond_127():
+    """Counts are stored as int8 0/1 from the record and from every counting
+    pass, and a record of more than 127 clicks still totals exactly."""
+    model = decay_model(kappa=1.0, mode="counting", omega=3.0)
+    clicks = np.zeros(600, dtype=np.int64)
+    clicks[::3] = 1  # 200 clicks, never two in a row
+    record = tr.MeasurementRecord("counting", np.linspace(0.0, 0.6, 601), clicks)
+    assert record.increments.dtype == np.int8
+    assert int(record.increments.sum()) == 200
+    _, sim = tr.simulate_counting(model, EXCITED, 0.2, 1e-3, seed=3)
+    ens = tr.ensemble_counting(model, EXCITED, 0.2, 1e-3, 50, seed=4)
+    _, counts = _accel.counting_paths(model.record_step(1e-3), EXCITED, np.vstack([clicks] * 2), True, [600])
+    for out in (sim.increments, ens.counts, counts):
+        assert out.dtype == np.int8
+    assert np.array_equal(counts.sum(axis=1), [200, 200])
+    fake = tr.CountingEnsemble(ens.sample_times, ens.states, np.ones((2, 300), dtype=np.int8), ens.dt)
+    assert fake.total_counts().tolist() == [300, 300]
+
+
 def test_record_validation():
     with pytest.raises(ValueError, match="uniform"):
         tr.MeasurementRecord("diffusive", np.array([0.0, 0.1, 0.3]), np.zeros(2))
