@@ -13,7 +13,9 @@ builds the step of a (model, dt) as a few d²×d² matrices:
   2015), read under the drift dY = √(ηκ) <c + c†> dt + dW;
 
 here A = 1 + G dt with the generator's no-jump matrix G = -iH - ½ Σ_K K†K
-over every jump K, and J_j runs over the unmonitored jumps. Both families
+over every jump K, and J_j runs over the unmonitored jumps. The model
+built its generator from c and the jumps J_j, so the step reads c as the
+model holds it and the J_j as ``unmonitored_jumps`` lists them. Both families
 are completely positive, so the filter needs no eigenvalue clamp. States
 are real coordinates in an orthonormal Hermitian basis, where every branch
 is a real matrix; a RecordStep builds this real form once, and
@@ -62,8 +64,11 @@ first, so the trace is one contiguous sum. The loop stages the
 per-trajectory columns of the noise and outcomes through contiguous
 (_BLOCK, n_traj) buffers, one strided copy per block of steps instead of
 one per step. Sampled
-coordinates stay real until the kernel returns, and become complex
-matrices in one product.
+coordinates stay real until the kernel returns. A start enters the basis,
+and sampled coordinates leave it, by one real product with the basis's
+real view (``_coordinates``, ``_to_matrices``). Stacks of step matrices
+and of powers are kept in range by one exact power-of-two scaling
+(``_scaled``), which cancels in every ratio and normalization.
 """
 
 from __future__ import annotations
@@ -109,9 +114,15 @@ def _hermitian_basis(d: int) -> np.ndarray:
 
 
 def _coordinates(basis: np.ndarray, op) -> np.ndarray:
-    """Real coordinates Tr[B_a op] of (the Hermitian part of) op, or of each op in a stack (..., d, d)."""
-    op = np.asarray(op, dtype=complex)
-    return (op.reshape(op.shape[:-2] + (-1,)) @ basis.conj().T).real
+    """Real coordinates Tr[B_a op] of (the Hermitian part of) op, or of each op in a stack (..., d, d).
+
+    Tr[B_a op] is Re sum_k conj(basis[a, k]) vec(op)_k, which is one real
+    product of the real views, as in ``_to_matrices``. Each basis row has two
+    nonzeros at most, and for a Hermitian op their two products are equal, so
+    the coordinates are the complex product's bit for bit.
+    """
+    op = np.ascontiguousarray(op, dtype=complex)
+    return op.reshape(op.shape[:-2] + (-1,)).view(float) @ basis.view(float).T
 
 
 @dataclass(frozen=True)
@@ -150,8 +161,7 @@ def record_step(model, dt: float) -> RecordStep:
 
     ``MonitoringModel.record_step`` keeps what this builds, once per dt.
     """
-    d = model.dim
-    c = np.asarray(model.c, dtype=complex)
+    d, c = model.dim, model.c
     kappa, eta = model.kappa, model.eta
     a = np.eye(d) + dt * model.gen.no_jump
     cc = sandwich_superop(c, c)
@@ -170,6 +180,12 @@ def record_step(model, dt: float) -> RecordStep:
         ])
         readout = _vec_readout(c + c.conj().T)
     return RecordStep(model.mode, float(dt), gain, branches, readout)
+
+
+def _scaled(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack (..., r, r) scaled in place by an exact power of two to a largest entry in [1/2, 1)."""
+    _, e = np.frexp(np.abs(m).max(axis=(-2, -1)))
+    return np.ldexp(m, -e[..., None, None], out=m)
 
 
 def _sample_positions(steps: int, sample_indices) -> np.ndarray:
@@ -405,8 +421,7 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
     def ladder(base, size):  # base^0..base^size, each scaled to a largest entry in [1/2, 1)
         rungs = [np.eye(r)]
         for _ in range(size):
-            power = rungs[-1] @ base
-            rungs.append(np.ldexp(power, -np.frexp(np.abs(power).max())[1]))
+            rungs.append(_scaled(rungs[-1] @ base))
         return np.array(rungs)
 
     powers = ladder(quiet.T, _BLOCK)  # (Q^i)ᵀ: a row h @ powers[i] is Q^i h
@@ -536,9 +551,7 @@ def _blocked(step: RecordStep, sec: _Sector, incr) -> np.ndarray:
         m[x.size:] = np.eye(r)
         if not np.isfinite(m).all():
             raise ValueError(_OVERFLOW)
-        _, e = np.frexp(np.abs(m).max(axis=(1, 2)))
-        np.ldexp(m, -e[:, None, None], out=m)
-        p = m.reshape(-1, _BLOCK, r, r)
+        p = _scaled(m).reshape(-1, _BLOCK, r, r)
         s = 1
         while s < _BLOCK:
             p[:, s:] = p[:, s:] @ p[:, :-s]

@@ -180,10 +180,16 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 def _require_hermitian(a: np.ndarray, message: str, tol: float = DEFAULT_TOL) -> None:
-    """Raise ValueError(message) unless each matrix of a is Hermitian to tol times max(1, its largest entry)."""
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    if np.any(np.abs(a - dagger(a)).max(axis=(-2, -1)) > tol * scale):
-        raise ValueError(message)
+    """Raise ValueError(message) unless each matrix of a is Hermitian to tol times max(1, its largest entry).
+
+    Every scale is at least 1, so a defect within tol passes them all, and
+    the scales are read only for a stack whose largest defect exceeds tol.
+    """
+    defect = np.abs(a - dagger(a))
+    if defect.max(initial=0.0) > tol:
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        if np.any(defect.max(axis=(-2, -1)) > tol * scale):
+            raise ValueError(message)
 
 
 class Spectrum(NamedTuple):
@@ -227,8 +233,7 @@ def state_spectrum(op, tol: float = DEFAULT_TOL) -> Spectrum:
         return op
     mats = asstack(op)
     _require_finite(mats, "state")
-    if hermiticity_defect(mats) > tol:
-        raise ValueError("state rejected: not Hermitian within tolerance")
+    _require_hermitian(mats, "state rejected: not Hermitian within tolerance", tol)
     w, v = eigensystem(hermitian_part(mats))
     if w.size and float(w.min()) < -tol:
         raise ValueError(f"state rejected: negative eigenvalue {w.min():.3e}")

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, _require_hermitian, apply_adjoint, apply_superop, asoperator, dagger, eigenvalues
-from .algebra import hermitian_part, hermiticity_defect, pairing, sandwich_superop, validate_state
+from .algebra import _require_finite, _require_hermitian, apply_adjoint, apply_superop, asoperator, dagger, eigenvalues
+from .algebra import hermitian_part, pairing, sandwich_superop, validate_state
 
 PROJECTION_FAIL_TOL = 1e-10
 _GRID_TOL = 1e-9  # a time t is on grid point g when |t - g| <= _GRID_TOL * max(1, |g|)
@@ -68,8 +68,11 @@ class LindbladGenerator:
 
     def __post_init__(self):
         h = asoperator(self.hamiltonian)
+        _require_finite(h, "Hamiltonian")
         _require_hermitian(h, "Hamiltonian is not Hermitian within tolerance")
         baths = tuple(self.baths)
+        for b in baths:
+            _require_finite(np.array(b.jumps), f"jump operators of bath {b.label!r}")
         labels = [b.label for b in baths]
         if len(set(labels)) != len(labels):
             raise ValueError("bath labels must be unique")
@@ -286,8 +289,7 @@ def _terminal_effect(effect, dim: int) -> np.ndarray:
         raise ValueError(f"terminal effect dimension {e.shape[0]} does not match model {dim}")
     if not np.isfinite(e).all():
         raise ValueError("terminal effect has non-finite entries")
-    if hermiticity_defect(e) > DEFAULT_TOL:
-        raise ValueError("terminal effect is not Hermitian within tolerance")
+    _require_hermitian(e, "terminal effect is not Hermitian within tolerance")
     if not np.any(e):
         raise ValueError("terminal effect is zero")
     return e

@@ -17,6 +17,7 @@ from .channels import Instrument
 from .dynamics import LindbladGenerator, evolve_effect, evolve_state
 
 NULL_TOL = 1e-12
+CHAIN_DT = 1e-3  # the RK4 step of every evolution of a chain
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,9 @@ class Stage:
 class ChainSpec:
     """Initial state, measured stages, closing evolution, final effect.
 
-    Every evolution runs on the shared step dt, which keeps the backward
-    effect pass the exact algebraic adjoint of the forward state pass.
+    Every evolution runs on the shared step CHAIN_DT, which keeps the
+    backward effect pass the exact algebraic adjoint of the forward state
+    pass.
     """
 
     rho_i: np.ndarray
@@ -131,7 +133,6 @@ class ChainSpec:
     final_generator: LindbladGenerator
     final_duration: float
     effect_final: np.ndarray
-    dt: float = 1e-3
 
     def __post_init__(self):
         r = asoperator(self.rho_i)
@@ -146,8 +147,6 @@ class ChainSpec:
             raise ValueError("final duration must be nonnegative")
         if self.final_generator.dim != d or e.shape[0] != d:
             raise ValueError("final evolution and effect must share the chain dimension")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         object.__setattr__(self, "rho_i", r)
         object.__setattr__(self, "effect_final", e)
         object.__setattr__(self, "stages", stages)
@@ -164,19 +163,19 @@ def chain_joint(spec: ChainSpec, outcomes) -> float:
         raise ValueError(f"need {len(spec.stages)} outcomes, got {len(labels)}")
     rho = spec.rho_i
     for st, m in zip(spec.stages, labels):
-        rho = evolve_state(st.generator, rho, st.duration, spec.dt)
+        rho = evolve_state(st.generator, rho, st.duration, CHAIN_DT)
         rho = st.instrument.apply(m, rho)
-    rho = evolve_state(spec.final_generator, rho, spec.final_duration, spec.dt)
+    rho = evolve_state(spec.final_generator, rho, spec.final_duration, CHAIN_DT)
     return pairing(spec.effect_final, rho)
 
 
 def _effects_after(spec: ChainSpec, first: int) -> list:
     """Effect just after the measurement of each stage from first on, by one backward sweep."""
-    e = evolve_effect(spec.final_generator, spec.effect_final, spec.final_duration, spec.dt)
+    e = evolve_effect(spec.final_generator, spec.effect_final, spec.final_duration, CHAIN_DT)
     rev = [e]
     for st in reversed(spec.stages[first + 1:]):
         e = apply_adjoint(st.instrument.superop, e)
-        e = evolve_effect(st.generator, e, st.duration, spec.dt)
+        e = evolve_effect(st.generator, e, st.duration, CHAIN_DT)
         rev.append(e)
     return rev[::-1]
 
@@ -203,8 +202,8 @@ def conditional_at_stage(spec: ChainSpec, j: int) -> dict:
         raise IndexError(f"stage index {j} outside 0..{n - 1}")
     rho = spec.rho_i
     for st in spec.stages[:j]:
-        rho = evolve_state(st.generator, rho, st.duration, spec.dt)
+        rho = evolve_state(st.generator, rho, st.duration, CHAIN_DT)
         rho = apply_superop(st.instrument.superop, rho)
     st = spec.stages[j]
-    rho = evolve_state(st.generator, rho, st.duration, spec.dt)
+    rho = evolve_state(st.generator, rho, st.duration, CHAIN_DT)
     return abl_distribution(BoundaryPair(rho, _effects_after(spec, j)[0]), st.instrument)

@@ -87,7 +87,7 @@ def gibbs_state(hamiltonian, beta: float) -> np.ndarray:
     return Spectrum(p / p.sum(), v).rebuild()
 
 
-def thermal_bath(omega: float, beta: float, gamma_down: float, label: str = "thermal") -> Bath:
+def thermal_bath(omega: float, beta: float, gamma_down: float, label: str) -> Bath:
     """Qubit emission/absorption pair in detailed balance at inverse temperature beta.
 
     Pairs with the Hamiltonian -(omega/2) sigma_z (index 1 is the excited

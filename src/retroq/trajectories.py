@@ -58,32 +58,38 @@ MODES = ("diffusive", "counting")
 
 @dataclass(frozen=True)
 class MonitoringModel:
-    """Open system with one designated monitored channel.
+    """Open system with one monitored channel sqrt(kappa) c, detected at efficiency eta.
 
-    The generator carries the monitored jump operator with weight
-    sqrt(kappa) alongside any unmonitored baths; eta is the detection
-    efficiency of the monitored channel. Record steps are kept per dt
-    (``record_step``), outside comparison and repr, and a model made by
-    ``dataclasses.replace`` starts with none.
+    The model builds its generator ``gen`` from its parts: the "monitor"
+    bath sqrt(kappa) c first, then the unmonitored extra_baths in order, so
+    the monitored channel is known by construction and never looked up.
+    ``gen`` is kept outside comparison and repr, and so are the record
+    steps, kept per dt (``record_step``); ``dataclasses.replace`` rebuilds
+    ``gen`` and starts with no step. ``monitoring_model`` names this class.
     """
 
-    gen: LindbladGenerator
+    hamiltonian: np.ndarray
     c: np.ndarray
     kappa: float
-    eta: float
-    mode: str
+    eta: float = 1.0
+    mode: str = "diffusive"
+    extra_baths: tuple = ()
+    gen: LindbladGenerator = field(init=False, compare=False, repr=False)
     _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        c = asoperator(self.c)
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} is not one of {MODES}")
-        if self.kappa <= 0.0:
-            raise ValueError("monitored rate kappa must be positive")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"efficiency eta={self.eta} must lie in [0, 1]")
-        object.__setattr__(self, "c", c)
-        self.unmonitored_jumps()  # raises unless the generator holds sqrt(kappa) c
+        kappa, eta = float(self.kappa), float(self.eta)
+        if not 0.0 < kappa < np.inf:  # before the square root, which would warn on a negative rate
+            raise ValueError(f"monitored rate kappa={kappa!r} must be positive and finite")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"efficiency eta={eta} must lie in [0, 1]")
+        h, c, extra = asoperator(self.hamiltonian), asoperator(self.c), tuple(self.extra_baths)
+        gen = LindbladGenerator(h, (Bath("monitor", (np.sqrt(kappa) * c,)),) + extra)
+        for name, value in (("hamiltonian", h), ("c", c), ("kappa", kappa), ("eta", eta),
+                            ("extra_baths", extra), ("gen", gen)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -101,24 +107,11 @@ class MonitoringModel:
         return step
 
     def unmonitored_jumps(self) -> list:
-        """Every generator jump except one copy of the monitored channel; raises if there is none."""
-        scaled = np.sqrt(self.kappa) * self.c
-        tol = 1e-12 * np.abs(scaled).max()  # no relative slack: a channel off by 1e-5 is another channel
-        flat = [j for b in self.gen.baths for j in b.jumps]
-        for i, j in enumerate(flat):
-            if np.abs(j - scaled).max() <= tol:
-                return flat[:i] + flat[i + 1:]
-        raise ValueError("the generator does not contain the monitored channel sqrt(kappa)*c")
+        """The jumps of the extra baths, in order: every generator jump but the monitored channel."""
+        return [j for b in self.extra_baths for j in b.jumps]
 
 
-def monitoring_model(hamiltonian, c, kappa, eta=1.0, mode="diffusive", extra_baths=()):
-    """Assemble a MonitoringModel, giving the monitored channel its own bath."""
-    if kappa <= 0.0:  # before the square root, which would warn on a negative rate
-        raise ValueError("monitored rate kappa must be positive")
-    cop = asoperator(c)
-    monitor = Bath("monitor", (np.sqrt(kappa) * cop,))
-    gen = LindbladGenerator(asoperator(hamiltonian), (monitor,) + tuple(extra_baths))
-    return MonitoringModel(gen, cop, float(kappa), float(eta), mode)
+monitoring_model = MonitoringModel
 
 
 @dataclass(frozen=True)

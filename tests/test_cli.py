@@ -166,6 +166,23 @@ def test_non_finite_grid_in_a_config_exits_2(name, field, value, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, field, message", [
+    pytest.param("thermal-qubit", "gamma_down", "jump operators of bath 'bath' rejected: non-finite entries",
+                 id="thermal-gamma-down"),
+    pytest.param("counting", "omega", "Hamiltonian rejected: non-finite entries", id="counting-omega"),
+    pytest.param("homodyne-cavity", "kappa", "monitored rate kappa=nan must be positive and finite",
+                 id="homodyne-kappa"),
+])
+def test_non_finite_model_input_in_a_config_exits_2(name, field, message, tmp_path, capsys):
+    """A NaN rate or drive is rejected where the model is built, naming the
+    operator it spoils, before any kernel runs and blames dt."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"schema_version": 1, "{field}": NaN}}')
+    assert run_cli("run", name, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"configuration rejected by {name}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_dir_in_a_config_is_an_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "out_dir": str(tmp_path / "elsewhere")}))

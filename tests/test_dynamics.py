@@ -220,6 +220,17 @@ def test_grid_rejects_non_finite_inputs(t0, t1, dt):
         dyn._grid(t0, t1, dt)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generator_rejects_non_finite_operators_by_name(bad):
+    """A NaN or inf entry compares as Hermitian, so finiteness is checked
+    first, and a jump operator is named by its bath."""
+    with pytest.raises(ValueError, match="^Hamiltonian rejected: non-finite entries$"):
+        dyn.LindbladGenerator(np.array([[0.0, bad], [bad, 0.0]]))
+    jumps = (al.SZ, np.array([[0.0, bad], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="^jump operators of bath 'leak' rejected: non-finite entries$"):
+        dyn.LindbladGenerator(al.SZ, (dyn.Bath("decay", (al.SM,)), dyn.Bath("leak", jumps)))
+
+
 def test_timeline_grid_lookup():
     tl = dyn.Timeline(np.array([0.0, 0.1, 0.2]), np.stack([np.eye(2)] * 3), "effect")
     assert tl.index(0.1) == 1

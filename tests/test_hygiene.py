@@ -306,6 +306,28 @@ def test_only_instrument_adjoint_pulls_an_effect_back():
     assert found == []
 
 
+def defect_comparisons(source: str) -> list:
+    """Lines of each comparison with a hermiticity_defect(...) call as an operand."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+            and any(isinstance(x, ast.Call)
+                    and "hermiticity_defect" in (getattr(x.func, "attr", None), getattr(x.func, "id", None))
+                    for x in [node.left, *node.comparators])]
+
+
+def test_the_scan_sees_a_hermiticity_defect_comparison():
+    src = "if hermiticity_defect(m) > tol:\n    pass\nok = al.hermiticity_defect(e) < 1e-12\n"
+    src += "d = hermiticity_defect(m)\nbad = d > tol\nx = 1e-9 >= al.hermiticity_defect(a) > 0\n"
+    assert defect_comparisons(src) == [1, 3, 6]
+
+
+def test_one_hermiticity_check():
+    """Operators are checked Hermitian by algebra._require_hermitian alone,
+    whose tolerance scales with the largest entry; a module that compares
+    hermiticity_defect with a fixed tolerance has grown a second check."""
+    found = {p.name: defect_comparisons(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def test_no_retroq_module_loads_scipy():
     """numpy is retroq's one import-time dependency: a fresh interpreter that
     imports every module has no scipy module loaded. Only the test reference

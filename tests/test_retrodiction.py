@@ -77,7 +77,7 @@ def conditional_from_enumeration(spec, j):
     }
 
 
-def random_chain(g, d, n_stages, outcome_sizes=(1, 1), dt=1e-3):
+def random_chain(g, d, n_stages, outcome_sizes=(1, 1)):
     stages = tuple(
         rd.Stage(random_generator(g, d), 0.1, random_instrument(g, d, outcome_sizes))
         for _ in range(n_stages)
@@ -88,7 +88,6 @@ def random_chain(g, d, n_stages, outcome_sizes=(1, 1), dt=1e-3):
         final_generator=random_generator(g, d),
         final_duration=0.15,
         effect_final=random_effect(g, d),
-        dt=dt,
     )
 
 
@@ -318,7 +317,7 @@ def test_chain_joint_hand_value_and_total():
 def test_chain_total_probability_with_dissipative_evolution():
     spec = random_chain(rng(8), 2, 2, outcome_sizes=(1, 2))
     spec = rd.ChainSpec(
-        spec.rho_i, spec.stages, spec.final_generator, spec.final_duration, np.eye(2), spec.dt
+        spec.rho_i, spec.stages, spec.final_generator, spec.final_duration, np.eye(2)
     )
     total = sum(enumerate_joint(spec).values())
     assert abs(total - 1.0) < 1e-12
@@ -340,7 +339,7 @@ def test_backward_chain_trivial_and_unital_cases():
         assert np.allclose(e, ef, atol=1e-14)
     busy = random_chain(g, d, 3, outcome_sizes=(1, 2))
     busy = rd.ChainSpec(
-        busy.rho_i, busy.stages, busy.final_generator, busy.final_duration, np.eye(d), busy.dt
+        busy.rho_i, busy.stages, busy.final_generator, busy.final_duration, np.eye(d)
     )
     for e in rd.backward_effect_chain(busy):
         assert np.allclose(e, np.eye(d), atol=1e-12)
@@ -364,7 +363,7 @@ def composite_chain(g, d, n_stages):
         for st in spec.stages
     )
     return rd.ChainSpec(
-        spec.rho_i, stages, spec.final_generator, spec.final_duration, spec.effect_final, spec.dt
+        spec.rho_i, stages, spec.final_generator, spec.final_duration, spec.effect_final
     )
 
 
@@ -391,9 +390,9 @@ def test_conditional_single_stage_is_plain_abl():
     got = rd.conditional_at_stage(spec, 0)
     st = spec.stages[0]
     pair = rd.BoundaryPair(
-        dyn.evolve_state(st.generator, spec.rho_i, st.duration, spec.dt),
+        dyn.evolve_state(st.generator, spec.rho_i, st.duration, rd.CHAIN_DT),
         dyn.evolve_effect(
-            spec.final_generator, spec.effect_final, spec.final_duration, spec.dt
+            spec.final_generator, spec.effect_final, spec.final_duration, rd.CHAIN_DT
         ),
     )
     want = rd.abl_distribution(pair, st.instrument)
@@ -511,5 +510,3 @@ def test_chain_spec_validation():
         rd.ChainSpec(random_state(g, 2), (), zero_generator(2), 0.0, np.eye(2))
     with pytest.raises(ValueError, match="dimension"):
         rd.ChainSpec(random_state(g, 3), (stage,), zero_generator(3), 0.0, np.eye(3))
-    with pytest.raises(ValueError, match="dt"):
-        rd.ChainSpec(random_state(g, 2), (stage,), zero_generator(2), 0.0, np.eye(2), dt=0.0)

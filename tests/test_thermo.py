@@ -66,7 +66,7 @@ def test_thermal_bath_holds_gibbs_stationary():
     sigma = th.gibbs_state(gen.hamiltonian, 0.7)
     assert np.max(np.abs(gen.apply(sigma))) < 1e-14
     with pytest.raises(ValueError, match="omega"):
-        th.thermal_bath(-1.0, 0.5, 1.0)
+        th.thermal_bath(-1.0, 0.5, 1.0, "bath")
 
 
 def test_production_rate_zero_at_stationarity_and_positive_away():

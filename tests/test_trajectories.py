@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -31,15 +32,20 @@ def proj_z():
 
 
 def test_monitoring_model_validation():
+    """kappa is checked before its square root, so a bad rate raises by name
+    and warns nothing; a non-finite c is rejected by the generator, which
+    names its bath."""
     with pytest.raises(ValueError, match="mode"):
         tr.monitoring_model(np.zeros((2, 2)), al.SM, 1.0, mode="laser")
-    with pytest.raises(ValueError, match="kappa"):
-        tr.monitoring_model(np.zeros((2, 2)), al.SM, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"^monitored rate kappa={kappa!r} must be positive and finite$"):
+                tr.monitoring_model(np.zeros((2, 2)), al.SM, kappa)
     with pytest.raises(ValueError, match="eta"):
         tr.monitoring_model(np.zeros((2, 2)), al.SM, 1.0, eta=1.5)
-    gen = dyn.LindbladGenerator(np.zeros((2, 2)), (dyn.Bath("b", (al.SM,)),))
-    with pytest.raises(ValueError, match="monitored channel"):
-        tr.MonitoringModel(gen, al.SM, 2.0, 1.0, "diffusive")
+    with pytest.raises(ValueError, match="^jump operators of bath 'monitor' rejected: non-finite entries$"):
+        tr.monitoring_model(np.zeros((2, 2)), np.array([[0.0, np.nan], [0.0, 0.0]]), 1.0)
 
 
 def test_unmonitored_jumps_drop_exactly_one_copy():
@@ -52,15 +58,28 @@ def test_unmonitored_jumps_drop_exactly_one_copy():
     assert any(np.allclose(j, np.sqrt(2.0) * al.SM) for j in rest)
 
 
-def test_monitored_channel_matches_exactly():
-    """A jump off the monitored channel by 1e-5 relative is another channel:
-    it no longer passes as sqrt(kappa) c, while an exact copy still does."""
-    near = dyn.LindbladGenerator(np.zeros((2, 2)), (dyn.Bath("b", (np.sqrt(1.00001) * al.SM,)),))
-    with pytest.raises(ValueError, match="does not contain the monitored channel"):
-        tr.MonitoringModel(near, al.SM, 1.0, 1.0, "diffusive")
-    exact = dyn.LindbladGenerator(np.zeros((2, 2)), (dyn.Bath("b", (np.sqrt(2.0) * al.SM, 0.3 * al.SZ)),))
-    model = tr.MonitoringModel(exact, al.SM, 2.0, 1.0, "diffusive")
-    assert len(model.unmonitored_jumps()) == 1
+@pytest.mark.parametrize("mode", tr.MODES)
+@pytest.mark.parametrize("eta", [1.0, 0.6])
+@pytest.mark.parametrize("extra", [(), (dyn.Bath("dephase", (0.5 * al.SZ,)), dyn.Bath("again", (np.sqrt(2.0) * al.SM,)))],
+                         ids=["alone", "two-baths"])
+def test_monitoring_model_is_built_from_its_parts(mode, eta, extra):
+    """The generator holds the monitor bath sqrt(kappa) c first and the extra
+    baths after it, one of which here repeats the monitored operator; the
+    unmonitored jumps are the extra baths' own, and a replaced model builds
+    its generator anew with no record step kept."""
+    h, kappa = 0.4 * al.SX, 2.0
+    model = tr.monitoring_model(h, al.SM, kappa, eta, mode, extra)
+    want = dyn.LindbladGenerator(h, (dyn.Bath("monitor", (np.sqrt(kappa) * al.SM,)),) + extra)
+    assert np.array_equal(model.gen.superop, want.superop)
+    assert np.array_equal(model.gen.no_jump, want.no_jump)
+    assert [b.label for b in model.gen.baths] == ["monitor", *(b.label for b in extra)]
+    rest = model.unmonitored_jumps()
+    assert len(rest) == len(extra) and all(j is b.jumps[0] for j, b in zip(rest, extra))
+    model.record_step(1e-3)
+    other = dataclasses.replace(model, eta=0.5)
+    assert other._steps == {} and other.gen is not model.gen and other.eta == 0.5
+    assert np.array_equal(other.gen.superop, want.superop)
+    assert model._steps and not np.array_equal(other.record_step(1e-3).branches, model.record_step(1e-3).branches)
 
 
 def test_counts_are_int8_and_total_beyond_127():
@@ -413,6 +432,22 @@ def test_backward_pass_is_the_hand_recursion_at_d8(mode):
     effect = np.diag(np.linspace(0.0, 1.0, 8))
     effects = getattr(tr, f"backward_{'homodyne' if mode == 'diffusive' else 'counting'}")(model, rec, effect)
     assert np.max(np.abs(effects.mats - hand_effects(model, rec, effect))) < 1e-10
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_coordinates_are_the_complex_product_and_invert_to_matrices(d):
+    """The real-view product gives the complex product's coordinates bit for
+    bit on Hermitian operators, one and stacked, and _to_matrices takes them
+    back to 1e-15 of the largest entry."""
+    basis, g = _accel._hermitian_basis(d), rng(d)
+    for shape in [(), (7,), (3, 5)]:
+        a = g.normal(size=shape + (d, d)) + 1j * g.normal(size=shape + (d, d))
+        op = a + al.dagger(a)
+        want = (op.reshape(shape + (-1,)) @ basis.conj().T).real
+        got = _accel._coordinates(basis, op)
+        assert got.shape == shape + (d * d,) and got.dtype == float
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.max(np.abs(_accel._to_matrices(got, basis) - op)) <= 1e-15 * np.abs(op).max()
 
 
 def adjoint_routes(model, effect, increments):
