@@ -36,6 +36,11 @@ two more GEMM rows, the readout and the trace. Forward counting passes
 run ``_quiet_runs``: between clicks the filter applies the one matrix
 S_quiet, so a trajectory jumps from one click candidate to the next by
 precomputed powers of it, forming states only where it clicks or is sampled.
+A drawn pass hands it a draw source (``Uniforms``) in place of an
+(n_traj, steps) array of uniforms: the candidate screen draws about
+_BUDGET uniforms at a time, whole rows in row order, and keeps only each
+candidate's column, step and uniform, so its clicks are those of one
+whole draw.
 The backward passes of ``trajectories`` step the transposed real branches,
 which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
 forward and backward are exact adjoints by construction. A backward pass
@@ -47,8 +52,12 @@ Doubling costs |R|³ per step against the loop's |R|², so larger sectors
 run the loop of ``_paths``, and so does a batch of records, a record per
 column, which shares each step's Python overhead. A backward pass keeps
 the effect at every step, so jumping between clicks would skip nothing.
-The caller draws the noise; reductions across trajectories happen
-outside the kernels.
+The caller draws the noise, and reductions across trajectories happen
+outside the kernels. A caller may split a diffusive batch into row blocks,
+one call each: the GEMM computes a column alike in any block cut at a
+multiple of 8 columns, while a one-column block runs gemv and, on sectors
+of 16 coordinates or more, a block of another width changes the bits of
+its columns.
 
 The kernel steps only the reachable sector of its start, ρ0 forward or E_f
 backward, or of the union of its starts' supports: the coordinates that
@@ -125,7 +134,7 @@ def _coordinates(basis: np.ndarray, op) -> np.ndarray:
     return op.reshape(op.shape[:-2] + (-1,)).view(float) @ basis.view(float).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecordStep:
     """Per-outcome superoperators of one record step on row-major vec(rho), and their real form.
 
@@ -203,11 +212,31 @@ def _sample_positions(steps: int, sample_indices) -> np.ndarray:
     return pos
 
 
+@dataclass(frozen=True)
+class Uniforms:
+    """The uniform draws of an (n, steps) batch of count trajectories, made as they are read.
+
+    ``rows`` draws the next rows from noise. ``_quiet_runs`` reads each row
+    once, in row order, so the draws are those of one ``noise.random(shape)``
+    call bit for bit, and it holds about _BUDGET of them at a time.
+    """
+
+    noise: np.random.Generator
+    shape: tuple
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1, drawn now; each call must start where the last one stopped."""
+        return self.noise.random((stop - start, self.shape[1]))
+
+
 _BLOCK = 32  # steps per staged block of record columns
 # Quiet steps a counting anchor may lie behind its column. A quiet step keeps at least (1 - p/2)² ≥ 1/4
 # of a state's trace at a total jump probability p ≤ 1, so 4^-_RENEW of it stays inside the double range.
 _RENEW = 8 * _BLOCK
-_BUDGET = 1 << 17  # bytes of screened draws, or of sampled states, a counting pass holds at once
+_BUDGET = 1 << 17  # draws a counting screen holds at once, and bytes of sampled states
 
 _COLLAPSE = {
     "diffusive": "a trajectory collapsed to zero trace; reduce dt",
@@ -402,15 +431,16 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
     are its clicks, which all fire, so it moves and renews its anchors where
     its simulation did, in the same rounds, and repeats it bit for bit.
     Sampled states, and each column's end state, are read from the last
-    anchor at or before them. The screen for candidates and the sampled
-    states take _BUDGET bytes at a time.
+    anchor at or before them. The screen reads incr, an array or a
+    ``Uniforms`` source that draws as it is read, about _BUDGET entries at
+    a time, whole rows in row order, and keeps each candidate's (column,
+    step, u) only; the sampled states take _BUDGET bytes at a time.
 
     States are the per-step loop's to rounding, and so are the outcomes
     unless a uniform lies within rounding of its probability. A firing jump
     probability above 1 raises, as do a power of Q that overflows and a
     taken branch of zero weight.
     """
-    incr = np.ascontiguousarray(incr, dtype=float)
     n, steps = incr.shape
     _sample_positions(steps, sample_indices)  # checks the indices
     grid = np.append(np.asarray(sample_indices, dtype=np.int64).reshape(-1), steps)  # each end is checked too
@@ -453,18 +483,23 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
         return np.divide(states, trace, out=states)
 
     if from_record:
-        outcomes = incr.astype(np.int8)
+        outcomes = np.array(incr, dtype=np.int8)
         test, edge = np.greater, 0.0
     else:
         outcomes = np.zeros((n, steps), dtype=np.int8)  # an int8 0/1 per step; sums promote to int64
         test, edge = np.less, eigenvalues(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
         lead = strides[:-1] @ np.stack([sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])], axis=1)
         probes = (powers[None, :-1] @ lead[:, None]).reshape(_RENEW, r, 2)  # [(Q^m)ᵀ g, (Q^m)ᵀ 1_diag]
+    read = incr.rows if isinstance(incr, Uniforms) else lambda a, b: incr[a:b]
     chunk = max(1, _BUDGET // max(steps, 1))  # rows whose screen fits the budget
-    flat = np.concatenate([np.flatnonzero(test(incr[c0:c0 + chunk], edge)) + c0 * steps
-                           for c0 in range(0, n, chunk)])
+    flat, u = [], []
+    for c0 in range(0, n, chunk):  # in row order, as a draw source makes its rows
+        rows = read(c0, min(n, c0 + chunk))
+        hits = np.flatnonzero(test(rows, edge))
+        flat.append(hits + c0 * steps)
+        u.append(rows.ravel().take(hits))
+    flat, u = np.concatenate(flat), np.concatenate(u)
     col, k = np.divmod(flat, max(steps, 1))  # candidates by column, then step
-    u = incr.ravel().take(flat)
 
     anchor = np.broadcast_to(sec.start, (n, r)).copy()
     since = np.zeros(n, dtype=np.int64)  # each anchor's grid index
@@ -596,7 +631,8 @@ def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     """Filter jump trajectories from one click candidate to the next; returns (sampled states, counts).
 
     rho0 is one state or a stack (n_traj, d, d), a start per trajectory.
-    incr (n_traj, steps) holds per-step uniform draws, or recorded 0/1
-    count sequences when from_record is true.
+    incr (n_traj, steps) holds per-step uniform draws, as an array or a
+    ``Uniforms`` source, or recorded 0/1 count sequences when from_record
+    is true.
     """
     return _quiet_runs(step, _on_sector(step, rho0), incr, from_record, sample_indices)

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, apply_adjoint, apply_superop, asoperator, dagger, sandwich_superop, tensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """Outcome-labelled Kraus families, complete as a whole.
 
@@ -32,9 +32,9 @@ class Instrument:
 
     outcomes: tuple
     kraus: tuple
-    superops: np.ndarray = field(init=False, repr=False, compare=False)
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
-    completeness_defect: float = field(init=False, repr=False, compare=False)
+    superops: np.ndarray = field(init=False, repr=False)
+    superop: np.ndarray = field(init=False, repr=False)
+    completeness_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(str(m) for m in self.outcomes)
@@ -90,12 +90,12 @@ class Instrument:
         return Instrument(self.outcomes, self.kraus[:i] + (mixed,) + self.kraus[i + 1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Trace-preserving Kraus map: the one-outcome instrument of its (a, d, d) Kraus family."""
 
     kraus: tuple
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ins = Instrument(("channel",), (self.kraus,))
@@ -195,7 +195,7 @@ def compose_preprocess(ins: Instrument, lam: Channel) -> Instrument:
     return _stack(ins.outcomes, _families(ops, [len(fam) * len(lam.kraus) for fam in ins.kraus]), maps)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dilation:
     """Unitary ancilla model of an instrument.
 

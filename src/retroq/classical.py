@@ -14,6 +14,7 @@ row stochastic, ``transition[x, y] = P(y | x)``. All smoothed marginals are
 normalized per step.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ PROB_TOL = 1e-12
 ENUMERATION_CAP = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmmModel:
     """Hidden Markov model with per-symbol likelihood weights.
 
@@ -150,6 +151,12 @@ def _transition_channel(t: np.ndarray, dim: int) -> Channel:
     return Channel(ops)
 
 
+@functools.cache
+def _idle(dim: int) -> LindbladGenerator:
+    """The zero generator on dim levels, built once per dim: every smoothing chain's stages run it for duration 0."""
+    return LindbladGenerator(np.zeros((dim, dim)), ())
+
+
 def smoothing_chain(model: HmmModel, observations) -> ChainSpec:
     """Measurement chain whose stage conditionals are the HMM smoothed marginals.
 
@@ -167,7 +174,7 @@ def smoothing_chain(model: HmmModel, observations) -> ChainSpec:
     obs = _check_observations(model, observations)
     n = model.n_states
     dim = n + 1
-    gen = LindbladGenerator(np.zeros((dim, dim)), ())
+    gen = _idle(dim)
     lam = _transition_channel(model.transition, dim)
     weights = model.likelihood[obs]
     scale = weights.max(axis=1, keepdims=True)
@@ -193,7 +200,7 @@ def smoothing_chain(model: HmmModel, observations) -> ChainSpec:
     return ChainSpec(rho, stages, gen, 0.0, effect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearGaussianModel:
     """Discrete-time linear-Gaussian state space.
 

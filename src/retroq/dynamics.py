@@ -31,7 +31,7 @@ PROJECTION_FAIL_TOL = 1e-10
 _GRID_TOL = 1e-9  # a time t is on grid point g when |t - g| <= _GRID_TOL * max(1, |g|)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bath:
     """One dissipation channel: jump operators with rates absorbed (sqrt(rate) * op).
 
@@ -53,7 +53,7 @@ class Bath:
         object.__setattr__(self, "jumps", ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """L(rho) = G rho + rho G† + sum_K K rho K† over every bath's jumps K, hbar = 1.
 
@@ -63,8 +63,8 @@ class LindbladGenerator:
 
     hamiltonian: np.ndarray
     baths: tuple = ()
-    no_jump: np.ndarray = field(init=False, repr=False, compare=False)
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    no_jump: np.ndarray = field(init=False, repr=False)
+    superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = asoperator(self.hamiltonian)
@@ -106,7 +106,7 @@ class LindbladGenerator:
         return apply_adjoint(self.superop, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Timeline:
     """Operators sampled on a uniform grid; kind is 'state' or 'effect'.
 

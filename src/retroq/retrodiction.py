@@ -20,7 +20,7 @@ NULL_TOL = 1e-12
 CHAIN_DT = 1e-3  # the RK4 step of every evolution of a chain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPair:
     """Forward-propagated state at t- together with the backward effect at t+.
 
@@ -119,7 +119,7 @@ class Stage:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Initial state, measured stages, closing evolution, final effect.
 

@@ -48,10 +48,11 @@ from .thermo import (
 from .trajectories import (
     MeasurementRecord,
     PqsPair,
+    _collect,
+    _drawn,
     backward_counting,
     backward_homodyne,
     ensemble_counting,
-    ensemble_homodyne,
     enumerate_counting,
     monitoring_model,
     replay_counting,
@@ -89,7 +90,7 @@ def _at_most(name, actual, bound, tag) -> Assertion:
     return Assertion(name, actual, float(bound), 0.0, actual <= bound, tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioReport:
     name: str
     values: dict
@@ -116,6 +117,23 @@ class ScenarioReport:
 def _substreams(seed: int, n: int) -> list:
     gen = np.random.default_rng(np.random.Philox(int(seed)))
     return [int(s) for s in gen.integers(0, 2**62, size=n)]
+
+
+def _merged(moments: tuple, x: np.ndarray) -> tuple:
+    """(count, mean, sum of squared deviations) of the values seen so far, with those of x merged in.
+
+    x is overwritten by its squared deviations, so a part takes no
+    temporary of its size, and the pairwise update of Chan, Golub & LeVeque
+    (Am. Stat. 37, 242, 1983) merges the parts. From (0, 0.0, 0.0), one
+    part gives the bytes of x.mean() and of x.var(ddof=1) times x.size - 1.
+    """
+    n_a, mean_a, m2_a = moments
+    mean_b = x.mean()
+    dev = np.subtract(x, mean_b, out=x)
+    dev *= dev
+    n = n_a + x.size
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (x.size / n), m2_a + dev.sum() + delta * delta * (n_a * x.size / n)
 
 
 def _check_n_traj(n_traj: int) -> None:
@@ -386,16 +404,20 @@ def scenario_homodyne_cavity(
     s_ens, s_path, s_eta0 = _substreams(seed, 3)
     model = monitoring_model(np.zeros((2, 2)), SM, kappa, eta)
     sample_times = [k * horizon / 10.0 for k in range(1, 11)]
-    ens = ensemble_homodyne(model, EXCITED, horizon, dt, n_traj, s_ens, sample_times)
-    pops = ens.states[:, :, 1, 1].real
+    # the ensemble of ensemble_homodyne, reduced a row block at a time: a block's draws are its innovations
+    times, _, n, blocks = _drawn(model, EXCITED, horizon, dt, s_ens, n_traj, sample_times)
+    pops, moments = np.empty((n, times.size)), (0, 0.0, 0.0)
+    for rows, states, dws, dys in blocks:
+        pops[rows] = states[:, :, 1, 1].real
+        moments = _merged(moments, dws)
+        del dws, dys  # before the next block is drawn
     mean_pop = pops.mean(axis=0)
     se_pop = pops.std(axis=0, ddof=1) / np.sqrt(n_traj)
-    exact = np.exp(-kappa * ens.sample_times)
+    exact = np.exp(-kappa * times)
     zs = np.abs(mean_pop - exact) / se_pop
-    dws = ens.innovations
-    dw_mean = float(dws.mean())
-    dw_var = float(dws.var(ddof=1))
-    dw_se = float(np.sqrt(dw_var) / np.sqrt(dws.size))
+    count, dw_mean, dw_m2 = moments
+    dw_mean, dw_var = float(dw_mean), float(dw_m2 / (count - 1))
+    dw_se = float(np.sqrt(dw_var) / np.sqrt(count))
     values = {
         "max_decay_z": float(zs.max()),
         "innovation_mean": dw_mean,
@@ -434,7 +456,7 @@ def scenario_homodyne_cavity(
         _at_most("unmonitored_smoothing_gap", abs(sm0 - fil0), 5e-3, "deterministic-limit"),
     ]
     table = (["time", "mean_excited", "stderr", "exact"],
-             list(zip(ens.sample_times, mean_pop, se_pop, exact)))
+             list(zip(times, mean_pop, se_pop, exact)))
     return ScenarioReport(
         "homodyne-cavity", values, tuple(assertions), {"homodyne_cavity.csv": table}
     )
@@ -607,9 +629,11 @@ def scenario_thermal_qubit(
     assertions.append(_at_most("first_law_pointwise", first_law, 1e-6, "two-route"))
     monitor = monitoring_model(ham, SZ, monitor_kappa, 1.0, extra_baths=(bath,))
     sample_times = [k * monitor_horizon / 10.0 for k in range(11)]
-    ens = ensemble_homodyne(monitor, rho0, monitor_horizon, 1e-3, n_traj, s_mon, sample_times)
-    ens_spec = state_spectrum(ens.states)
-    sdots = np.gradient(von_neumann_entropy(ens_spec), ens.sample_times, axis=1)
+    # the sampled states of ensemble_homodyne, kept a row block at a time
+    times, _, n, blocks = _drawn(monitor, rho0, monitor_horizon, 1e-3, s_mon, n_traj, sample_times)
+    (ens_states,) = _collect(n, blocks, (0,))
+    ens_spec = state_spectrum(ens_states)
+    sdots = np.gradient(von_neumann_entropy(ens_spec), times, axis=1)
     expr = sdots + beta * heat_current(gen, "bath", ens_spec)
     cond_mean = expr.mean(axis=0)
     cond_se = expr.std(axis=0, ddof=1) / np.sqrt(n_traj)
@@ -632,7 +656,7 @@ def scenario_thermal_qubit(
                              rep.heat_currents["bath"], rep.clausius_gap]),
         ),
         "conditional_clausius.csv": (
-            ["time", "mean", "stderr"], list(zip(ens.sample_times, cond_mean, cond_se))
+            ["time", "mean", "stderr"], list(zip(times, cond_mean, cond_se))
         ),
     }
     return ScenarioReport("thermal-qubit", values, tuple(assertions), tables)

@@ -67,14 +67,20 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
 
 
 def relative_entropy(rho, sigma) -> float | np.ndarray:
-    """D(rho||sigma) in nats; +inf where rho leaks outside sigma's support."""
+    """D(rho||sigma) in nats; +inf where rho leaks outside sigma's support.
+
+    An eigenvalue of sigma lies outside its support only at or below
+    LOG_FLOOR, where its log is clipped, so a cold Gibbs sigma keeps a
+    finite D while its populations stay above LOG_FLOOR; rho leaks where
+    more than SUPPORT_TOL of its weight lies outside the support.
+    """
     wr, vr = state_spectrum(rho)
     ws, vs = state_spectrum(sigma)
     if wr.shape[-1] != ws.shape[-1]:
         raise ValueError(f"dimension mismatch: {wr.shape[-1]} vs {ws.shape[-1]}")
     # populations of rho in sigma's eigenbasis
     pops = np.einsum("...ki,...i->...k", np.abs(dagger(vs) @ vr) ** 2, wr)
-    leak = np.where(ws <= SUPPORT_TOL, pops, 0.0).sum(axis=-1)
+    leak = np.where(ws <= LOG_FLOOR, pops, 0.0).sum(axis=-1)
     val = (wr * _log(wr)).sum(axis=-1) - (pops * _log(ws)).sum(axis=-1)
     val = np.where(val > -1e-10, np.maximum(val, 0.0), val)
     return _float_or_array(np.where(leak > SUPPORT_TOL, np.inf, val))
@@ -175,7 +181,7 @@ def _clausius_gap(times, entropy, currents: dict, betas: dict) -> np.ndarray:
     return gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoReport:
     """Per-time entropic quantities for one forward timeline.
 

@@ -10,7 +10,12 @@ model wherever that retrodiction is enumerable.
 Every pass reads one record-step object (``_accel.record_step``), which
 the model builds once per dt and keeps (``MonitoringModel.record_step``).
 The forward filter, replay and the ensembles share one body (``_filter``)
-and their mode's forward kernel, which steps the real branch matrices:
+and their mode's forward kernel. Drawn passes (``_drawn``) hold no
+(n_traj, steps) array they do not return: diffusive ensembles run in row
+blocks of at most _ROW_BYTES per (rows, steps) float array, cut at
+multiples of _ROW_CUT rows, and counting ones draw their uniforms as the
+kernel screens them. The ensembles join the blocks; a scenario can reduce
+them one at a time instead. The kernels step the real branch matrices:
 the per-step loop ``_accel._paths`` for currents, and for counts
 ``_accel._quiet_runs``, which jumps each trajectory from one click
 candidate to the next by precomputed powers of the no-click branch. A
@@ -56,16 +61,18 @@ from .retrodiction import BoundaryPair, abl_distribution
 MODES = ("diffusive", "counting")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonitoringModel:
     """Open system with one monitored channel sqrt(kappa) c, detected at efficiency eta.
 
     The model builds its generator ``gen`` from its parts: the "monitor"
     bath sqrt(kappa) c first, then the unmonitored extra_baths in order, so
     the monitored channel is known by construction and never looked up.
-    ``gen`` is kept outside comparison and repr, and so are the record
-    steps, kept per dt (``record_step``); ``dataclasses.replace`` rebuilds
-    ``gen`` and starts with no step. ``monitoring_model`` names this class.
+    ``gen`` is kept outside repr, and so are the record steps, kept per dt
+    (``record_step``); ``dataclasses.replace`` rebuilds ``gen`` and starts
+    with no step. Like every frozen class here whose fields hold arrays, a
+    model compares and hashes by identity. ``monitoring_model`` names this
+    class.
     """
 
     hamiltonian: np.ndarray
@@ -74,8 +81,8 @@ class MonitoringModel:
     eta: float = 1.0
     mode: str = "diffusive"
     extra_baths: tuple = ()
-    gen: LindbladGenerator = field(init=False, compare=False, repr=False)
-    _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    gen: LindbladGenerator = field(init=False, repr=False)
+    _steps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -114,7 +121,7 @@ class MonitoringModel:
 monitoring_model = MonitoringModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Uniform-grid record: real dY per step (diffusive) or 0/1 counts, stored as int8 (counting).
 
@@ -232,35 +239,93 @@ def _trajectory_count(n_traj) -> int:
     return int(count)
 
 
-def _filter(model, rho0, horizon=None, dt=None, seed=None, n_traj=None, sample_times=None, record=None):
-    """Run the mode's record kernel; returns (times, dt, states, draws, outcomes).
+_ROW_BYTES = 32 << 20  # bytes of each (rows, steps) float array a drawn row block holds
+_ROW_CUT = 64  # blocks are cut at multiples of this many rows, where GEMM columns keep their bits (``_drawn``)
 
-    A record gives the grid and the outcomes. Otherwise the grid runs from 0
-    to horizon in steps of dt and the outcomes are drawn from the mode's
-    noise, which a counter-based generator draws from seed, so a seed pins
-    every trajectory: dW ~ Normal(0, dt) per step for diffusive records, a
-    uniform per step for counting ones. A single path (n_traj None) keeps
+
+def _row_blocks(n: int, steps: int) -> list:
+    """Row slices of a drawn batch of n trajectories over steps steps, in row order.
+
+    Each block but the last holds a multiple of _ROW_CUT rows whose
+    (rows, steps) float arrays fit _ROW_BYTES; the last takes the rest,
+    including the n % _ROW_CUT rows that would make a narrow block.
+    """
+    rows = max(1, _ROW_BYTES // (8 * steps * _ROW_CUT)) * _ROW_CUT
+    starts = list(range(0, max(n - n % _ROW_CUT, 1), rows))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _filter(model, step, rho, incr, from_record, sample_indices):
+    """Run the mode's record kernel over a batch, a trajectory per row of incr; returns (states, outcomes)."""
+    kernel = _accel.homodyne_paths if model.mode == "diffusive" else _accel.counting_paths
+    return kernel(step, rho, incr, from_record, sample_indices)
+
+
+def _drawn(model, rho0, horizon, dt, seed, n_traj=None, sample_times=None):
+    """Filter trajectories drawn from seed, a row block at a time; returns (times, dt, n, blocks).
+
+    The grid runs from 0 to horizon in steps of dt, and the outcomes are
+    drawn from the mode's noise by a counter-based generator, so a seed
+    pins every trajectory: dW ~ Normal(0, dt) per step for diffusive
+    records, a uniform per step for counting ones, which the kernel draws as
+    it screens them (``_accel.Uniforms``). A single path (n_traj None) keeps
     the state at every grid point, an ensemble of n_traj paths keeps it at
     sample_times (``_resolve_samples``); times are those of the kept states.
-    A batch record filters a trajectory per row; rho0 is one state, or a
-    stack with one state per trajectory. Every call reads the model's
-    record step for its dt, built on the first.
+    rho0 is one state, or a stack with one state per trajectory.
+
+    blocks yields (rows, states, draws, outcomes) for each row block in
+    order, the rows a slice. Diffusive batches run in the blocks of
+    ``_row_blocks``, each drawn from the one generator after the last, so
+    the draws are one (n, steps) draw's bit for bit, and so is every
+    trajectory: the kernel's GEMM computes a column alike in any block cut
+    at a multiple of 8 columns, and no block is one column wide (a gemv).
+    The one exception measured (OpenBLAS 0.3.31) is a batch's n % 8 last
+    columns on a sector of 16 coordinates or more, when the whole batch's
+    product and its last block's fall on two sides of the BLAS's
+    small-matrix cut-off, near 10⁶ multiply-adds; they agree to rounding.
+    So do blocks with per-trajectory starts, which step their own starts'
+    sector. Counting batches run as one block: their uniforms are drawn as
+    the kernel screens them (``_accel.Uniforms``), so no (n, steps) float
+    array is held, and their kernel groups columns by their power of the
+    quiet branch, which a block would regroup. The arguments are checked
+    before the first block is drawn.
     """
-    if record is None:
-        _warn_coarse(model, dt)
-        times, h = _grid(0.0, horizon, dt)
-        shape = (1 if n_traj is None else _trajectory_count(n_traj), times.size - 1)
-        noise = np.random.Generator(np.random.Philox(int(seed)))
-        draws = (noise.normal(0.0, np.sqrt(h), size=shape) if model.mode == "diffusive"
-                 else noise.random(size=shape))
-    else:
-        times, h, draws = record.times, record.dt, np.atleast_2d(record.increments)
+    _warn_coarse(model, dt)
+    times, h = _grid(0.0, horizon, dt)
+    n, steps = 1 if n_traj is None else _trajectory_count(n_traj), times.size - 1
     idx = np.arange(times.size) if n_traj is None else _resolve_samples(times, sample_times)
-    kernel = _accel.homodyne_paths if model.mode == "diffusive" else _accel.counting_paths
-    states, outcomes = kernel(
-        model.record_step(h), _initial_state(model, rho0, len(draws)), draws, record is not None, idx
-    )
-    return times[idx], h, states, draws, outcomes
+    rho = _initial_state(model, rho0, n)
+    step = model.record_step(h)
+    noise = np.random.Generator(np.random.Philox(int(seed)))
+
+    def block(rows):  # holds nothing once it returns, so a block is freed as soon as its reader drops it
+        shape = (rows.stop - rows.start, steps)
+        draws = (noise.normal(0.0, np.sqrt(h), size=shape) if model.mode == "diffusive"
+                 else _accel.Uniforms(noise, shape))
+        states, outcomes = _filter(model, step, rho if rho.ndim == 2 else rho[rows], draws, False, idx)
+        return rows, states, draws, outcomes
+
+    return times[idx], h, n, map(block, _row_blocks(n, steps) if model.mode == "diffusive" else [slice(0, n)])
+
+
+def _collect(n: int, blocks, fields) -> list:
+    """The fields of each (rows, states, draws, outcomes) block of ``_drawn``, each joined into one (n, ...) array.
+
+    fields indexes (states, draws, outcomes). A single block's arrays are
+    returned as they are, without a copy; otherwise a block is dropped once
+    it is copied, before the next is drawn.
+    """
+    whole = None
+    for rows, *arrays in blocks:
+        arrays = [arrays[f] for f in fields]
+        if rows == slice(0, n):
+            return arrays
+        if whole is None:
+            whole = [np.empty((n,) + a.shape[1:], a.dtype) for a in arrays]
+        for i, out in enumerate(whole):
+            out[rows] = arrays[i]
+        del arrays
+    return whole
 
 
 def simulate_homodyne(model, rho0, horizon, dt, seed):
@@ -271,14 +336,21 @@ def simulate_homodyne(model, rho0, horizon, dt, seed):
     a counter-based generator, so a seed pins the whole trajectory.
     """
     _require_mode(model, "diffusive")
-    times, _, states, _, dys = _filter(model, rho0, horizon, dt, seed)
+    times, _, _, blocks = _drawn(model, rho0, horizon, dt, seed)
+    ((_, states, _, dys),) = blocks
     return Timeline(times, states[0], "state"), MeasurementRecord("diffusive", times, dys[0])
 
 
 def _replay(model, rho0, record: MeasurementRecord) -> Timeline:
-    """States on the record's grid: (steps+1, d, d), or (n, steps+1, d, d) for a batch of n records."""
-    times, _, states, _, _ = _filter(model, rho0, record=record)
-    return Timeline(times, states if record.increments.ndim == 2 else states[0], "state")
+    """States on the record's grid: (steps+1, d, d), or (n, steps+1, d, d) for a batch of n records.
+
+    The mode's kernel filters a record per row and reads the model's record
+    step for the record's dt, built on the first pass.
+    """
+    incr = np.atleast_2d(record.increments)
+    states, _ = _filter(model, model.record_step(record.dt), _initial_state(model, rho0, len(incr)),
+                        incr, True, np.arange(record.times.size))
+    return Timeline(record.times, states if record.increments.ndim == 2 else states[0], "state")
 
 
 def replay_homodyne(model, rho0, record: MeasurementRecord) -> Timeline:
@@ -350,7 +422,8 @@ def simulate_counting(model, rho0, horizon, dt, seed):
     Undetected emissions, at rate (1 - eta) kappa, enter the quiet branch.
     """
     _require_mode(model, "counting")
-    times, _, states, _, counts = _filter(model, rho0, horizon, dt, seed)
+    times, _, _, blocks = _drawn(model, rho0, horizon, dt, seed)
+    ((_, states, _, counts),) = blocks
     return Timeline(times, states[0], "state"), MeasurementRecord("counting", times, counts[0])
 
 
@@ -403,7 +476,7 @@ def innovations(model, states: Timeline, record: MeasurementRecord) -> np.ndarra
     return record.increments - np.sqrt(model.eta * model.kappa) * xbars * record.dt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountingEnumeration:
     """Exact joint weights of every count record on a short grid."""
 
@@ -472,7 +545,7 @@ def enumerate_counting(model, rho0, effect_final, steps, dt) -> CountingEnumerat
     return CountingEnumeration(model, rho0, ef, h, int(count), weights, ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomodyneEnsemble:
     """Sampled states, currents, and the drawn innovations dW of many trajectories.
 
@@ -487,7 +560,7 @@ class HomodyneEnsemble:
     dt: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountingEnsemble:
     sample_times: np.ndarray
     states: np.ndarray
@@ -500,16 +573,18 @@ class CountingEnsemble:
 
 
 def ensemble_homodyne(model, rho0, horizon, dt, n_traj, seed, sample_times=None):
-    """Many diffusive trajectories filtered as one batch."""
+    """Many diffusive trajectories, filtered a row block at a time and joined (``_drawn``)."""
     _require_mode(model, "diffusive")
-    times, h, states, dws, dys = _filter(model, rho0, horizon, dt, seed, n_traj, sample_times)
+    times, h, n, blocks = _drawn(model, rho0, horizon, dt, seed, n_traj, sample_times)
+    states, dws, dys = _collect(n, blocks, (0, 1, 2))
     return HomodyneEnsemble(times, states, dys, dws, h)
 
 
 def ensemble_counting(model, rho0, horizon, dt, n_traj, seed, sample_times=None):
-    """Many jump trajectories filtered as one batch."""
+    """Many jump trajectories filtered as one batch, their uniforms drawn as they are screened (``_drawn``)."""
     _require_mode(model, "counting")
-    times, h, states, _, counts = _filter(model, rho0, horizon, dt, seed, n_traj, sample_times)
+    times, h, n, blocks = _drawn(model, rho0, horizon, dt, seed, n_traj, sample_times)
+    states, counts = _collect(n, blocks, (0, 2))
     return CountingEnsemble(times, states, counts, h)
 
 

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,15 +137,62 @@ def test_epr_off_maximum_settings_still_pass():
     assert abs(rep.values["correlator_a0b0"] - np.cos(0.3)) < 1e-12
 
 
-def test_homodyne_cavity_small_ensemble():
-    rep = sc.run_scenario("homodyne-cavity", n_traj=400, horizon=0.4, dt=1e-3, seed=4)
-    assert rep.passed
-    assert 0.0 < rep.values["pairing_ratio_min"] <= 1.0 + 1e-12
-    assert rep.values["innovation_var_rel_err"] < 0.05
-    # one variance pass gives the bytes of separate std and var calls
+def merged_moments(x, blocks):
+    """(count, mean, sum of squared deviations) of x, one numpy pass per row block, merged
+    by the pairwise update of Chan, Golub & LeVeque."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for rows in blocks:
+        part = x[rows]
+        part_mean = part.mean()
+        total = n + part.size
+        delta = part_mean - mean
+        mean, m2 = (mean + delta * (part.size / total),
+                    m2 + ((part - part_mean) ** 2).sum() + delta * delta * (n * part.size / total))
+        n = total
+    return n, mean, m2
+
+
+def test_homodyne_cavity_small_ensemble(monkeypatch):
+    """The scenario reduces its innovations a row block at a time. As one
+    block, 400 trajectories of 400 steps give the bytes of one mean and one
+    variance pass; cut into blocks of 64 rows (the last of 80), they give the
+    bytes of the merged moments, within 1e-13 of the one-pass values."""
     dws = np.random.Generator(np.random.Philox(sc._substreams(4, 3)[0])).normal(0.0, np.sqrt(1e-3), (400, 400))
-    assert rep.values["innovation_mean_z"] == abs(float(dws.mean())) / float(dws.std(ddof=1) / np.sqrt(dws.size))
-    assert rep.values["innovation_var"] == float(dws.var(ddof=1))
+    for row_bytes in (tr._ROW_BYTES, 8 * 400 * 64):
+        monkeypatch.setattr(tr, "_ROW_BYTES", row_bytes)
+        rep = sc.run_scenario("homodyne-cavity", n_traj=400, horizon=0.4, dt=1e-3, seed=4)
+        assert rep.passed
+        assert 0.0 < rep.values["pairing_ratio_min"] <= 1.0 + 1e-12
+        assert rep.values["innovation_var_rel_err"] < 0.05
+        blocks = tr._row_blocks(400, 400)
+        n, mean, m2 = merged_moments(dws, blocks)
+        var = m2 / (n - 1)
+        assert rep.values["innovation_mean"] == mean
+        assert rep.values["innovation_var"] == var
+        assert rep.values["innovation_mean_z"] == abs(mean) / float(np.sqrt(var) / np.sqrt(n))
+        assert rep.values["innovation_var_rel_err"] == abs(var - 1e-3) / 1e-3
+        if len(blocks) == 1:  # one variance pass gives the bytes of separate std and var calls
+            assert rep.values["innovation_mean_z"] == abs(float(dws.mean())) / float(dws.std(ddof=1) / np.sqrt(dws.size))
+            assert rep.values["innovation_var"] == float(dws.var(ddof=1))
+        else:
+            assert [b.stop - b.start for b in blocks] == [64] * 5 + [80]
+            assert abs(var - dws.var(ddof=1)) <= 1e-13 * var and abs(mean - dws.mean()) <= 1e-13 * np.sqrt(var)
+
+
+def test_homodyne_cavity_holds_no_full_size_array(monkeypatch):
+    """2000 trajectories of 1000 steps would take 16 MB per (n_traj, steps)
+    array; reduced in blocks of 128 rows, the scenario peaks below half of
+    one, so full-size draws, currents or a moment temporary held again fail
+    here."""
+    monkeypatch.setattr(tr, "_ROW_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        rep = sc.run_scenario("homodyne-cavity", n_traj=2000, horizon=0.5, dt=5e-4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and len(tr._row_blocks(2000, 1000)) == 16
+    assert peak < 0.5 * 8 * 2000 * 1000
 
 
 def test_homodyne_cavity_rejects_coarse_grid():

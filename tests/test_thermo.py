@@ -41,6 +41,31 @@ def test_relative_entropy_closed_forms_and_support():
     assert th.relative_entropy(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == float("inf")
 
 
+@pytest.mark.parametrize("beta", [30.0, 40.0])
+def test_relative_entropy_of_a_cold_gibbs_state_is_its_closed_form(beta):
+    """sigma = gibbs_state(-σz/2, β) has populations 1/(1 + e^-β) and
+    e^-β/(1 + e^-β), the second far below 1e-12 at β = 30 and 40 but inside
+    the support, so D(diag(0.7, 0.3) || sigma) is finite:
+    0.7 ln 0.7 + 0.3 ln 0.3 + ln(1 + e^-β) + 0.3 β."""
+    sigma = th.gibbs_state(-0.5 * al.SZ, beta)
+    want = 0.7 * np.log(0.7) + 0.3 * np.log(0.3) + np.log1p(np.exp(-beta)) + 0.3 * beta
+    assert abs(th.relative_entropy(np.diag([0.7, 0.3]), sigma) - want) <= 1e-12 * want
+
+
+def test_relative_entropy_is_infinite_outside_an_exact_support():
+    """A sigma with an exactly zero eigenvalue gives +inf for a rho that
+    weighs its null space and a finite D for one that does not, alone and
+    row by row in a stack."""
+    sigma = np.diag([0.5, 0.5, 0.0])
+    assert th.relative_entropy(np.eye(3) / 3.0, sigma) == float("inf")
+    assert th.relative_entropy(np.diag([0.7, 0.3]), np.diag([1.0, 0.0])) == float("inf")
+    inside = np.diag([0.6, 0.4, 0.0])
+    want = 0.6 * np.log(1.2) + 0.4 * np.log(0.8)
+    assert abs(th.relative_entropy(inside, sigma) - want) < 1e-12
+    got = th.relative_entropy(np.stack([inside, np.eye(3) / 3.0]), sigma)
+    assert abs(got[0] - want) < 1e-12 and got[1] == float("inf")
+
+
 def test_relative_entropy_klein_nonnegativity():
     g = rng(3)
     for _ in range(50):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1235,6 +1236,112 @@ def test_fixed_seed_reproduces_ensembles_bitwise():
     assert np.array_equal(a.states, b.states) and np.array_equal(a.counts, b.counts)
 
 
+def test_row_blocks_are_cut_at_multiples_of_64_rows():
+    """Drawn diffusive batches run in blocks of a multiple of 64 rows whose
+    (rows, steps) float arrays fit the byte budget (64 rows at least); the
+    last block takes the rest, so no block is narrower than 64 rows unless
+    the whole batch is."""
+    assert [b.stop - b.start for b in tr._row_blocks(10_000, 2000)] == [2048] * 4 + [1808]
+    assert tr._row_blocks(129, 2000) == [slice(0, 129)]
+    for n in (1, 63, 64, 65, 129, 1000, 4097, 10_001):
+        for steps in (1, 100, 2000, 500_000):
+            blocks = tr._row_blocks(n, steps)
+            rows = max(64, tr._ROW_BYTES // (8 * steps) // 64 * 64)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert all(b.start % 64 == 0 and b.stop - b.start == rows for b in blocks[:-1])
+            assert min(n, 64) <= blocks[-1].stop - blocks[-1].start < rows + 64
+
+
+def dense_model(d, mode, seed=3):
+    """A monitored d-level model with dense complex H and c: every coordinate is reachable."""
+    g = rng(seed)
+    h = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    c = (g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))) / d
+    return tr.monitoring_model(0.3 * (h + h.conj().T), c, 1.0, eta=0.8, mode=mode)
+
+
+def block_cases():
+    """(model maker, start, sector size of the diffusive record): qubit decay,
+    a driven qubit and a seeded dense d = 5 model."""
+    return [
+        (lambda mode: decay_model(eta=0.7, mode=mode), EXCITED, 3),
+        (lambda mode: decay_model(eta=0.7, mode=mode, omega=1.1), EXCITED, 4),
+        (lambda mode: dense_model(5, mode), cavity_state(5), 25),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_row_blocks_give_one_block_bit_for_bit(case, monkeypatch):
+    """With the byte budget cut to 64 rows of 120 steps, ensembles of 129
+    trajectories (blocks of 64 and 65 rows, a one-row remainder) and of 200
+    (64, 64 and 72) run a kernel call per block, and their states, currents,
+    innovations and counts are those of one call bit for bit, on sectors of
+    3, 4 and 25 coordinates. Counting batches run as one block."""
+    make, start, size = block_cases()[case]
+    steps, dt = 120, 2e-3
+    times = dt * np.arange(0, steps + 1, 7)
+    hom, cnt = make("diffusive"), make("counting")
+    assert _accel._on_sector(hom.record_step(dt), start).start.size == size
+    calls = []
+    homodyne_paths = _accel.homodyne_paths
+
+    def spy(step, rho0, incr, from_record, sample_indices):
+        calls.append(len(incr))
+        return homodyne_paths(step, rho0, incr, from_record, sample_indices)
+
+    monkeypatch.setattr(_accel, "homodyne_paths", spy)
+    for n, widths in ((129, [64, 65]), (200, [64, 64, 72])):
+        args = (start, steps * dt, dt, n, 41, times)
+        calls.clear()
+        whole = tr.ensemble_homodyne(hom, *args), tr.ensemble_counting(cnt, *args)
+        with pytest.MonkeyPatch.context() as budget:
+            budget.setattr(tr, "_ROW_BYTES", 8 * steps * 64)
+            blocked = tr.ensemble_homodyne(hom, *args), tr.ensemble_counting(cnt, *args)
+        assert calls == [n] + widths
+        for name in ("states", "dys", "innovations"):
+            assert np.array_equal(getattr(whole[0], name), getattr(blocked[0], name))
+        assert np.array_equal(whole[1].states, blocked[1].states)
+        assert np.array_equal(whole[1].counts, blocked[1].counts) and whole[1].counts.any()
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_counting_draws_are_one_philox_draw(case, monkeypatch):
+    """A Uniforms source drawn in row chunks gives the values of one
+    Generator(Philox(seed)).random((n, steps)) call, and the kernel's
+    screen, reading 3 rows at a time from it, fires and samples exactly as
+    on that whole array."""
+    make, start, _ = block_cases()[case]
+    n, steps, seed = 50, 300, 7
+    source = _accel.Uniforms(np.random.Generator(np.random.Philox(seed)), (n, steps))
+    chunks = np.concatenate([source.rows(a, min(n, a + 3)) for a in range(0, n, 3)])
+    assert np.array_equal(chunks, np.random.Generator(np.random.Philox(seed)).random((n, steps)))
+    assert len(source) == n and source.shape == (n, steps)
+    step = _accel.record_step(make("counting"), 5e-3)
+    monkeypatch.setattr(_accel, "_BUDGET", steps * 3)
+    idx = [0, 17, 150, steps]
+    got = _accel.counting_paths(step, start, _accel.Uniforms(np.random.Generator(np.random.Philox(seed)), (n, steps)),
+                                False, idx)
+    want = _accel.counting_paths(step, start, chunks, False, idx)
+    assert np.array_equal(got[1], want[1]) and got[1].any()
+    assert np.array_equal(got[0], want[0])
+
+
+def test_counting_ensemble_holds_no_uniform_array():
+    """The uniforms of 2000 trajectories of 2000 steps would take 32 MB; the
+    ensemble peaks at its int8 counts, its sampled states and a few MB of
+    working memory, so a whole uniform array held again fails here."""
+    model = decay_model(kappa=1.0, mode="counting", omega=1.3)
+    tracemalloc.start()
+    try:
+        ens = tr.ensemble_counting(model, EXCITED, 2.0, 1e-3, n_traj=2000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.counts.shape == (2000, 2000) and ens.total_counts().sum() > 0
+    assert peak < 0.5 * 8 * ens.counts.size
+
+
 def test_zero_innovation_record_maximizes_likelihood():
     model = decay_model(kappa=1.0, eta=0.8, omega=0.5)
     states, rec = tr.simulate_homodyne(model, EXCITED, 0.1, 1e-3, seed=14)
@@ -1432,7 +1539,8 @@ def test_step_cache_leaves_equality_repr_and_replace_alone():
     model.record_step(1e-3)
     assert repr(model) == before and "_steps" not in before
     same = dataclasses.replace(model)
-    assert same == model  # one with a full cache, one with an empty one
+    assert model == model and same != model  # identity, whatever the caches hold
+    assert not same._steps and repr(same) == before
     other = dataclasses.replace(model, eta=0.5)
     assert other != model
     assert not np.array_equal(other.record_step(1e-3).branches, model.record_step(1e-3).branches)
