@@ -36,11 +36,11 @@ two more GEMM rows, the readout and the trace. Forward counting passes
 run ``_quiet_runs``: between clicks the filter applies the one matrix
 S_quiet, so a trajectory jumps from one click candidate to the next by
 precomputed powers of it, forming states only where it clicks or is sampled.
-A drawn pass hands it a draw source (``Uniforms``) in place of an
-(n_traj, steps) array of uniforms: the candidate screen draws about
-_BUDGET uniforms at a time, whole rows in row order, and keeps only each
-candidate's column, step and uniform, so its clicks are those of one
-whole draw.
+Its candidate screen slices its uniforms about _BUDGET at a time, whole
+rows in row order, and keeps only each candidate's column, step and
+uniform; a drawn pass hands it a source that draws each slice as it is
+read (``trajectories.Uniforms``), so its clicks are those of one whole
+draw and no (n_traj, steps) array of uniforms is held.
 The backward passes of ``trajectories`` step the transposed real branches,
 which in an orthonormal basis are the Hilbert-Schmidt adjoints S†, so
 forward and backward are exact adjoints by construction. A backward pass
@@ -210,26 +210,6 @@ def _sample_positions(steps: int, sample_indices) -> np.ndarray:
         values, counts = np.unique(idx, return_counts=True)
         raise ValueError(f"duplicate sample index {values[counts > 1][0]}")
     return pos
-
-
-@dataclass(frozen=True)
-class Uniforms:
-    """The uniform draws of an (n, steps) batch of count trajectories, made as they are read.
-
-    ``rows`` draws the next rows from noise. ``_quiet_runs`` reads each row
-    once, in row order, so the draws are those of one ``noise.random(shape)``
-    call bit for bit, and it holds about _BUDGET of them at a time.
-    """
-
-    noise: np.random.Generator
-    shape: tuple
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop-1, drawn now; each call must start where the last one stopped."""
-        return self.noise.random((stop - start, self.shape[1]))
 
 
 _BLOCK = 32  # steps per staged block of record columns
@@ -431,10 +411,11 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
     are its clicks, which all fire, so it moves and renews its anchors where
     its simulation did, in the same rounds, and repeats it bit for bit.
     Sampled states, and each column's end state, are read from the last
-    anchor at or before them. The screen reads incr, an array or a
-    ``Uniforms`` source that draws as it is read, about _BUDGET entries at
-    a time, whole rows in row order, and keeps each candidate's (column,
-    step, u) only; the sampled states take _BUDGET bytes at a time.
+    anchor at or before them. The screen slices incr, about _BUDGET entries
+    at a time, whole rows in row order, so a source that draws its rows as
+    they are sliced (``trajectories.Uniforms``) serves as well as an array,
+    and keeps each candidate's (column, step, u) only; the sampled states
+    take _BUDGET bytes at a time.
 
     States are the per-step loop's to rounding, and so are the outcomes
     unless a uniform lies within rounding of its probability. A firing jump
@@ -490,11 +471,10 @@ def _quiet_runs(step: RecordStep, sec: _Sector, incr, from_record, sample_indice
         test, edge = np.less, eigenvalues(step.readout.reshape(d, d))[-1] * (1.0 + 1e-9)
         lead = strides[:-1] @ np.stack([sec.readout, np.repeat([1.0, 0.0], [nd, r - nd])], axis=1)
         probes = (powers[None, :-1] @ lead[:, None]).reshape(_RENEW, r, 2)  # [(Q^m)ᵀ g, (Q^m)ᵀ 1_diag]
-    read = incr.rows if isinstance(incr, Uniforms) else lambda a, b: incr[a:b]
     chunk = max(1, _BUDGET // max(steps, 1))  # rows whose screen fits the budget
     flat, u = [], []
     for c0 in range(0, n, chunk):  # in row order, as a draw source makes its rows
-        rows = read(c0, min(n, c0 + chunk))
+        rows = incr[c0:c0 + chunk]
         hits = np.flatnonzero(test(rows, edge))
         flat.append(hits + c0 * steps)
         u.append(rows.ravel().take(hits))
@@ -631,8 +611,9 @@ def counting_paths(step: RecordStep, rho0, incr, from_record, sample_indices):
     """Filter jump trajectories from one click candidate to the next; returns (sampled states, counts).
 
     rho0 is one state or a stack (n_traj, d, d), a start per trajectory.
-    incr (n_traj, steps) holds per-step uniform draws, as an array or a
-    ``Uniforms`` source, or recorded 0/1 count sequences when from_record
-    is true.
+    incr (n_traj, steps) holds recorded 0/1 count sequences when
+    from_record is true, and per-step uniform draws otherwise: an array,
+    or anything with its shape whose row slices, taken in row order, are
+    its rows (``trajectories.Uniforms``).
     """
     return _quiet_runs(step, _on_sector(step, rho0), incr, from_record, sample_indices)

@@ -41,11 +41,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of A (or of any matrix in a stack) from its Hermitian part."""
-    return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-
-
 def sandwich_superop(x, y) -> np.ndarray:
     """Row-major matrix of rho -> sum_a x_a rho y_a†, so vec(x rho y†) = (x ⊗ ȳ) vec(rho).
 

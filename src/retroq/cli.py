@@ -10,9 +10,10 @@ config and seed give byte-identical bytes; timestamps live only in the
 manifest), `manifest.json` (tool version, config hash, seed, wall-clock
 stamps, pass/fail summary), and the CSV tables its report carries. `run`
 and `verify-all` run each scenario and write its report and tables through
-one function. The output directory comes from --out, else the RETROQ_OUT
-environment variable, else ./runs/<scenario>; verify-all puts each scenario
-in a subdirectory of that root and its manifest at the root.
+one function. The output root is the RETROQ_OUT environment variable,
+else ./runs (``_out_root``). `run` writes to --out, else to <root>/<scenario>;
+verify-all writes each scenario to <root>/<scenario> and its manifest to the
+root, where --out, if given, is the root.
 """
 
 import argparse
@@ -78,13 +79,9 @@ def _check_params(name: str, params: dict) -> None:
     params.update(lists)
 
 
-def _resolve_out(flag, scenario: str) -> str:
-    if flag:
-        return flag
-    env = os.environ.get("RETROQ_OUT")
-    if env:
-        return os.path.join(env, scenario)
-    return os.path.join("runs", scenario)
+def _out_root() -> str:
+    """The output root when --out is not given: $RETROQ_OUT, else ./runs."""
+    return os.environ.get("RETROQ_OUT") or "runs"
 
 
 def _sha256(data: bytes) -> str:
@@ -170,7 +167,7 @@ def cmd_run(name: str, config_path, seed, out_flag) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    out_dir = _resolve_out(out_flag, name)
+    out_dir = out_flag or os.path.join(_out_root(), name)
     report = _run_and_write(name, params, seed, out_dir)
     if report is None:
         return 2
@@ -186,10 +183,10 @@ def cmd_run(name: str, config_path, seed, out_flag) -> int:
 
 def cmd_verify_all(seed, out_flag) -> int:
     started = _utc_now()
+    root = out_flag or _out_root()
     reports = []
     for name in SCENARIOS:
-        out_dir = _resolve_out(os.path.join(out_flag, name) if out_flag else None, name)
-        report = _run_and_write(name, {}, seed, out_dir)
+        report = _run_and_write(name, {}, seed, os.path.join(root, name))
         if report is None:
             return 2
         reports.append(report)
@@ -200,7 +197,6 @@ def cmd_verify_all(seed, out_flag) -> int:
         for a in report.assertions:
             mark = "pass" if a.passed else "FAIL"
             print(f"  {report.name}/{a.name}: {a.tag} [{mark}]")
-    root = out_flag or os.environ.get("RETROQ_OUT") or "runs"
     os.makedirs(root, exist_ok=True)
     _write_manifest(root, _sha256(b""), seed if seed is not None else 0, started, reports)
     ok = all(r.passed for r in reports)
@@ -222,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario")
     run.add_argument("--config", help="JSON parameter file with a schema_version field")
     run.add_argument("--seed", type=int, help="override the seed of a scenario that takes one")
-    run.add_argument("--out", help="output directory (else $RETROQ_OUT, else ./runs/<scenario>)")
+    run.add_argument("--out", help="output directory (else <root>/<scenario>; the root is $RETROQ_OUT, else ./runs)")
     ver = sub.add_parser("verify-all", help="run every scenario with default parameters")
     ver.add_argument("--seed", type=int, help="override the seed of every scenario that takes one")
-    ver.add_argument("--out", help="root output directory")
+    ver.add_argument("--out", help="root output directory (else $RETROQ_OUT, else ./runs)")
     return parser
 
 

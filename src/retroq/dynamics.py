@@ -129,10 +129,6 @@ class Timeline:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "mats", m)
 
-    @property
-    def dim(self) -> int:
-        return self.mats.shape[-1]
-
     def index(self, t: float) -> int:
         return int(_grid_indices(self.times, t))
 

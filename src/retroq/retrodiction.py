@@ -151,10 +151,6 @@ class ChainSpec:
         object.__setattr__(self, "effect_final", e)
         object.__setattr__(self, "stages", stages)
 
-    @property
-    def dim(self) -> int:
-        return self.rho_i.shape[0]
-
 
 def chain_joint(spec: ChainSpec, outcomes) -> float:
     """Joint probability of one full outcome tuple by forward composition."""

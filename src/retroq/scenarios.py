@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .algebra import SM, SX, SZ, eigenvalues, hermitian_eig, ket, pairing, projector, state_spectrum, tensor
-from .channels import Instrument, projective, unsharp_z
+from .channels import projective, unsharp_z
 from .classical import (
     HmmModel,
     LinearGaussianModel,
@@ -155,9 +155,6 @@ def scenario_unsharp_qubit(etas=(0.0, 0.3, 0.6, 1.0)) -> ScenarioReport:
     """
     if len(etas) == 0:
         raise ValueError("etas is empty; give at least one sharpness")
-    for eta in etas:
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta={eta} outside [0, 1]")
     values = {}
     assertions = []
     rows = []
@@ -333,13 +330,8 @@ def scenario_epr(alice=(0.0, np.pi / 2.0), bob=(np.pi / 4.0, -np.pi / 4.0)) -> S
     rows = []
     correlators = {}
     for i, ta in enumerate(alice):
-        ains = Instrument(
-            ("+", "-"),
-            (
-                (tensor(_spin_projector(ta, +1), np.eye(2)),),
-                (tensor(_spin_projector(ta, -1), np.eye(2)),),
-            ),
-        )
+        ains = projective({"+": tensor(_spin_projector(ta, +1), np.eye(2)),
+                           "-": tensor(_spin_projector(ta, -1), np.eye(2))})
         for j, tb in enumerate(bob):
             dot = float(np.cos(ta - tb))
             corr = 0.0

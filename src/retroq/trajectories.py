@@ -10,12 +10,15 @@ model wherever that retrodiction is enumerable.
 Every pass reads one record-step object (``_accel.record_step``), which
 the model builds once per dt and keeps (``MonitoringModel.record_step``).
 The forward filter, replay and the ensembles share one body (``_filter``)
-and their mode's forward kernel. Drawn passes (``_drawn``) hold no
-(n_traj, steps) array they do not return: diffusive ensembles run in row
-blocks of at most _ROW_BYTES per (rows, steps) float array, cut at
-multiples of _ROW_CUT rows, and counting ones draw their uniforms as the
-kernel screens them. The ensembles join the blocks; a scenario can reduce
-them one at a time instead. The kernels step the real branch matrices:
+and their mode's forward kernel. This module draws the noise and the
+kernels only apply the record steps: drawn passes (``_drawn``) take it
+from one counter-based generator per seed and hold no (n_traj, steps)
+array they do not return. Diffusive ensembles run in row blocks of at
+most _ROW_BYTES per (rows, steps) float array, cut at multiples of
+_ROW_CUT rows, and counting ones hand the kernel a ``Uniforms`` source,
+which draws each row slice as the kernel's screen reads it. The
+ensembles join the blocks; a scenario can reduce them one at a time
+instead. The kernels step the real branch matrices:
 the per-step loop ``_accel._paths`` for currents, and for counts
 ``_accel._quiet_runs``, which jumps each trajectory from one click
 candidate to the next by precomputed powers of the no-click branch. A
@@ -261,14 +264,33 @@ def _filter(model, step, rho, incr, from_record, sample_indices):
     return kernel(step, rho, incr, from_record, sample_indices)
 
 
+@dataclass(frozen=True)
+class Uniforms:
+    """The uniform draws of an (n, steps) batch of count trajectories, made as they are read.
+
+    It slices like the (n, steps) array it stands for: ``source[a:b]`` draws
+    rows a..b-1 from noise now, and each slice must start where the last
+    one stopped. ``_accel._quiet_runs`` reads each row once, in row order,
+    so the draws are those of one ``noise.random(shape)`` call bit for bit,
+    and it holds about ``_accel._BUDGET`` of them at a time.
+    """
+
+    noise: np.random.Generator
+    shape: tuple
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        return self.noise.random((stop - start, self.shape[1]))
+
+
 def _drawn(model, rho0, horizon, dt, seed, n_traj=None, sample_times=None):
     """Filter trajectories drawn from seed, a row block at a time; returns (times, dt, n, blocks).
 
     The grid runs from 0 to horizon in steps of dt, and the outcomes are
     drawn from the mode's noise by a counter-based generator, so a seed
     pins every trajectory: dW ~ Normal(0, dt) per step for diffusive
-    records, a uniform per step for counting ones, which the kernel draws as
-    it screens them (``_accel.Uniforms``). A single path (n_traj None) keeps
+    records, a uniform per step for counting ones, drawn as the kernel's
+    screen slices them (``Uniforms``). A single path (n_traj None) keeps
     the state at every grid point, an ensemble of n_traj paths keeps it at
     sample_times (``_resolve_samples``); times are those of the kept states.
     rho0 is one state, or a stack with one state per trajectory.
@@ -285,7 +307,7 @@ def _drawn(model, rho0, horizon, dt, seed, n_traj=None, sample_times=None):
     small-matrix cut-off, near 10⁶ multiply-adds; they agree to rounding.
     So do blocks with per-trajectory starts, which step their own starts'
     sector. Counting batches run as one block: their uniforms are drawn as
-    the kernel screens them (``_accel.Uniforms``), so no (n, steps) float
+    the kernel slices them (``Uniforms``), so no (n, steps) float
     array is held, and their kernel groups columns by their power of the
     quiet branch, which a block would regroup. The arguments are checked
     before the first block is drawn.
@@ -301,7 +323,7 @@ def _drawn(model, rho0, horizon, dt, seed, n_traj=None, sample_times=None):
     def block(rows):  # holds nothing once it returns, so a block is freed as soon as its reader drops it
         shape = (rows.stop - rows.start, steps)
         draws = (noise.normal(0.0, np.sqrt(h), size=shape) if model.mode == "diffusive"
-                 else _accel.Uniforms(noise, shape))
+                 else Uniforms(noise, shape))
         states, outcomes = _filter(model, step, rho if rho.ndim == 2 else rho[rows], draws, False, idx)
         return rows, states, draws, outcomes
 

@@ -62,9 +62,10 @@ def test_dagger_and_hermitian_part_act_on_last_two_axes():
     assert np.array_equal(al.dagger(stack), want)
     assert np.array_equal(al.hermitian_part(stack), 0.5 * (stack + want))
     herm = np.array([random_herm(g, 3) for _ in range(4)])
-    assert al.hermiticity_defect(herm) == 0.0
+    al._require_hermitian(herm, "not Hermitian")
     herm[2, 0, 1] += 1e-3
-    assert al.hermiticity_defect(herm) == pytest.approx(1e-3, rel=1e-9)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        al._require_hermitian(herm, "not Hermitian")
 
 
 def test_state_spectrum_cleans_a_stack_like_single_states():
@@ -227,3 +228,14 @@ def test_apply_adjoint_is_the_conjugate_transpose_applied():
         x = g.normal(size=(4, d, d)) + 1j * g.normal(size=(4, d, d))
         for op in (x[0], x):
             assert np.array_equal(al.apply_adjoint(s, op), al.apply_superop(s.conj().T, op))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: al.asstack(np.zeros(2)), "expected a square matrix or a stack of them, got shape (2,)",
+                 id="asstack-vector"),
+    pytest.param(lambda: al.projector(np.zeros(2)), "cannot project onto the zero vector", id="projector-zero"),
+])
+def test_algebra_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

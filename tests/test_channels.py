@@ -216,3 +216,19 @@ def test_projective_helper():
     assert np.trace(ins.apply("up", rho)) == pytest.approx(0.3)
     with pytest.raises(KeyError):
         ins.apply("sideways", rho)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ch.Instrument(("a", "b"), ((np.eye(2),),)),
+                 "instrument needs one Kraus family per outcome", id="fewer-families"),
+    pytest.param(lambda: ch.Instrument(("a", "b"), ((np.eye(2),), ())),
+                 "instrument needs a nonempty Kraus family per outcome, all d x d", id="empty-family"),
+    pytest.param(lambda: ch.unsharp_z(0.5).gauge_mix("+", np.eye(2)),
+                 "mixing matrix shape (2, 2) does not fit 1 operators", id="gauge-mix-shape"),
+    pytest.param(lambda: ch.compose_preprocess(ch.unsharp_z(0.5), ch.Channel((np.eye(3),))),
+                 "dimension mismatch: instrument 2 vs channel 3", id="compose-dimension"),
+])
+def test_channels_reject_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

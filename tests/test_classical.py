@@ -332,3 +332,41 @@ def test_batch_oracle_dimension_cap():
     model = random_lg(rng(19))
     with pytest.raises(ValueError, match="cap"):
         cl.gaussian_batch_oracle(model, np.zeros((31, 2)))
+
+
+def small_hmm(**fields):
+    return cl.HmmModel(**{"transition": [[0.9, 0.1], [0.2, 0.8]], "likelihood": [[0.7, 0.3], [0.4, 0.6]],
+                          "prior": [0.5, 0.5], **fields})
+
+
+def scalar_lg(**fields):
+    return cl.LinearGaussianModel(**{"a": [[0.9]], "q": [[0.1]], "c": [[1.0]], "r": [[0.2]], "mean0": [0.0],
+                                     "cov0": [[1.0]], **fields})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: cl.hmm_forward_backward(small_hmm(), []),
+                 "observations must be a nonempty 1-d sequence", id="no-observations"),
+    pytest.param(lambda: small_hmm(transition=[[0.5, 0.5]]), "transition must be a square matrix",
+                 id="transition-not-square"),
+    pytest.param(lambda: small_hmm(transition=[[1.1, -0.1], [0.2, 0.8]]), "transition entries must be nonnegative",
+                 id="transition-negative"),
+    pytest.param(lambda: small_hmm(likelihood=[[0.7, 0.3, 0.1]]), "likelihood must have one column per state",
+                 id="likelihood-columns"),
+    pytest.param(lambda: small_hmm(prior=[1.0]), "prior must be a nonnegative vector over states",
+                 id="prior-size"),
+    pytest.param(lambda: cl.smoothing_chain(small_hmm(likelihood=[[0.7, 0.3], [0.0, 0.0]]), [0, 1]),
+                 "observed symbol 1 has zero weight everywhere", id="chain-zero-weight-symbol"),
+    pytest.param(lambda: scalar_lg(a=[[0.9, 0.1]]), "a must be square", id="lg-a-not-square"),
+    pytest.param(lambda: scalar_lg(mean0=[0.0, 1.0]), "mean0 must match the state dimension", id="lg-mean0"),
+    pytest.param(lambda: scalar_lg(q=np.eye(2)), "q must be 1x1", id="lg-q-size"),
+    pytest.param(lambda: cl.kalman_filter(scalar_lg(), np.zeros((3, 2))),
+                 "observations must have shape (steps, 1)", id="kalman-observation-shape"),
+    pytest.param(lambda: cl.gaussian_batch_oracle(scalar_lg(a=[[0.0]], q=[[0.0]], r=[[0.0]], cov0=[[0.0]]),
+                                                  [0.0, 0.0]),
+                 "observation covariance is singular", id="oracle-singular-covariance"),
+])
+def test_classical_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

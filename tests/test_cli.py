@@ -89,6 +89,19 @@ def test_config_that_is_not_text_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    pytest.param("[1, 2]", "config {} must be a JSON object, got list", id="not-an-object"),
+    pytest.param(None, "cannot read config {0}: [Errno 2] No such file or directory: '{0}'", id="unreadable"),
+])
+def test_config_that_is_not_an_object_or_cannot_be_read_exits_2(content, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert run_cli("run", "epr", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == message.format(cfg) + "\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"schema_version": 1,\n  "etas": [0.1,]}')
@@ -196,6 +209,24 @@ def test_env_var_supplies_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("run", "epr") == 0
     assert (tmp_path / "epr" / "report.json").exists()
+
+
+def test_default_out_root_is_runs(tmp_path, monkeypatch):
+    """Without --out or RETROQ_OUT, run writes ./runs/<scenario>, and
+    verify-all writes ./runs/<scenario> with its manifest at ./runs."""
+    monkeypatch.delenv("RETROQ_OUT", raising=False)
+    for sub in ("one", "all"):
+        (tmp_path / sub).mkdir()
+    monkeypatch.chdir(tmp_path / "one")
+    assert run_cli("run", "epr") == 0
+    assert sorted(os.listdir(tmp_path / "one" / "runs" / "epr")) == ["epr.csv", "manifest.json", "report.json"]
+    monkeypatch.chdir(tmp_path / "all")
+    monkeypatch.setattr(cli, "SCENARIOS", {k: SCENARIOS[k] for k in ("unsharp-qubit", "epr")})
+    assert run_cli("verify-all") == 0
+    root = tmp_path / "all" / "runs"
+    assert sorted(os.listdir(root)) == ["epr", "manifest.json", "unsharp-qubit"]
+    assert json.loads((root / "manifest.json").read_text())["results"] == {"unsharp-qubit": True, "epr": True}
+    assert (root / "unsharp-qubit" / "report.json").exists() and (root / "epr" / "report.json").exists()
 
 
 def test_flag_overrides_env_out_dir(tmp_path, monkeypatch):

@@ -333,3 +333,22 @@ def test_flow_route_follows_the_step_size(monkeypatch):
         dyn.evolve_effect(gen, np.eye(d), 0.05, 1e-3)
         assert (d * d <= dyn._LADDER_SECTOR) == (d == 4)
         assert looped == ([] if d == 4 else [50] * 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dyn.Bath("b", ()), "bath 'b' has no jump operators", id="bath-no-jumps"),
+    pytest.param(lambda: dyn.Bath("b", (np.zeros((2, 2)), np.zeros((3, 3)))),
+                 "bath 'b' jump operators must share one dimension", id="bath-two-dimensions"),
+    pytest.param(lambda: dyn.LindbladGenerator(np.zeros((2, 2)), (dyn.Bath("b", (al.SM,)), dyn.Bath("b", (al.SM,)))),
+                 "bath labels must be unique", id="generator-duplicate-labels"),
+    pytest.param(lambda: dyn.LindbladGenerator(np.zeros((3, 3)), (dyn.Bath("b", (al.SM,)),)),
+                 "bath jump operators must match the Hamiltonian dimension", id="generator-dimensions"),
+    pytest.param(lambda: dyn.Timeline([0.0, 1.0], np.zeros((2, 2, 2)), "other"),
+                 "timeline kind must be 'state' or 'effect', got 'other'", id="timeline-kind"),
+    pytest.param(lambda: dyn.Timeline([0.0, 1.0], np.zeros((3, 2, 2)), "state"),
+                 "timeline needs times (n,) and matching operators (n, d, d) or (m, n, d, d)", id="timeline-shape"),
+])
+def test_dynamics_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

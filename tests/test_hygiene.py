@@ -328,6 +328,31 @@ def test_one_hermiticity_check():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def noise_and_dispatch(source: str) -> list:
+    """Lines that name np.random or a Generator, or call isinstance."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        random = name == "random" and isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+        called = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        if random or name == "Generator" or called:
+            hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def test_the_scan_sees_noise_and_dispatch():
+    src = "g = np.random.default_rng(0)\nx = rng.random(3)\ndef f(noise: Generator):\n    pass\n"
+    src += "y = np.random.Generator(np.random.Philox(1))\nif isinstance(x, Uniforms):\n    pass\nz = x.random\n"
+    assert noise_and_dispatch(src) == [1, 3, 5, 6]
+
+
+def test_the_kernels_draw_no_noise():
+    """_accel holds the record steps and the kernels that apply them, linear
+    maps only: the caller draws the noise and hands over arrays or row-sliced
+    sources alike, so the kernels name no generator and dispatch on no type."""
+    assert noise_and_dispatch((SRC / "_accel.py").read_text()) == []
+
+
 def test_no_retroq_module_loads_scipy():
     """numpy is retroq's one import-time dependency: a fresh interpreter that
     imports every module has no scipy module loaded. Only the test reference

@@ -348,7 +348,7 @@ def test_backward_chain_trivial_and_unital_cases():
 def test_backward_chain_entries_are_effects():
     spec = random_chain(rng(10), 3, 2, outcome_sizes=(2, 1))
     for e in rd.backward_effect_chain(spec):
-        assert al.hermiticity_defect(e) < 1e-12
+        assert np.abs(e - e.conj().T).max() < 1e-12
         w = np.linalg.eigvalsh(al.hermitian_part(e))
         assert w.min() > -1e-10 and w.max() < 1.0 + 1e-10
 
@@ -510,3 +510,27 @@ def test_chain_spec_validation():
         rd.ChainSpec(random_state(g, 2), (), zero_generator(2), 0.0, np.eye(2))
     with pytest.raises(ValueError, match="dimension"):
         rd.ChainSpec(random_state(g, 3), (stage,), zero_generator(3), 0.0, np.eye(3))
+
+
+def one_stage_chain(**fields):
+    gen = zero_generator(2)
+    return rd.ChainSpec(**{"rho_i": np.eye(2) / 2, "stages": (rd.Stage(gen, 0.0, ch.unsharp_z(0.5)),),
+                           "final_generator": gen, "final_duration": 0.0, "effect_final": np.eye(2), **fields})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: rd.BoundaryPair(np.eye(2) / 2, np.eye(3)), "dimension mismatch: state 2 vs effect 3",
+                 id="boundary-pair"),
+    pytest.param(lambda: rd.abl_distribution(rd.BoundaryPair(np.eye(3) / 3, np.eye(3)), ch.unsharp_z(0.5)),
+                 "dimension mismatch: instrument 2 vs boundary 3", id="abl-distribution"),
+    pytest.param(lambda: rd.effective_effects(ch.unsharp_z(0.5), np.eye(3)),
+                 "dimension mismatch: instrument 2 vs effect 3", id="effective-effects"),
+    pytest.param(lambda: one_stage_chain(final_duration=-0.1), "final duration must be nonnegative",
+                 id="chain-negative-final-duration"),
+    pytest.param(lambda: one_stage_chain(effect_final=np.eye(3)),
+                 "final evolution and effect must share the chain dimension", id="chain-effect-dimension"),
+])
+def test_retrodiction_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

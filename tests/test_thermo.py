@@ -406,3 +406,21 @@ def test_a_spectrum_gives_what_its_stack_gives():
                 want, got = fn(states, sigma, h), fn(spec, ref, h)
                 assert type(got) is type(want)
                 assert np.array_equal(got, want)
+
+
+def effect_timeline():
+    return dyn.Timeline([0.0, 1.0], np.array([np.eye(2), np.eye(2)]), "effect")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: th.relative_entropy(np.eye(2) / 2, np.eye(3) / 3), "dimension mismatch: 2 vs 3",
+                 id="relative-entropy-dimensions"),
+    pytest.param(lambda: th.clausius_gap(dyn.LindbladGenerator(np.zeros((2, 2))), effect_timeline()),
+                 "clausius_gap wants a state timeline", id="clausius-gap-effects"),
+    pytest.param(lambda: th.thermo_report(dyn.LindbladGenerator(np.zeros((2, 2))), effect_timeline(), np.eye(2) / 2),
+                 "thermo_report wants a state timeline", id="thermo-report-effects"),
+])
+def test_thermo_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -1307,20 +1307,20 @@ def test_row_blocks_give_one_block_bit_for_bit(case, monkeypatch):
 
 @pytest.mark.parametrize("case", range(3))
 def test_counting_draws_are_one_philox_draw(case, monkeypatch):
-    """A Uniforms source drawn in row chunks gives the values of one
+    """A Uniforms source sliced in row chunks gives the values of one
     Generator(Philox(seed)).random((n, steps)) call, and the kernel's
     screen, reading 3 rows at a time from it, fires and samples exactly as
     on that whole array."""
     make, start, _ = block_cases()[case]
     n, steps, seed = 50, 300, 7
-    source = _accel.Uniforms(np.random.Generator(np.random.Philox(seed)), (n, steps))
-    chunks = np.concatenate([source.rows(a, min(n, a + 3)) for a in range(0, n, 3)])
+    source = tr.Uniforms(np.random.Generator(np.random.Philox(seed)), (n, steps))
+    chunks = np.concatenate([source[a:a + 3] for a in range(0, n, 3)])
     assert np.array_equal(chunks, np.random.Generator(np.random.Philox(seed)).random((n, steps)))
-    assert len(source) == n and source.shape == (n, steps)
+    assert source.shape == (n, steps)
     step = _accel.record_step(make("counting"), 5e-3)
     monkeypatch.setattr(_accel, "_BUDGET", steps * 3)
     idx = [0, 17, 150, steps]
-    got = _accel.counting_paths(step, start, _accel.Uniforms(np.random.Generator(np.random.Philox(seed)), (n, steps)),
+    got = _accel.counting_paths(step, start, tr.Uniforms(np.random.Generator(np.random.Philox(seed)), (n, steps)),
                                 False, idx)
     want = _accel.counting_paths(step, start, chunks, False, idx)
     assert np.array_equal(got[1], want[1]) and got[1].any()
@@ -1657,3 +1657,13 @@ def test_single_record_functions_reject_a_batch(tmp_path):
         tr.PqsPair(single, effects, batch)
     with pytest.raises(ValueError, match="one increment per step"):
         tr.MeasurementRecord("diffusive", batch.times, np.zeros((2, 2, batch.steps)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: tr.MeasurementRecord("counting", [0.0], []), "record needs a grid of at least two times",
+                 id="record-one-time"),
+])
+def test_trajectories_reject_malformed_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
