@@ -241,7 +241,8 @@ def naimark_dilate(ins: Instrument) -> Dilation:
     phases = np.ones(d * kdim, dtype=complex)
     phases[:d] = np.diagonal(r)[:d]
     u_first = q * phases  # now u_first[:, :d] == V
-    if np.max(np.abs(u_first[:, :d] - v)) > 1e-10:
+    # to the tolerance the instrument's completeness was accepted at
+    if np.max(np.abs(u_first[:, :d] - v)) > DEFAULT_TOL:
         raise ValueError("dilation completion failed to reproduce the isometry")
     # route the isometry columns to input ancilla index 0: column (s, 0) <- V[:, s]
     first = np.arange(d * kdim) % kdim == 0

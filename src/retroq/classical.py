@@ -93,7 +93,9 @@ def hmm_forward_backward(model: HmmModel, observations):
     Alphas are normalized per step and so are the filtered marginals
     P(x_k | y_0..y_k); betas are normalized per step too, which is harmless
     because the smoothed product renormalizes. Raises when the observation
-    sequence is impossible under the model.
+    sequence is impossible under the model, and, by its own message, when
+    the backward message of a sequence the forward pass accepted underflows
+    to zero (a likelihood near the smallest subnormal).
     """
     obs = _check_observations(model, observations)
     k_steps = obs.size
@@ -113,7 +115,7 @@ def hmm_forward_backward(model: HmmModel, observations):
         cur = model.transition @ (model.likelihood[obs[k + 1]] * betas[k + 1])
         total = float(cur.sum())
         if total <= 0.0:
-            raise ValueError(f"observation sequence has zero likelihood at step {k}")
+            raise ValueError(f"backward message underflowed to zero at step {k}")
         betas[k] = cur / total
     smoothed = alphas * betas
     smoothed /= smoothed.sum(axis=1, keepdims=True)

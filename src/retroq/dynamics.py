@@ -12,7 +12,9 @@ transpose (_power_flow); a larger d, and a time-dependent stack of steps
 such as a driven system's, take one product per step (flow). No step is projected
 or clamped: the propagate_* passes check the whole timeline once, in one
 batched algebra.eigenvalues, and raise if any point leaves the valid set by
-more than PROJECTION_FAIL_TOL.
+more than PROJECTION_FAIL_TOL. pairing_drift measures both passes against
+exp(TL), from the RK4 step's Taylor polynomial taken at order 18 and
+squared (scaling and squaring).
 
 Every time grid of the package is built, checked, compared and looked up
 here, under one tolerance (_GRID_TOL).
@@ -176,14 +178,20 @@ def _grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, float]:
     return t0 + h * np.arange(n + 1), h
 
 
-def rk4_step(superop, h: float) -> np.ndarray:
-    """RK4 step matrix I + hL(I + hL/2(I + hL/3(I + hL/4))) of one superoperator or a stack."""
-    lmat = np.asarray(superop, dtype=complex)
+def _taylor(lmat: np.ndarray, h: float, order: int) -> np.ndarray:
+    """The Taylor polynomial I + hL(I + hL/2(… (I + hL/order))) of one matrix or a stack, by Horner."""
     eye = np.eye(lmat.shape[-1])
-    step = eye + (h / 4.0) * lmat
-    for k in (3.0, 2.0, 1.0):
-        step = eye + (h / k) * (lmat @ step)
-    return step
+    poly = eye + (h / order) * lmat
+    for k in range(order - 1, 0, -1):
+        poly = eye + (h / k) * (lmat @ poly)
+    return poly
+
+
+def rk4_step(superop, h: float) -> np.ndarray:
+    """RK4 step matrix of one superoperator or a stack: the order-4 Taylor
+    polynomial I + hL(I + hL/2(I + hL/3(I + hL/4))) of exp(hL), the same
+    Horner polynomial (_taylor) that pairing_drift's reference takes at order 18."""
+    return _taylor(np.asarray(superop, dtype=complex), h, 4)
 
 
 def flow(steps, x):
@@ -346,19 +354,32 @@ def stationary_state(gen: LindbladGenerator) -> np.ndarray:
     return state
 
 
+def _exponential(lmat: np.ndarray, span: float) -> np.ndarray:
+    """exp(span L) by scaling and squaring: the order-18 Taylor polynomial of
+    A / 2^s, A = span L, squared s times by matrix_power's binary ladder
+    (Moler & Van Loan, SIAM Rev. 45, 3, 2003).
+
+    s = max(e + 1, 0) from np.frexp's ‖A‖₁ = m 2^e, 1/2 <= m < 1, so
+    ‖A / 2^s‖₁ <= 1/2 and the series' tail is below 1e-22; A = 0 reads
+    e = 0, so s = 1, with no logarithm of zero. It shares only the Horner
+    polynomial with rk4_step, not the steps or the ladder it checks.
+    """
+    s = max(int(np.frexp(span * np.linalg.norm(lmat, 1))[1]) + 1, 0)
+    return np.linalg.matrix_power(_taylor(lmat, span / 2.0**s, 18), 2**s)
+
+
 def pairing_drift(gen: LindbladGenerator, rho0, effect_final, t0: float, t1: float, dt: float) -> float:
     """Worst-case deviation of Tr[E_t rho_t] from the exactly conserved pairing.
 
     The reference value pairs the terminal effect with a dense-exponential
     propagation of the initial state, so the returned number measures true
-    integrator error rather than a telescoping identity. The exponential is
-    scipy.linalg.expm, a route independent of the RK4 steps it checks; scipy
-    is imported here, so no other retroq import loads it.
+    integrator error rather than a telescoping identity. The exponential
+    exp((t1 - t0) L) scales and squares an order-18 Taylor polynomial
+    (_exponential) in numpy alone, a route independent of the RK4 steps and
+    of the ladder of _power_flow that it checks.
     """
-    import scipy.linalg
-
     fwd = propagate_forward(gen, rho0, t0, t1, dt)
     bwd = propagate_backward(gen, effect_final, t1, t0, dt)
-    prop = scipy.linalg.expm((t1 - t0) * gen.superop)
+    prop = _exponential(gen.superop, t1 - t0)
     rho_exact = (prop @ validate_state(rho0).ravel()).reshape(gen.dim, gen.dim)
     return float(np.max(np.abs(pairing(bwd.mats, fwd.mats) - pairing(effect_final, rho_exact))))

@@ -210,6 +210,19 @@ def test_naimark_dilation_unsharp_z():
         assert np.allclose(dil.apply(m, rho), ins.apply(m, rho), atol=1e-10)
 
 
+def test_naimark_dilates_what_instrument_accepts():
+    """A completeness defect of 5.4e-10 is inside the tolerance Instrument
+    accepts (DEFAULT_TOL); the completion then sits 4.8e-10 off the
+    isometry, and the dilation holds it to that same tolerance."""
+    base = ch.unsharp_z(0.6)
+    ins = ch.Instrument(base.outcomes, ((base.kraus[0][0] + 4e-10 * al.SX,), base.kraus[1]))
+    assert 1e-10 < ins.completeness_defect < al.DEFAULT_TOL
+    dil = ch.naimark_dilate(ins)
+    rho = random_state(rng(17), 2)
+    for m in ins.outcomes:
+        assert np.max(np.abs(dil.apply(m, rho) - ins.apply(m, rho))) < 1e-9
+
+
 def test_projective_helper():
     ins = ch.projective({"up": np.diag([1.0, 0.0]), "down": np.diag([0.0, 1.0])})
     rho = np.diag([0.3, 0.7]).astype(complex)

@@ -76,6 +76,15 @@ def test_impossible_sequence_raises():
         cl.hmm_forward_backward(model, [0, 1])
 
 
+def test_backward_underflow_is_named():
+    """The forward pass accepts [0, 1], whose likelihood is 5e-324, the
+    smallest subnormal; half of it rounds to zero in the backward message,
+    and the raise names that underflow, not an impossible sequence."""
+    model = cl.HmmModel([[0, 1], [1, 0]], [[1, 1], [0, 5e-324]], [1, 0])
+    with pytest.raises(ValueError, match=r"^backward message underflowed to zero at step 0$"):
+        cl.hmm_forward_backward(model, [0, 1])
+
+
 def test_forward_backward_matches_path_enumeration():
     for seed in (7, 8, 9):
         g = rng(seed)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,49 @@ def test_rk4_step_on_a_stack_equals_per_matrix_calls():
     assert stacked.shape == supers.shape
     for s, one in zip(supers, stacked):
         assert np.max(np.abs(one - dyn.rk4_step(s, 0.02))) < 1e-13
+
+
+def test_rk4_step_is_the_order_4_taylor_polynomial_bit_for_bit():
+    """rk4_step is the order-4 case of the one Horner polynomial, and gives
+    the bits of the four-stage loop written out, on a matrix and on a stack."""
+    g = rng(31)
+    for shape in ((9, 9), (5, 4, 4)):
+        lmat = g.normal(size=shape) + 1j * g.normal(size=shape)
+        eye = np.eye(shape[-1])
+        want = eye + (0.03 / 4.0) * lmat
+        for k in (3.0, 2.0, 1.0):
+            want = eye + (0.03 / k) * (lmat @ want)
+        assert np.array_equal(dyn.rk4_step(lmat, 0.03), want)
+
+
+def criterion_04_generators():
+    """The ten generators of acceptance criterion 04, drawn as it draws them."""
+    g = rng(404)
+    gens = []
+    for _ in range(10):
+        d = int(g.integers(2, 5))
+        gens.append(random_generator(g, d, h_scale=4.0, j_scale=0.4))
+        random_state(g, d)  # the criterion draws its boundaries next
+        random_effect_interior(g, d)
+    return gens
+
+
+def test_reference_exponential_matches_scipy():
+    """pairing_drift's exp(TL) scales and squares an order-18 Taylor
+    polynomial in numpy; scipy's expm, a test dependency, agrees to 1e-13 on
+    criterion 04's ten generators and on a stiff one with ‖L‖₁ = 1e3. The
+    zero generator gives the identity and warns of nothing."""
+    from scipy.linalg import expm
+
+    stiff = random_generator(rng(32), 3).superop
+    supers = [gen.superop for gen in criterion_04_generators()] + [stiff * (1e3 / np.linalg.norm(stiff, 1))]
+    for lmat in supers:
+        assert np.max(np.abs(dyn._exponential(lmat, 1.0) - expm(lmat))) < 1e-13
+    zero = dyn.LindbladGenerator(np.zeros((2, 2))).superop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(dyn._exponential(zero, 1.0), np.eye(4))
+        assert np.array_equal(expm(zero), np.eye(4))
 
 
 def test_stacked_driven_timeline_equals_per_step_generators():

@@ -353,16 +353,61 @@ def test_the_kernels_draw_no_noise():
     assert noise_and_dispatch((SRC / "_accel.py").read_text()) == []
 
 
+def scipy_names(source: str) -> list:
+    """Lines that import scipy or name it in an identifier, an attribute or a string."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            names = [node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")]
+        if any(re.search(r"\bscipy\b", n) for n in names):
+            hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def test_the_scan_sees_scipy():
+    src = "import scipy.linalg\nfrom scipy import linalg\nimport numpy as np\nx = np.linalg.norm(a)\n"
+    src += "m = importlib.import_module('scipy')\ny = scipy_like + sp.scipy\ndef f():\n    \"\"\"exp by scipy.\"\"\"\n"
+    assert scipy_names(src) == [1, 2, 5, 6, 8]
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports retroq from this tree's src."""
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_no_retroq_module_loads_scipy():
-    """numpy is retroq's one import-time dependency: a fresh interpreter that
-    imports every module has no scipy module loaded. Only the test reference
-    dynamics.pairing_drift imports scipy, when it is called."""
+    """numpy is retroq's one runtime dependency: no file under src/retroq
+    names scipy, and a fresh interpreter that imports every module has no
+    scipy module loaded."""
+    found = {p.name: scipy_names(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
     names = [p.stem for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
     assert "scenarios" in names and "cli" in names
     probe = "import sys\n"
     probe += "".join(f"import retroq.{name}\n" for name in names)
     probe += "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_pairing_drift_and_the_catalog_run_with_scipy_blocked(tmp_path):
+    """With scipy's import blocked, dynamics.pairing_drift returns its
+    reference drift and verify-all passes: retroq runs on numpy alone."""
+    probe = "import sys\nsys.modules['scipy'] = None\n"
+    probe += "import numpy as np\nfrom retroq import cli, dynamics as dyn\nfrom retroq.algebra import SM, SZ\n"
+    probe += "gen = dyn.LindbladGenerator(SZ, (dyn.Bath('decay', (SM,)),))\n"
+    probe += "print(dyn.pairing_drift(gen, np.diag([0.0, 1.0]), np.diag([0.3, 0.6]), 0.0, 1.0, 1e-3))\n"
+    probe += "sys.exit(cli.main(['verify-all', '--out', sys.argv[1]]))\n"
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe, str(tmp_path)],
+                         env=src_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert 0.0 <= float(lines[0]) < 1e-8
+    assert lines[-1].startswith("verify-all: PASS")
