@@ -17,7 +17,7 @@ exp(TL), from the RK4 step's Taylor polynomial taken at order 18 and
 squared (scaling and squaring).
 
 Every time grid of the package is built, checked, compared and looked up
-here, under one tolerance (_GRID_TOL).
+here, and grid steps are matched here, under one tolerance (_GRID_TOL).
 """
 
 from __future__ import annotations
@@ -164,6 +164,11 @@ def _grid_indices(times: np.ndarray, t) -> np.ndarray:
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two grids hold as many times and agree at each."""
     return a.shape == b.shape and not _off_grid(a, b).any()
+
+
+def _same_step(dt: float, steps) -> float:
+    """The first of steps that lies on dt's grid step under _GRID_TOL, else dt."""
+    return next((h for h in steps if not _off_grid(dt, h)), dt)
 
 
 def _grid(t0: float, t1: float, dt: float) -> tuple[np.ndarray, float]:

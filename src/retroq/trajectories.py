@@ -57,7 +57,7 @@ from .algebra import (
     state_spectrum,
 )
 from .channels import Instrument
-from .dynamics import Bath, LindbladGenerator, Timeline, _check_uniform, _grid, _grid_indices, _same_grid
+from .dynamics import Bath, LindbladGenerator, Timeline, _check_uniform, _grid, _grid_indices, _same_grid, _same_step
 from .dynamics import _terminal_effect
 from .retrodiction import BoundaryPair, abl_distribution
 
@@ -110,11 +110,15 @@ class MonitoringModel:
         return self.c + dagger(self.c)
 
     def record_step(self, dt: float) -> _accel.RecordStep:
-        """The record step on a grid of spacing dt (``_accel.record_step``), built once per dt."""
-        step = self._steps.get(dt)
-        if step is None:
-            step = self._steps[dt] = _accel.record_step(self, dt)
-        return step
+        """The record step on a grid of spacing dt (``_accel.record_step``), built once per grid step.
+
+        A dt on the grid step of a kept one under ``_GRID_TOL``, as the ends
+        of a grid sliced at an offset give, reads that step.
+        """
+        h = dt if dt in self._steps else _same_step(dt, self._steps)
+        if h not in self._steps:
+            self._steps[h] = _accel.record_step(self, h)
+        return self._steps[h]
 
     def unmonitored_jumps(self) -> list:
         """The jumps of the extra baths, in order: every generator jump but the monitored channel."""
@@ -283,6 +287,17 @@ class Uniforms:
         return self.noise.random((stop - start, self.shape[1]))
 
 
+def _philox(seed) -> np.random.Generator:
+    """The counter-based generator of a seed, a non-negative int or numpy integer.
+
+    Every draw of the package starts here. A bool, float or str seed is
+    refused by its type, not rounded or parsed.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed {seed!r} of type {type(seed).__name__} is not a non-negative integer")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def _drawn(model, rho0, horizon, dt, seed, n_traj=None, sample_times=None):
     """Filter trajectories drawn from seed, a row block at a time; returns (times, dt, n, blocks).
 
@@ -318,7 +333,7 @@ def _drawn(model, rho0, horizon, dt, seed, n_traj=None, sample_times=None):
     idx = np.arange(times.size) if n_traj is None else _resolve_samples(times, sample_times)
     rho = _initial_state(model, rho0, n)
     step = model.record_step(h)
-    noise = np.random.Generator(np.random.Philox(int(seed)))
+    noise = _philox(seed)
 
     def block(rows):  # holds nothing once it returns, so a block is freed as soon as its reader drops it
         shape = (rows.stop - rows.start, steps)

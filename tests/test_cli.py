@@ -292,6 +292,19 @@ def test_verify_all_reports_a_rejected_seed(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("name", ["homodyne-cavity", "counting", "thermal-qubit", "classical-limit"])
+@pytest.mark.parametrize("seed, kind", [(1.5, "float"), (True, "bool"), ("7", "str"), (-3, "int")])
+def test_a_config_seed_that_is_not_a_non_negative_integer_exits_2(name, seed, kind, tmp_path, capsys):
+    """A config seed is neither rounded nor parsed: 1.5 does not run as 1,
+    true as 1 or "7" as 7, and the run writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "seed": seed}))
+    assert run_cli("run", name, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration rejected by {name}: seed {seed!r} of type {kind} is not a non-negative integer\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_flag_recorded_in_manifest(tmp_path):
     """--seed reaches a scenario that takes one and is recorded in its manifest."""
     cfg = tmp_path / "cfg.json"

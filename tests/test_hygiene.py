@@ -328,16 +328,21 @@ def test_one_hermiticity_check():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def numpy_random(source: str) -> list:
+    """Lines that name np.random."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
+                   and node.attr == "random" and getattr(node.value, "id", None) == "np"})
+
+
 def noise_and_dispatch(source: str) -> list:
     """Lines that name np.random or a Generator, or call isinstance."""
-    hits = []
+    hits = set(numpy_random(source))
     for node in ast.walk(ast.parse(source)):
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        random = name == "random" and isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
         called = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-        if random or name == "Generator" or called:
-            hits.append(node.lineno)
-    return sorted(set(hits))
+        if name == "Generator" or called:
+            hits.add(node.lineno)
+    return sorted(hits)
 
 
 def test_the_scan_sees_noise_and_dispatch():
@@ -351,6 +356,18 @@ def test_the_kernels_draw_no_noise():
     maps only: the caller draws the noise and hands over arrays or row-sliced
     sources alike, so the kernels name no generator and dispatch on no type."""
     assert noise_and_dispatch((SRC / "_accel.py").read_text()) == []
+
+
+def test_the_scan_sees_numpy_random():
+    src = "g = np.random.default_rng(0)\nx = rng.random(3)\ny = np.random.Generator(\n    np.random.Philox(1))\n"
+    assert numpy_random(src) == [1, 3, 4]
+
+
+def test_one_module_builds_generators():
+    """Every random generator comes from trajectories._philox, under one seed
+    rule; a module that names np.random builds its own and can round a seed."""
+    found = {p.name: numpy_random(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert [name for name, hits in found.items() if hits] == ["trajectories.py"]
 
 
 def scipy_names(source: str) -> list:

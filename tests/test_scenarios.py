@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import json
 import re
 import tracemalloc
 import warnings
@@ -47,6 +49,28 @@ def test_assertion_and_report_plumbing():
     assert d["artifacts"] == ["a.csv", "b.csv"]
     assert sc._at_least("c", 0.5, 0.0, "t").passed
     assert not sc._at_most("d", 0.5, 0.0, "t").passed
+    checks = sc._Checks()
+    kept = checks.add(sc._at_most("kept", np.float64(0.25), 1.0, "t"), value="kept_value")
+    checks.add(bad)
+    checks.add(good)
+    checks.values["unchecked"] = 3.0
+    rep = checks.report("recorded", {"r.csv": (["x"], [(1.0,)])})
+    assert rep.values == {"kept_value": kept.actual, "unchecked": 3.0}
+    assert type(rep.values["kept_value"]) is float
+    assert rep.assertions == (kept, bad, good)
+    assert [a["name"] for a in rep.as_dict()["assertions"]] == ["kept", "b", "a"]
+    assert rep.name == "recorded" and rep.tables == {"r.csv": (["x"], [(1.0,)])} and not rep.passed
+
+
+def test_assertion_helpers_return_plain_bools():
+    """The helpers compare their converted floats, so numpy operands give a
+    Python bool and the report writer can serialize every assertion."""
+    for a in (sc._close("c", np.float64(1.0), np.float64(1.0), np.float64(1e-12), "t"),
+              sc._at_least("l", np.float32(0.5), np.float64(0.0), "t"),
+              sc._at_most("m", np.int64(1), np.float64(0.5), "t")):
+        assert type(a.passed) is bool
+        assert all(type(getattr(a, f)) is float for f in ("actual", "expected", "tolerance"))
+        assert json.loads(json.dumps(dataclasses.asdict(a)))["passed"] is a.passed
 
 
 def test_unsharp_qubit_closed_forms():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -161,6 +162,34 @@ def test_replay_homodyne_matches_simulation_exactly():
     states, rec = tr.simulate_homodyne(model, rho0, 0.15, 1e-3, seed=5)
     again = tr.replay_homodyne(model, rho0, rec)
     assert np.array_equal(states.mats, again.mats)
+
+
+def test_an_offset_replay_reads_the_simulation_step():
+    """A record sliced from a grid at an offset reads its dt an ulp off the
+    simulation's h; the model still keeps one step for that grid step, and
+    the suffix replay from the simulated state repeats the simulation."""
+    model = tr.monitoring_model(0.65 * al.SX, al.SM, 1.0, 0.8)
+    rho0 = 0.5 * np.eye(2) + 0.2 * al.SX
+    states, rec = tr.simulate_homodyne(model, rho0, 0.6, 0.002, seed=3)
+    suffix = tr.MeasurementRecord("diffusive", rec.times[200:], rec.increments[200:])
+    assert suffix.dt != 0.002
+    again = tr.replay_homodyne(model, states.mats[200], suffix)
+    assert list(model._steps) == [0.002]
+    assert np.max(np.abs(again.mats - states.mats[200:])) < 1e-12
+    assert dyn._same_step(0.002 + 1e-8, model._steps) == 0.002 + 1e-8  # a distinct step is its own key
+
+
+def test_seeds_are_non_negative_integers():
+    """Every generator is built under one seed rule: a non-negative int or
+    numpy integer, never a bool, a float or a string."""
+    model = decay_model()
+    for seed in (1.5, True, "7", -3, np.float64(2.0)):
+        message = f"seed {seed!r} of type {type(seed).__name__} is not a non-negative integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tr.simulate_homodyne(model, EXCITED, 0.01, 1e-3, seed=seed)
+    a = tr.simulate_homodyne(model, EXCITED, 0.01, 1e-3, seed=np.uint64(5))[1].increments
+    assert np.array_equal(a, tr.simulate_homodyne(model, EXCITED, 0.01, 1e-3, seed=5)[1].increments)
+    assert np.array_equal(tr._philox(9).random(4), np.random.default_rng(np.random.Philox(9)).random(4))
 
 
 def test_replay_counting_matches_simulation_exactly():
